@@ -7,9 +7,11 @@ supremum over member laws is taken at every stage:
     w_0 = psi,   w_{m+1}(x) = max_laws  int w_m(x + B_n y) dF_W(y),
 
 so w_n(0) is the sublinear expectation of psi(B_n S_n).  Each stage is a
-translation-invariant positive kernel on a uniform grid, so it is
-applied as one FFT convolution per law with aggregated interpolation
-taps, plus rank-one edge terms for the mass that lands beyond the grid.
+translation-invariant positive kernel on a uniform grid: one
+``ShiftKernel`` per law, built once per n, holds the aggregated
+interpolation taps and the mass that lands beyond the grid as edge
+coefficients.  A stage is one forward FFT of the row and one inverse
+FFT per law.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .kernels import Grid, UncertaintySet, band_bins
+from .kernels import (Grid, ShiftKernel, UncertaintySet, apply_max, band_bins,
+                      shift_kernel)
 from .laws import AttractedLaw, law_expectation, _GL_NODES, _GL_WEIGHTS
 from .laws import _TAIL_BINS, _TAIL_FAR
 
@@ -101,28 +103,15 @@ def _law_nodes(law: AttractedLaw) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class _StageKernel:
-    taps: np.ndarray       # aggregated interpolation weights per offset
-    half: int              # taps[half] is offset zero
-    edge_lo: float         # mass landing below any grid point
-    edge_hi: float         # mass landing above any grid point
-    escape_mid: float      # worst-case off-grid mass from the middle half
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        w_pad = np.pad(w, self.half, mode="edge")
-        out = fftconvolve(w_pad, self.taps[::-1], mode="valid")
-        return out + self.edge_lo * w[0] + self.edge_hi * w[-1]
-
-
-def _stage_kernel(law: AttractedLaw, b_n: float, grid: Grid) -> _StageKernel:
+def _stage_kernel(law: AttractedLaw, b_n: float,
+                  grid: Grid) -> tuple[ShiftKernel, float]:
+    """Stage kernel of one law, and the worst-case off-grid mass seen
+    from the middle half of the grid."""
     nodes, weights = _law_nodes(law)
     shifts = b_n * nodes / grid.dx
     half = grid.nx - 1
     lo = shifts < -half
     hi = shifts > half
-    edge_lo = float(np.sum(weights[lo]))
-    edge_hi = float(np.sum(weights[hi]))
     keep = ~(lo | hi)
     s, wgt = shifts[keep], weights[keep]
     base = np.floor(s).astype(int)
@@ -130,7 +119,8 @@ def _stage_kernel(law: AttractedLaw, b_n: float, grid: Grid) -> _StageKernel:
     taps = np.zeros(2 * half + 2)
     np.add.at(taps, base + half, wgt * (1.0 - frac))
     np.add.at(taps, base + half + 1, wgt * frac)
-    taps = taps[: 2 * half + 1] if taps[-1] == 0.0 else taps
+    kern = shift_kernel(taps, half, grid.nx, float(np.sum(weights[lo])),
+                        float(np.sum(weights[hi])))
     # off-grid mass seen from the middle-half edges (worst case there)
     span = 0.5 * (grid.x_max - grid.x_min)
     reach_r = (0.5 * span) / b_n   # distance from mid-half edge to x_max
@@ -139,7 +129,7 @@ def _stage_kernel(law: AttractedLaw, b_n: float, grid: Grid) -> _StageKernel:
     for x_gap_r, x_gap_l in ((reach_r, reach_l), (reach_l, reach_r)):
         esc = max(esc, float(np.sum(weights[(nodes > x_gap_r)
                                             | (nodes < -x_gap_l)])))
-    return _StageKernel(taps, half, edge_lo, edge_hi, esc)
+    return kern, esc
 
 
 def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
@@ -155,15 +145,16 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
     if not np.all(np.isfinite(w)):
         raise ValueError("psi produced non-finite samples")
     b_n = spec.B_n
-    kernels = [_stage_kernel(law, b_n, grid) for law in family.laws]
-    escaped = spec.n * max(k.escape_mid for k in kernels)
+    built = [_stage_kernel(law, b_n, grid) for law in family.laws]
+    kernels = [kern for kern, _ in built]
+    escaped = spec.n * max(esc for _, esc in built)
     if escaped > ESCAPE_TOL:
         need = grid.x_max * (escaped / ESCAPE_TOL) ** (1.0 / spec.alpha)
         raise NarrowGridError(
             f"accumulated off-grid quadrature mass {escaped:.2e} exceeds "
             f"{ESCAPE_TOL:.0e}; widen the grid to roughly +-{need:.0f}")
     for _ in range(spec.n):
-        w = np.max([k.apply(w) for k in kernels], axis=0)
+        w = apply_max(kernels, w)
     mid = grid.nx // 2
     value = float(np.interp(0.0, grid.x[mid - 1: mid + 2],
                             w[mid - 1: mid + 2]))

@@ -20,15 +20,23 @@ The first-moment (drift) compensation is discretized with a centered
 difference when that keeps every off-diagonal weight nonnegative, and
 falls back to upwinding otherwise, so the assembled operator is always
 monotone.
+
+Every translation-invariant operator here (the generator and the
+dynamic-program stages in ``engine``) is a ``ShiftKernel``: taps over
+offsets -(nx-1)..(nx-1) plus coefficients on the two edge values, with
+the rFFT of the reversed taps cached at a fixed padded length.  A
+family is applied by ``apply_max``: one forward FFT of the row and one
+inverse FFT per member.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 
 class KernelDomainError(ValueError):
@@ -110,9 +118,11 @@ class Grid:
     def dt(self) -> float:
         return self.t_max / self.nt
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        x = np.linspace(self.x_min, self.x_max, self.nx)
+        x.flags.writeable = False
+        return x
 
 
 @dataclass
@@ -203,35 +213,67 @@ def _band_geometry(grid: Grid, alpha: float) -> _BandGeometry:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorStencil:
-    """Discrete generator as a translation-invariant stencil plus a
-    rank-one far-field term.
+@dataclass(frozen=True, eq=False)
+class ShiftKernel:
+    """Translation-invariant operator on an nx-node row under constant
+    extension beyond the grid:
 
-    ``taps[m]`` multiplies u(x + (m - half) * dx), with constant extension
-    of u beyond the grid.  The far tail (|z| > z_max) contributes
-    ``tail_plus * (u(x_max) - u(x)) + tail_minus * (u(x_min) - u(x))``.
+        (K u)_j = sum_m taps[m] u(x_j + (m - half) dx)
+                  + edge_lo * u[0] + edge_hi * u[-1],
+
+    with ``half = nx - 1``.  ``spectrum`` is the rFFT of the reversed
+    taps at length ``n_fft``, long enough that the circular convolution
+    of the edge-padded row (length 3nx - 2) is alias-free on the nodes.
     """
 
     taps: np.ndarray
     half: int
-    tail_plus: float
-    tail_minus: float
+    edge_lo: float
+    edge_hi: float
+    n_fft: int
+    spectrum: np.ndarray
 
-    @property
-    def diag_magnitude(self) -> float:
-        return float(-self.taps[self.half] + self.tail_plus + self.tail_minus)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u_pad = np.pad(u, self.half, mode="edge")
-        out = fftconvolve(u_pad, self.taps[::-1], mode="valid")
-        out += self.tail_plus * (u[-1] - u) + self.tail_minus * (u[0] - u)
-        return out
+def shift_kernel(taps: np.ndarray, center: int, nx: int, edge_lo: float,
+                 edge_hi: float) -> ShiftKernel:
+    """Kernel with ``taps[m]`` at offset ``m - center`` on an nx-node grid.
+
+    Taps beyond +-(nx-1) are folded into the edge coefficients: every
+    node sees the edge value there, so the fold is exact.
+    """
+    half = nx - 1
+    off = np.arange(len(taps)) - center
+    inner = np.abs(off) <= half
+    core = np.zeros(2 * half + 1)
+    core[off[inner] + half] = taps[inner]
+    edge_lo += float(np.sum(taps[off < -half]))
+    edge_hi += float(np.sum(taps[off > half]))
+    n_fft = next_fast_len(3 * half + 1, real=True)
+    return ShiftKernel(core, half, edge_lo, edge_hi, n_fft,
+                       rfft(core[::-1], n_fft))
+
+
+def apply_max(kernels: Sequence[ShiftKernel], u: np.ndarray) -> np.ndarray:
+    """Nodewise max over ``kernels`` (all built for len(u) nodes) of K u."""
+    half, n_fft = kernels[0].half, kernels[0].n_fft
+    u_hat = rfft(np.pad(u, half, mode="edge"), n_fft)
+    out = None
+    for k in kernels:
+        v = irfft(u_hat * k.spectrum, n_fft)[2 * half: 3 * half + 1]
+        v += k.edge_lo * u[0] + k.edge_hi * u[-1]
+        out = v if out is None else np.maximum(out, v, out=out)
+    return out
 
 
 @lru_cache(maxsize=256)
-def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> GeneratorStencil:
-    """Assemble the monotone stencil for one kernel pair on a grid."""
+def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
+    """Assemble the monotone generator kernel for one pair on a grid.
+
+    The far tail (|z| > z_max) contributes
+    ``tail_plus * (u[-1] - u) + tail_minus * (u[0] - u)``, folded into
+    the edge coefficients and the centre tap, whose negative is the
+    diagonal magnitude used by the stability bound.
+    """
     geo = _band_geometry(grid, alpha)
     dx = grid.dx
     half = int(np.max(geo.idx_lo)) + 2
@@ -267,12 +309,18 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> GeneratorStenc
             taps[c + 1] -= C / dx
             taps[c] += C / dx
 
-    return GeneratorStencil(
-        taps=taps,
-        half=half,
-        tail_plus=k.k_plus * geo.tail_mass0,
-        tail_minus=k.k_minus * geo.tail_mass0,
-    )
+    tail_plus = k.k_plus * geo.tail_mass0
+    tail_minus = k.k_minus * geo.tail_mass0
+    taps[c] -= tail_plus
+    taps[c] -= tail_minus
+    kern = shift_kernel(taps, half, grid.nx, tail_minus, tail_plus)
+    off_centre = np.delete(kern.taps, kern.half)
+    if np.any(off_centre < 0.0) or min(kern.edge_lo, kern.edge_hi) < 0.0:
+        raise ValueError(
+            f"generator for pair {k} at alpha={alpha} on grid nx={grid.nx}, "
+            f"dx={dx:.6g}, r_cut={grid.r_cut:.6g} has a negative off-centre "
+            f"weight, so the explicit scheme would not be monotone")
+    return kern
 
 
 def _check_row(u_row: np.ndarray, grid: Grid) -> np.ndarray:
@@ -289,7 +337,9 @@ def apply_generator_row(u_row: np.ndarray, grid: Grid, k: KernelPair,
     """Generator applied at every node of a row (boundary rows included,
     using constant extension; callers supply their own boundary policy)."""
     u = _check_row(u_row, grid)
-    return generator_stencil(grid, k, alpha).apply(u)
+    # G annihilates constants; shifting by u[0] keeps them exactly fixed
+    # under FFT roundoff.
+    return apply_max((generator_stencil(grid, k, alpha),), u - u[0])
 
 
 def apply_generator(u_row: np.ndarray, grid: Grid, k: KernelPair, alpha: float,
@@ -304,10 +354,8 @@ def apply_sup_generator_row(u_row: np.ndarray, grid: Grid,
                             uset: UncertaintySet) -> np.ndarray:
     """Nodewise max of the generator over the uncertainty set."""
     u = _check_row(u_row, grid)
-    out = generator_stencil(grid, uset.pairs[0], uset.alpha).apply(u)
-    for p in uset.pairs[1:]:
-        np.maximum(out, generator_stencil(grid, p, uset.alpha).apply(u), out=out)
-    return out
+    kernels = [generator_stencil(grid, p, uset.alpha) for p in uset.pairs]
+    return apply_max(kernels, u - u[0])
 
 
 def apply_sup_generator(u_row: np.ndarray, grid: Grid, uset: UncertaintySet,
@@ -322,6 +370,5 @@ def scheme_stability_constant(grid: Grid, uset: UncertaintySet) -> float:
 
     Explicit Euler with dt * constant <= 1 keeps the update monotone.
     """
-    return max(
-        generator_stencil(grid, p, uset.alpha).diag_magnitude for p in uset.pairs
-    )
+    kernels = (generator_stencil(grid, p, uset.alpha) for p in uset.pairs)
+    return max(float(-k.taps[k.half]) for k in kernels)

@@ -16,6 +16,7 @@ from nlstable.engine import (
     nested_sum_expectation,
     sup_expectation,
     table_to_csv,
+    _law_nodes,
 )
 
 from conftest import gaussian
@@ -105,6 +106,27 @@ class TestNestedSum:
         spec = NormalizedSumSpec(16, 1.0, ALPHA)
         with pytest.raises(NarrowGridError, match="widen the grid"):
             nested_sum_expectation(gaussian, fam_sym, spec, dp_grid(half=40.0))
+
+    def test_two_stages_match_direct_sum(self, fam_small):
+        """The FFT stages against a dense direct sum of the interpolated
+        law quadrature on the same grid, with constant extension."""
+        spec = NormalizedSumSpec(2, 1.0, ALPHA)
+        grid = dp_grid(dx=0.5)
+        val = nested_sum_expectation(gaussian, fam_small, spec, grid)
+
+        pos = np.arange(grid.nx, dtype=float)
+        w = gaussian(grid.x)
+        for _ in range(spec.n):
+            stages = []
+            for law in fam_small.laws:
+                nodes, weights = _law_nodes(law)
+                shifts = spec.B_n * nodes / grid.dx
+                stages.append(sum(wgt * np.interp(pos + s, pos, w)
+                                  for s, wgt in zip(shifts, weights)))
+            w = np.max(stages, axis=0)
+        mid = grid.nx // 2
+        ref = np.interp(0.0, grid.x[mid - 1: mid + 2], w[mid - 1: mid + 2])
+        assert val == pytest.approx(ref, rel=1e-12)
 
     def test_singleton_matches_direct_convolution(self, fam_sym):
         """n = 4 classical cross-check: convolve the law density four

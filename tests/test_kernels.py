@@ -13,11 +13,13 @@ from nlstable.kernels import (
     UncertaintySet,
     apply_generator,
     apply_generator_row,
+    apply_max,
     apply_sup_generator,
     band_bins,
     drift_b,
     levy_density,
     scheme_stability_constant,
+    shift_kernel,
     small_jump_second_moment,
 )
 
@@ -86,6 +88,34 @@ class TestBandBins:
         assert np.sum(m) == pytest.approx(mass_ref, rel=1e-12)
         assert np.sum(m * c) == pytest.approx(mom_ref, rel=1e-12)
         assert np.all(c > 0) and np.all(m > 0)
+
+
+def direct_shift_sum(taps, center, edge_lo, edge_hi, u):
+    """Dense reference: sum_m taps[m] u(x_j + (m - center) dx) with u held
+    constant beyond the grid, plus the edge terms."""
+    nx = len(u)
+    idx = np.arange(nx)[:, None] + np.arange(len(taps))[None, :] - center
+    return u[np.clip(idx, 0, nx - 1)] @ taps + edge_lo * u[0] + edge_hi * u[-1]
+
+
+class TestShiftKernel:
+    @pytest.mark.parametrize("nx", [5, 41, 201])
+    @pytest.mark.parametrize("n_kernels", [1, 2, 3])
+    def test_apply_max_matches_direct_sum(self, nx, n_kernels):
+        """Taps reaching past +-(nx-1) on both sides are folded into the
+        edge coefficients without changing the result."""
+        rng = np.random.default_rng(1000 * nx + n_kernels)
+        u = rng.normal(size=nx)
+        kernels, refs = [], []
+        for _ in range(n_kernels):
+            center = nx + int(rng.integers(0, nx))
+            taps = rng.normal(size=center + nx + int(rng.integers(0, nx)))
+            edge_lo, edge_hi = rng.normal(size=2)
+            kernels.append(shift_kernel(taps, center, nx, edge_lo, edge_hi))
+            refs.append(direct_shift_sum(taps, center, edge_lo, edge_hi, u))
+        ref = np.max(refs, axis=0)
+        out = apply_max(kernels, u)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def wide_grid(nx=4001, half=40.0, r_cut=None, z_max=None):
