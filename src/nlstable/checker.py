@@ -11,21 +11,26 @@ Both sides share their heavy-tail part exactly: the member laws have
 density b^alpha * levy density beyond z0 and n b^alpha B_n^alpha = 1,
 so the law tail integral rescales to the kernel integral over
 |z| > B_n z0 node for node.  The computation exploits this by reusing
-one tail quadrature for both sides, which pushes the measurement floor
-well below the n^(1 - 2/alpha) signal.
+one tail quadrature (``kernels.tail_nodes`` beyond B_n z0) for both
+sides, which pushes the measurement floor well below the
+n^(1 - 2/alpha) signal.  For each n every pair and every law becomes one
+``ShiftKernel`` holding its quadrature taps, the compensator
+-v'(x) * (first moment) and the Taylor terms for jumps under one grid
+cell, so each sampled row costs one ``apply_max`` per side.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Grid, Surface, UncertaintySet, band_bins
-from .laws import AttractedLaw, _GL_NODES, _GL_WEIGHTS
+from .kernels import (Grid, ShiftKernel, Surface, UncertaintySet, apply_max,
+                      band_bins, interp_taps, shift_kernel, tail_nodes)
+from .laws import AttractedLaw, law_nodes
 from .engine import LawFamily, NormalizedSumSpec
-from .solver import TerminalProblem, solve_backward, make_grid
+from .solver import TerminalProblem, evaluate_row, solve_backward, make_grid
 
 _T_SAMPLES = 33    # rows sampled from [0, 1] for the (t, x) maximum
 _TAIL_NB = 192
@@ -79,6 +84,22 @@ def _sampled_rows(v: Surface, t_hi: float = 1.0):
     return range(0, i_hi + 1, stride)
 
 
+def _delta_kernel(shifts, weights, d2: float, d3: float,
+                  g: Grid) -> ShiftKernel:
+    """Kernel of sum_i w_i [v(x+s_i) - v(x) - v'(x) s_i] + d2 v''(x)
+    + d3 v'''(x) on the grid, with constant extension of v and the
+    centred differences of ``_row_derivs`` for the derivatives."""
+    c, dx = g.nx, g.dx
+    taps = interp_taps(shifts / dx, weights, g.nx)
+    taps[c] -= np.sum(weights)
+    m1 = float(np.dot(weights, shifts)) / (2.0 * dx)
+    e2 = d2 / dx**2
+    e3 = d3 / (2.0 * dx**3)
+    taps[c - 2: c + 3] += [-e3, 2.0 * e3 + m1 + e2, -2.0 * e2,
+                           e2 - m1 - 2.0 * e3, e3]
+    return shift_kernel(taps, c, g.nx, 0.0, 0.0)
+
+
 def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
                             v: Surface, n: int) -> float:
     g = v.grid
@@ -88,15 +109,10 @@ def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
     b_n = spec.B_n
     r_split = b_n * z0
     mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)
-    xm = g.x[mid]
 
-    z_big = 2.0 * (g.x_max - g.x_min)
-    masses, cents = band_bins(r_split, z_big, _TAIL_NB, alpha)
-    far_mass = z_big ** (-alpha) / alpha
-    far_cent = (z_big ** (1.0 - alpha) / (alpha - 1.0)) / far_mass
-    masses = np.concatenate([masses, [far_mass]])
-    cents = np.concatenate([cents, [far_cent]])
-
+    # shared tail quadrature beyond r_split, one node set per side
+    masses, cents = tail_nodes(r_split, 2.0 * (g.x_max - g.x_min),
+                               _TAIL_NB, alpha)
     # the kernel integral below r_split: Taylor under the grid spacing,
     # banded quadrature between dx and r_split when that range is real
     r_in = min(g.dx, r_split)
@@ -104,57 +120,42 @@ def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
         in_m, in_c = band_bins(r_in, r_split, _TAIL_NB // 2, alpha)
     else:
         in_m = in_c = np.empty(0)
+    sig2 = r_in ** (2.0 - alpha) / (2.0 - alpha)
+    sig3 = r_in ** (3.0 - alpha) / (3.0 - alpha)
+    pair_shifts = np.concatenate([cents, in_c, -cents, -in_c])
+    pair_kernels = [
+        _delta_kernel(pair_shifts,
+                      np.concatenate([pair.k_plus * masses,
+                                      pair.k_plus * in_m,
+                                      pair.k_minus * masses,
+                                      pair.k_minus * in_m]),
+                      0.5 * (pair.k_minus + pair.k_plus) * sig2,
+                      (pair.k_plus - pair.k_minus) * sig3 / 6.0, g)
+        for pair in uset.pairs]
 
-    gl = 0.5 * z0 * (_GL_NODES + 1.0)
-    gw = 0.5 * z0 * _GL_WEIGHTS
+    # law side: n times the interior rule, Taylor for jumps under dx,
+    # plus the shared tail scaled by n b^alpha B_n^alpha (= 1)
+    tail_scale = family.b_scale ** alpha * n * b_n ** alpha
+    law_kernels = []
+    for law in family.laws:
+        nodes, weights = law_nodes(law)
+        inner = np.abs(nodes) < z0
+        s, w = b_n * nodes[inner], n * weights[inner]
+        taylor = np.abs(s) <= g.dx
+        st, wt = s[taylor], w[taylor]
+        law_kernels.append(_delta_kernel(
+            np.concatenate([s[~taylor], cents, -cents]),
+            np.concatenate([w[~taylor],
+                            tail_scale * law.pair.k_plus * masses,
+                            tail_scale * law.pair.k_minus * masses]),
+            float(np.sum(wt * st**2)) / 2.0,
+            float(np.sum(wt * st**3)) / 6.0, g))
 
     worst = 0.0
     for i in _sampled_rows(v):
-        row = v.values[i]
-        vx, vxx, vxxx = _row_derivs(row, g.dx)
-        rm, vxm = row[mid], vx[mid]
-        vxxm, vxxxm = vxx[mid], vxxx[mid]
-
-        def delta_at(shift):
-            return np.interp(xm + shift, g.x, row) - rm - vxm * shift
-
-        # shared tail quadrature, one array per side
-        t_plus = np.zeros_like(xm)
-        t_minus = np.zeros_like(xm)
-        for m_b, c_b in zip(masses, cents):
-            t_plus += m_b * delta_at(c_b)
-            t_minus += m_b * delta_at(-c_b)
-        in_plus = np.zeros_like(xm)
-        in_minus = np.zeros_like(xm)
-        for m_b, c_b in zip(in_m, in_c):
-            in_plus += m_b * delta_at(c_b)
-            in_minus += m_b * delta_at(-c_b)
-
-        kern, law_side = [], []
-        sig2 = r_in ** (2.0 - alpha) / (2.0 - alpha)
-        sig3 = r_in ** (3.0 - alpha) / (3.0 - alpha)
-        for pair in uset.pairs:
-            small = 0.5 * vxxm * (pair.k_minus + pair.k_plus) * sig2 \
-                + vxxxm / 6.0 * (pair.k_plus - pair.k_minus) * sig3
-            kern.append(small + pair.k_plus * (t_plus + in_plus)
-                        + pair.k_minus * (t_minus + in_minus))
-        c_scale = family.b_scale ** alpha
-        for law, pair in zip(family.laws, uset.pairs):
-            wp, wm = gw * law._poly(gl), gw * law._poly(-gl)
-            acc = np.zeros_like(xm)
-            for y_q, w_p, w_m in zip(gl, wp, wm):
-                s = b_n * y_q
-                if s <= g.dx:
-                    d_even = vxxm * s**2        # Taylor, both signs summed
-                    d_odd = vxxxm / 3.0 * s**3
-                    acc += 0.5 * (w_p + w_m) * d_even \
-                        + 0.5 * (w_p - w_m) * d_odd
-                else:
-                    acc += w_p * delta_at(s) + w_m * delta_at(-s)
-            law_side.append(n * acc + c_scale * (pair.k_plus * t_plus
-                                                 + pair.k_minus * t_minus)
-                            * n * b_n ** alpha)
-        resid = np.abs(np.max(law_side, axis=0) - np.max(kern, axis=0))
+        row = v.values[i] - v.values[i, 0]
+        resid = np.abs(apply_max(law_kernels, row)
+                       - apply_max(pair_kernels, row))[mid]
         worst = max(worst, float(np.max(resid)))
     return worst
 
@@ -325,7 +326,7 @@ def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
                 continue
             row = v.values[i]
             dv_dt = (row - v.values[i - 1]) / g.dt
-            back = _row_at(v, t - step)
+            back = evaluate_row(v, t - step)
             resid = n * np.abs(back[mid] - row[mid] + step * dv_dt[mid])
             worst = max(worst, float(np.max(resid)))
         residuals.append(worst)
@@ -335,14 +336,6 @@ def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
                          tuple(zero4 for _ in n_values),
                          tuple(0.0 for _ in n_values), tuple(kept))
-
-
-def _row_at(v: Surface, t: float) -> np.ndarray:
-    g = v.grid
-    pt = np.clip((t - v.t0) / g.dt, 0.0, g.nt)
-    i = min(int(pt), g.nt - 1)
-    f = pt - i
-    return (1.0 - f) * v.values[i] + f * v.values[i + 1]
 
 
 def residual_table_to_csv(table: ResidualTable) -> str:

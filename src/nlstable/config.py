@@ -69,6 +69,10 @@ class ExperimentConfig:
             raise ConfigError("pide_solver", "h", "must lie in (0, 1)")
         if self.nx < 5 or self.x_min >= self.x_max:
             raise ConfigError("pide_solver", "grid", "degenerate grid")
+        if self.nx % 2 == 0:
+            raise ConfigError("pide_solver", "nx",
+                              f"{self.nx} is even; the half-resolution grid "
+                              "(nx - 1)//2 + 1 is nested only for odd nx")
         if self.t_max <= 0.0 or not (0.0 < self.safety <= 1.0):
             raise ConfigError("pide_solver", "grid",
                               "t_max and safety must be positive "

@@ -1,5 +1,5 @@
-"""Sublinear expectation over a finite family of laws and the exact
-nested-supremum dynamic program for normalized i.i.d. sums.
+"""The exact nested-supremum dynamic program for normalized i.i.d. sums
+under a finite family of laws.
 
 Nested independence means later summands are integrated out first and a
 supremum over member laws is taken at every stage:
@@ -8,9 +8,9 @@ supremum over member laws is taken at every stage:
 
 so w_n(0) is the sublinear expectation of psi(B_n S_n).  Each stage is a
 translation-invariant positive kernel on a uniform grid: one
-``ShiftKernel`` per law, built once per n, holds the aggregated
-interpolation taps and the mass that lands beyond the grid as edge
-coefficients.  A stage is one forward FFT of the row and one inverse
+``ShiftKernel`` per law, built once per n from ``laws.law_nodes``
+scaled by B_n and ``kernels.interp_taps``, holds the interpolation taps
+and the mass that lands beyond the grid as edge coefficients.  A stage is one forward FFT of the row and one inverse
 FFT per law.
 """
 
@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (Grid, ShiftKernel, UncertaintySet, apply_max, band_bins,
-                      shift_kernel)
-from .laws import AttractedLaw, law_expectation, _GL_NODES, _GL_WEIGHTS
-from .laws import _TAIL_BINS, _TAIL_FAR
+from .kernels import (Grid, ShiftKernel, UncertaintySet, apply_max,
+                      interp_taps, shift_kernel)
+from .laws import AttractedLaw, law_nodes
 
 ESCAPE_TOL = 1e-4
 
@@ -78,49 +77,13 @@ class NormalizedSumSpec:
         return 1.0 / (self.b_scale * self.n ** (1.0 / self.alpha))
 
 
-def sup_expectation(phi, family: LawFamily) -> float:
-    """max over member laws of the classical expectation of phi."""
-    return max(law_expectation(phi, law) for law in family.laws)
-
-
-def _law_nodes(law: AttractedLaw) -> tuple[np.ndarray, np.ndarray]:
-    """Probability quadrature (nodes, weights) for one law; weights sum
-    to 1 up to quadrature rounding.  Matches law_expectation's rule."""
-    z0, a = law.z0, law.alpha
-    gl = 0.5 * z0 * (_GL_NODES + 1.0)
-    gw = 0.5 * z0 * _GL_WEIGHTS
-    masses, cents = band_bins(z0, _TAIL_FAR, _TAIL_BINS, a)
-    far_mass = _TAIL_FAR ** (-a) / a
-    far_cent = (_TAIL_FAR ** (1.0 - a) / (a - 1.0)) / far_mass
-    m = np.concatenate([masses, [far_mass]])
-    zc = np.concatenate([cents, [far_cent]])
-    c = law.b_scale ** a
-    nodes = np.concatenate([gl, -gl, zc, -zc])
-    weights = np.concatenate([
-        gw * law._poly(gl), gw * law._poly(-gl),
-        c * law.pair.k_plus * m, c * law.pair.k_minus * m,
-    ])
-    return nodes, weights
-
-
 def _stage_kernel(law: AttractedLaw, b_n: float,
                   grid: Grid) -> tuple[ShiftKernel, float]:
     """Stage kernel of one law, and the worst-case off-grid mass seen
     from the middle half of the grid."""
-    nodes, weights = _law_nodes(law)
-    shifts = b_n * nodes / grid.dx
-    half = grid.nx - 1
-    lo = shifts < -half
-    hi = shifts > half
-    keep = ~(lo | hi)
-    s, wgt = shifts[keep], weights[keep]
-    base = np.floor(s).astype(int)
-    frac = s - base
-    taps = np.zeros(2 * half + 2)
-    np.add.at(taps, base + half, wgt * (1.0 - frac))
-    np.add.at(taps, base + half + 1, wgt * frac)
-    kern = shift_kernel(taps, half, grid.nx, float(np.sum(weights[lo])),
-                        float(np.sum(weights[hi])))
+    nodes, weights = law_nodes(law)
+    kern = shift_kernel(interp_taps(b_n * nodes / grid.dx, weights, grid.nx),
+                        grid.nx, grid.nx, 0.0, 0.0)
     # off-grid mass seen from the middle-half edges (worst case there)
     span = 0.5 * (grid.x_max - grid.x_min)
     reach_r = (0.5 * span) / b_n   # distance from mid-half edge to x_max
@@ -159,20 +122,6 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
     value = float(np.interp(0.0, grid.x[mid - 1: mid + 2],
                             w[mid - 1: mid + 2]))
     return (value, escaped) if return_escape else value
-
-
-def clt_error(psi, family: LawFamily, uset: UncertaintySet,
-              spec: NormalizedSumSpec, dp_grid: Grid,
-              pide_value: float) -> float:
-    """|nested-sum value - limit PIDE value u(1, 0)|.
-
-    The PIDE value is passed in precomputed because convergence tables
-    reuse one solve across all n.
-    """
-    if family.source_set.pairs != uset.pairs:
-        raise ValueError("family and uncertainty set must share pairs")
-    return abs(nested_sum_expectation(psi, family, spec, dp_grid)
-               - pide_value)
 
 
 def dp_grid_for(spec: NormalizedSumSpec, z0: float, half_width: float,

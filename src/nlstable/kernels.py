@@ -21,12 +21,16 @@ difference when that keeps every off-diagonal weight nonnegative, and
 falls back to upwinding otherwise, so the assembled operator is always
 monotone.
 
-Every translation-invariant operator here (the generator and the
-dynamic-program stages in ``engine``) is a ``ShiftKernel``: taps over
-offsets -(nx-1)..(nx-1) plus coefficients on the two edge values, with
-the rFFT of the reversed taps cached at a fixed padded length.  A
-family is applied by ``apply_max``: one forward FFT of the row and one
-inverse FFT per member.
+Every jump quadrature in the package goes through two helpers here.
+``tail_nodes`` is the one-sided tail rule (``band_bins`` plus a node at
+the centroid of the remainder); ``interp_taps`` turns quadrature nodes
+at off-grid shifts into linear-interpolation taps.  Every
+translation-invariant operator (the generator, the dynamic-program
+stages in ``engine`` and the attraction residual in ``checker``) is a
+``ShiftKernel``: taps over offsets -(nx-1)..(nx-1) plus coefficients on
+the two edge values, with the rFFT of the reversed taps cached at a
+fixed padded length.  A family is applied by ``apply_max``: one forward
+FFT of the row and one inverse FFT per member.
 """
 
 from __future__ import annotations
@@ -181,36 +185,35 @@ def band_bins(r_lo: float, z_hi: float, n_bins: int, alpha: float):
     return mass, mom1 / mass
 
 
-@dataclass(frozen=True)
-class _BandGeometry:
-    """Grid-aligned interpolation data for the band quadrature nodes."""
+def tail_nodes(r_lo: float, z_far: float, n_bins: int, alpha: float):
+    """Unit-intensity quadrature for the one-sided tail |z| >= r_lo.
 
-    weights0: np.ndarray      # unit-intensity bin masses
-    centroids: np.ndarray     # bin centroid jump sizes (positive)
-    idx_lo: np.ndarray        # floor offset in grid cells
-    frac: np.ndarray          # fractional part of centroid / dx
-    moment1: float            # unit-intensity first moment over the band
-    tail_mass0: float         # unit-intensity mass beyond z_max
-    tail_mom0: float          # unit-intensity first moment beyond z_max
+    ``band_bins`` on [r_lo, z_far] plus one node at the centroid of the
+    remainder beyond z_far, so affine functions of z are integrated
+    exactly over the whole tail.  Returns (weights, centroids).
+    """
+    masses, cents = band_bins(r_lo, z_far, n_bins, alpha)
+    far_mass = z_far ** (-alpha) / alpha
+    far_cent = (z_far ** (1.0 - alpha) / (alpha - 1.0)) / far_mass
+    return np.append(masses, far_mass), np.append(cents, far_cent)
 
 
-@lru_cache(maxsize=64)
-def _band_geometry(grid: Grid, alpha: float) -> _BandGeometry:
-    w0, zc = band_bins(grid.r_cut, grid.z_max, grid.nq_band, alpha)
-    pos = zc / grid.dx
-    idx_lo = np.floor(pos).astype(np.int64)
-    frac = pos - idx_lo
-    tail_mass0 = grid.z_max ** (-alpha) / alpha
-    tail_mom0 = grid.z_max ** (1.0 - alpha) / (alpha - 1.0)
-    return _BandGeometry(
-        weights0=w0,
-        centroids=zc,
-        idx_lo=idx_lo,
-        frac=frac,
-        moment1=float(np.sum(w0 * zc)),
-        tail_mass0=tail_mass0,
-        tail_mom0=tail_mom0,
-    )
+def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int) -> np.ndarray:
+    """Taps of ``sum_i weights[i] * u(x + shifts[i] dx)`` on an nx-node
+    row, with u linearly interpolated between nodes.
+
+    The taps cover offsets -nx..nx+1 with the centre at index nx (pass
+    ``center=nx`` to ``shift_kernel``).  Shifts are clipped to +-nx
+    first: beyond that every node sees only the edge value, which
+    ``shift_kernel`` collects exactly in its edge coefficients.
+    """
+    s = np.clip(shifts, -nx, nx)
+    base = np.floor(s)
+    frac = s - base
+    idx = base.astype(np.int64) + nx
+    size = 2 * nx + 2
+    return (np.bincount(idx, weights * (1.0 - frac), size)
+            + np.bincount(idx + 1, weights * frac, size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,11 +277,13 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
     the edge coefficients and the centre tap, whose negative is the
     diagonal magnitude used by the stability bound.
     """
-    geo = _band_geometry(grid, alpha)
-    dx = grid.dx
-    half = int(np.max(geo.idx_lo)) + 2
-    taps = np.zeros(2 * half + 1)
-    c = half  # center index
+    dx, c = grid.dx, grid.nx  # c: centre index of interp_taps
+    w0, zc = band_bins(grid.r_cut, grid.z_max, grid.nq_band, alpha)
+
+    # Band quadrature, both sides: w * [u(x +/- zc) - u(x)].
+    w_plus, w_minus = k.k_plus * w0, k.k_minus * w0
+    taps = interp_taps(np.concatenate([zc, -zc]) / dx,
+                       np.concatenate([w_plus, w_minus]), grid.nx)
 
     # Taylor term: 0.5 * sigma2 * centered second difference.
     sigma2 = small_jump_second_moment(k, alpha, grid.r_cut)
@@ -286,18 +291,13 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
     taps[c - 1] += c2
     taps[c + 1] += c2
     taps[c] -= 2.0 * c2
-
-    # Band quadrature, both sides: w * [u(x +/- zc) - u(x)], with the
-    # centroid split linearly between its two neighboring grid offsets.
-    for sign, intensity in ((+1, k.k_plus), (-1, k.k_minus)):
-        w = intensity * geo.weights0
-        np.add.at(taps, c + sign * geo.idx_lo, w * (1.0 - geo.frac))
-        np.add.at(taps, c + sign * (geo.idx_lo + 1), w * geo.frac)
-        taps[c] -= float(np.sum(w))
+    taps[c] -= float(np.sum(w_plus))
+    taps[c] -= float(np.sum(w_minus))
 
     # Drift compensation -C * u'(x) with C the signed first moment of the
     # kernel over |z| >= r_cut (band quadrature moments + analytic tail).
-    C = (k.k_plus - k.k_minus) * (geo.moment1 + geo.tail_mom0)
+    tail_mom0 = grid.z_max ** (1.0 - alpha) / (alpha - 1.0)
+    C = (k.k_plus - k.k_minus) * (float(np.sum(w0 * zc)) + tail_mom0)
     if C != 0.0:
         if min(taps[c - 1], taps[c + 1]) >= abs(C) / (2.0 * dx):
             taps[c - 1] += C / (2.0 * dx)
@@ -309,11 +309,12 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
             taps[c + 1] -= C / dx
             taps[c] += C / dx
 
-    tail_plus = k.k_plus * geo.tail_mass0
-    tail_minus = k.k_minus * geo.tail_mass0
+    tail_mass0 = grid.z_max ** (-alpha) / alpha
+    tail_plus = k.k_plus * tail_mass0
+    tail_minus = k.k_minus * tail_mass0
     taps[c] -= tail_plus
     taps[c] -= tail_minus
-    kern = shift_kernel(taps, half, grid.nx, tail_minus, tail_plus)
+    kern = shift_kernel(taps, c, grid.nx, tail_minus, tail_plus)
     off_centre = np.delete(kern.taps, kern.half)
     if np.any(off_centre < 0.0) or min(kern.edge_lo, kern.edge_hi) < 0.0:
         raise ValueError(

@@ -7,6 +7,10 @@ functions beta1, beta2 vanish identically beyond z0.  The interior on
 junctions, plus two compactly supported bump terms: an even one carrying
 the mass that normalization requires, and an odd one whose amplitude
 (the tilt) is calibrated by root finding so the mean is exactly zero.
+
+``law_nodes`` is the one quadrature rule of a law: Gauss-Legendre
+against the interior polynomial and ``kernels.tail_nodes`` beyond z0.
+``law_expectation`` and the dynamic-program stages both use it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
-from .kernels import KernelPair, band_bins
+from .kernels import KernelPair, tail_nodes
 
 _TAIL_FAR = 1e8     # outer edge of the explicit tail quadrature bins
 _TAIL_BINS = 2048
@@ -185,34 +189,34 @@ def _growth_guard(phi, law: AttractedLaw) -> None:
                     f"integrable against alpha={law.alpha} tails")
 
 
-def law_expectation(phi, law: AttractedLaw) -> float:
-    """Integral of phi against the law.
+def law_nodes(law: AttractedLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Probability quadrature (nodes, weights) for one law; the weights
+    sum to 1 up to quadrature rounding.
 
     Interior: Gauss-Legendre against the exact polynomial density
-    (exact for polynomial phi up to high degree).  Tails: log-spaced
-    bins evaluated at their density-weighted centroids, which makes the
-    rule exact for affine phi; the remainder beyond the outermost bin
-    is collapsed to a single centroid node so linear phi picks up the
-    analytic tail first moment exactly.
+    (exact for polynomial phi up to high degree).  Tails: ``tail_nodes``
+    beyond z0, log-spaced bins at their density-weighted centroids plus
+    one node for the remainder beyond the outermost bin, which makes the
+    rule exact for affine phi, including the analytic tail first moment.
     """
-    _growth_guard(phi, law)
     z0, a = law.z0, law.alpha
-    nodes = 0.5 * z0 * (_GL_NODES + 1.0)  # (0, z0); mirror for the left
-    w = 0.5 * z0 * _GL_WEIGHTS
-    interior = float(
-        np.sum(w * np.asarray(phi(nodes), dtype=float) * law._poly(nodes))
-        + np.sum(w * np.asarray(phi(-nodes), dtype=float) * law._poly(-nodes))
-    )
-
-    masses, cents = band_bins(z0, _TAIL_FAR, _TAIL_BINS, a)
+    gl = 0.5 * z0 * (_GL_NODES + 1.0)  # (0, z0); mirror for the left
+    gw = 0.5 * z0 * _GL_WEIGHTS
+    m, zc = tail_nodes(z0, _TAIL_FAR, _TAIL_BINS, a)
     c = _tail_scale(law)
-    far_mass = _TAIL_FAR ** (-a) / a
-    far_cent = (_TAIL_FAR ** (1.0 - a) / (a - 1.0)) / far_mass
-    m = np.concatenate([masses, [far_mass]])
-    zc = np.concatenate([cents, [far_cent]])
-    right = c * law.pair.k_plus * float(np.dot(m, np.asarray(phi(zc), float)))
-    left = c * law.pair.k_minus * float(np.dot(m, np.asarray(phi(-zc), float)))
-    return interior + right + left
+    nodes = np.concatenate([gl, -gl, zc, -zc])
+    weights = np.concatenate([
+        gw * law._poly(gl), gw * law._poly(-gl),
+        c * law.pair.k_plus * m, c * law.pair.k_minus * m,
+    ])
+    return nodes, weights
+
+
+def law_expectation(phi, law: AttractedLaw) -> float:
+    """Integral of phi against the law by the ``law_nodes`` rule."""
+    _growth_guard(phi, law)
+    nodes, weights = law_nodes(law)
+    return float(weights @ np.asarray(phi(nodes), dtype=float))
 
 
 def describe_law(law: AttractedLaw) -> str:

@@ -137,15 +137,14 @@ class _DensityTable:
     tail_hi: float  # mass above x[-1]
 
 
-_table_cache: dict = {}
-
-
 def _density_table(ce: CharExponent, t_time: float, x_span: float,
                    dx: float = 0.05) -> _DensityTable:
-    cut = max(8.0 * x_span, 400.0)
-    key = (ce, t_time, cut, dx)
-    if key in _table_cache:
-        return _table_cache[key]
+    return _inverted_table(ce, t_time, max(8.0 * x_span, 400.0), dx)
+
+
+@lru_cache(maxsize=32)
+def _inverted_table(ce: CharExponent, t_time: float, cut: float,
+                    dx: float) -> _DensityTable:
     n = int(np.ceil(cut / dx))
     x = np.linspace(-n * dx, n * dx, 2 * n + 1)
     f = _invert(ce, t_time, x)
@@ -155,12 +154,8 @@ def _density_table(ce: CharExponent, t_time: float, x_span: float,
         raise OracleError("inversion produced negative density beyond ripple "
                           "threshold; widen the frequency window")
     side = t_time / ce.alpha * cut ** (-ce.alpha)
-    tab = _DensityTable(x=x, f=f, tail_lo=ce.pair.k_minus * side,
-                        tail_hi=ce.pair.k_plus * side)
-    if len(_table_cache) > 32:
-        _table_cache.clear()
-    _table_cache[key] = tab
-    return tab
+    return _DensityTable(x=x, f=f, tail_lo=ce.pair.k_minus * side,
+                         tail_hi=ce.pair.k_plus * side)
 
 
 def _mass_check(tab: _DensityTable, tol: float = 1e-4) -> float:

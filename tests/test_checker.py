@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from nlstable.kernels import Grid, KernelPair, Surface, UncertaintySet
+from nlstable.kernels import (Grid, KernelPair, Surface, UncertaintySet,
+                              band_bins)
 from nlstable.laws import build_law
-from nlstable.engine import LawFamily
+from nlstable.engine import LawFamily, NormalizedSumSpec
 from nlstable.solver import TerminalProblem, make_grid, solve_backward
 from nlstable.checker import (
     ResidualTable,
@@ -15,6 +16,8 @@ from nlstable.checker import (
     example_41_check,
     residual_pieces,
     residual_table_to_csv,
+    _condition_iii_residual,
+    _sampled_rows,
 )
 
 from conftest import gaussian, singleton_set
@@ -97,6 +100,114 @@ class TestConditionIII:
         lines = residual_table_to_csv(table).strip().split("\n")
         assert lines[0] == "n,residual,rate_fit,term1,term2,term3,term4"
         assert lines[1].startswith("4,0.2")
+
+
+_GL_Y, _GL_W = np.polynomial.legendre.leggauss(96)
+
+
+def reference_residual(family, uset, v, n, n_bins=192):
+    """Per-bin np.interp evaluation of the condition-(iii) residual, one
+    interpolation call per quadrature node and sampled row."""
+    g = v.grid
+    alpha = uset.alpha
+    z0 = family.laws[0].z0
+    b_n = NormalizedSumSpec(n, family.b_scale, alpha).B_n
+    r_split = b_n * z0
+    mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)
+    xm = g.x[mid]
+
+    z_big = 2.0 * (g.x_max - g.x_min)
+    masses, cents = band_bins(r_split, z_big, n_bins, alpha)
+    far_mass = z_big ** (-alpha) / alpha
+    far_cent = (z_big ** (1.0 - alpha) / (alpha - 1.0)) / far_mass
+    masses = np.concatenate([masses, [far_mass]])
+    cents = np.concatenate([cents, [far_cent]])
+
+    r_in = min(g.dx, r_split)
+    if r_split > r_in * (1.0 + 1e-12):
+        in_m, in_c = band_bins(r_in, r_split, n_bins // 2, alpha)
+    else:
+        in_m = in_c = np.empty(0)
+
+    gl = 0.5 * z0 * (_GL_Y + 1.0)
+    gw = 0.5 * z0 * _GL_W
+
+    worst = 0.0
+    for i in _sampled_rows(v):
+        row = v.values[i]
+        vx = np.gradient(row, g.dx)
+        vxx = np.zeros_like(row)
+        vxx[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / g.dx**2
+        vxxx = np.zeros_like(row)
+        vxxx[2:-2] = (row[4:] - 2.0 * row[3:-1] + 2.0 * row[1:-3]
+                      - row[:-4]) / (2.0 * g.dx**3)
+        rm, vxm = row[mid], vx[mid]
+        vxxm, vxxxm = vxx[mid], vxxx[mid]
+
+        def delta_at(shift):
+            return np.interp(xm + shift, g.x, row) - rm - vxm * shift
+
+        t_plus = np.zeros_like(xm)
+        t_minus = np.zeros_like(xm)
+        for m_b, c_b in zip(masses, cents):
+            t_plus += m_b * delta_at(c_b)
+            t_minus += m_b * delta_at(-c_b)
+        in_plus = np.zeros_like(xm)
+        in_minus = np.zeros_like(xm)
+        for m_b, c_b in zip(in_m, in_c):
+            in_plus += m_b * delta_at(c_b)
+            in_minus += m_b * delta_at(-c_b)
+
+        kern, law_side = [], []
+        sig2 = r_in ** (2.0 - alpha) / (2.0 - alpha)
+        sig3 = r_in ** (3.0 - alpha) / (3.0 - alpha)
+        for pair in uset.pairs:
+            small = 0.5 * vxxm * (pair.k_minus + pair.k_plus) * sig2 \
+                + vxxxm / 6.0 * (pair.k_plus - pair.k_minus) * sig3
+            kern.append(small + pair.k_plus * (t_plus + in_plus)
+                        + pair.k_minus * (t_minus + in_minus))
+        c_scale = family.b_scale ** alpha
+        for law, pair in zip(family.laws, uset.pairs):
+            wp, wm = gw * law.density(gl), gw * law.density(-gl)
+            acc = np.zeros_like(xm)
+            for y_q, w_p, w_m in zip(gl, wp, wm):
+                s = b_n * y_q
+                if s <= g.dx:
+                    d_even = vxxm * s**2
+                    d_odd = vxxxm / 3.0 * s**3
+                    acc += 0.5 * (w_p + w_m) * d_even \
+                        + 0.5 * (w_p - w_m) * d_odd
+                else:
+                    acc += w_p * delta_at(s) + w_m * delta_at(-s)
+            law_side.append(n * acc + c_scale * (pair.k_plus * t_plus
+                                                 + pair.k_minus * t_minus)
+                            * n * b_n ** alpha)
+        resid = np.abs(np.max(law_side, axis=0) - np.max(kern, axis=0))
+        worst = max(worst, float(np.max(resid)))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def asym_case():
+    uset = UncertaintySet(ALPHA, (KernelPair(0.09, 0.13),
+                                  KernelPair(0.12, 0.08)), 0.05, 0.15)
+    family = LawFamily(tuple(build_law(p, ALPHA, 1.0, 2.0)
+                             for p in uset.pairs), uset)
+    grid = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
+    prob = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + H,
+                           direction="backward", h_pad=H)
+    return family, uset, solve_backward(prob, grid, uset)
+
+
+class TestResidualKernels:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_matches_per_bin_interp(self, asym_case, n):
+        """The ShiftKernel residual against the per-node np.interp
+        reference on an asymmetric two-pair set."""
+        family, uset, v = asym_case
+        got = _condition_iii_residual(family, uset, v, n)
+        ref = reference_residual(family, uset, v, n)
+        assert got == pytest.approx(ref, rel=1e-11)
 
 
 class TestClassicalBounds:

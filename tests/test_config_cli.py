@@ -97,6 +97,14 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
         assert "stable_kernel.alpha" in capsys.readouterr().err
 
+    def test_even_nx_exits_2(self, tmp_path, capsys):
+        """The half-resolution grid is a sub-grid only for odd nx."""
+        cfg = base_config(nx=200)
+        assert cli.main(["hypothesis", "--config",
+                         write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "pide_solver.nx" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2

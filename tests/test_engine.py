@@ -5,18 +5,15 @@ import pytest
 from scipy.signal import fftconvolve
 
 from nlstable.kernels import Grid, KernelPair, UncertaintySet
-from nlstable.laws import build_law, law_expectation
+from nlstable.laws import build_law, law_expectation, law_nodes
 from nlstable.engine import (
     LawFamily,
     NarrowGridError,
     NormalizedSumSpec,
     convergence_table,
-    clt_error,
     dp_grid_for,
     nested_sum_expectation,
-    sup_expectation,
     table_to_csv,
-    _law_nodes,
 )
 
 from conftest import gaussian
@@ -71,21 +68,6 @@ class TestFamilyAndSpec:
             NormalizedSumSpec(0, 1.0, ALPHA)
 
 
-class TestSupExpectation:
-    def test_singleton_reduces(self, fam_sym):
-        assert sup_expectation(gaussian, fam_sym) \
-            == law_expectation(gaussian, fam_sym.laws[0])
-
-    def test_mean_zero_both_signs(self, fam_small):
-        assert abs(sup_expectation(lambda z: z, fam_small)) < 1e-10
-        assert abs(sup_expectation(lambda z: -z, fam_small)) < 1e-10
-
-    def test_two_law_max(self, fam_small):
-        phi = lambda z: np.maximum(z, 0.0)
-        singles = [law_expectation(phi, law) for law in fam_small.laws]
-        assert sup_expectation(phi, fam_small) == max(singles)
-
-
 class TestNestedSum:
     def test_one_step_unrolls(self, fam_sym):
         spec = NormalizedSumSpec(1, 1.0, ALPHA)
@@ -119,7 +101,7 @@ class TestNestedSum:
         for _ in range(spec.n):
             stages = []
             for law in fam_small.laws:
-                nodes, weights = _law_nodes(law)
+                nodes, weights = law_nodes(law)
                 shifts = spec.B_n * nodes / grid.dx
                 stages.append(sum(wgt * np.interp(pos + s, pos, w)
                                   for s, wgt in zip(shifts, weights)))
@@ -182,18 +164,6 @@ class TestAxiomsSmall:
 
 
 class TestTables:
-    def test_clt_error_constant(self, fam_small):
-        spec = NormalizedSumSpec(4, 1.0, ALPHA)
-        err = clt_error(lambda x: np.full_like(x, 1.5), fam_small,
-                        fam_small.source_set, spec, dp_grid(), 1.5)
-        assert err < 1e-10
-
-    def test_clt_error_pair_mismatch(self, fam_small, fam_sym):
-        spec = NormalizedSumSpec(4, 1.0, ALPHA)
-        with pytest.raises(ValueError, match="share pairs"):
-            clt_error(gaussian, fam_small, fam_sym.source_set, spec,
-                      dp_grid(), 0.0)
-
     def test_dp_grid_refines_with_n(self):
         g8 = dp_grid_for(NormalizedSumSpec(8, 1.0, ALPHA), 2.0, 320.0, 0.1)
         g64 = dp_grid_for(NormalizedSumSpec(64, 1.0, ALPHA), 2.0, 320.0, 0.1)

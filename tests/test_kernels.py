@@ -17,10 +17,12 @@ from nlstable.kernels import (
     apply_sup_generator,
     band_bins,
     drift_b,
+    interp_taps,
     levy_density,
     scheme_stability_constant,
     shift_kernel,
     small_jump_second_moment,
+    tail_nodes,
 )
 
 from conftest import singleton_set
@@ -116,6 +118,41 @@ class TestShiftKernel:
         ref = np.max(refs, axis=0)
         out = apply_max(kernels, u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestInterpTaps:
+    @pytest.mark.parametrize("nx", [5, 41, 201])
+    def test_matches_dense_interp(self, nx):
+        """Fractional, negative and integer shifts, and shifts at and past
+        +-(nx-1) and +-nx, against a dense np.interp direct sum with
+        constant extension."""
+        rng = np.random.default_rng(nx)
+        u = rng.normal(size=nx)
+        edge = np.array([nx - 1, nx - 0.5, nx, nx + 0.25, 3.0 * nx])
+        shifts = np.concatenate([rng.uniform(-1.5 * nx, 1.5 * nx, 40),
+                                 [0.0, 1.0, -2.0, 0.3, -0.7],
+                                 edge, -edge])
+        weights = rng.uniform(0.1, 1.0, len(shifts))
+        pos = np.arange(nx, dtype=float)
+        ref = sum(w * np.interp(pos + s, pos, u)
+                  for s, w in zip(shifts, weights))
+        kern = shift_kernel(interp_taps(shifts, weights, nx), nx, nx,
+                            0.0, 0.0)
+        out = apply_max([kern], u)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestTailNodes:
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    def test_whole_tail_mass_and_first_moment(self, alpha):
+        """The far node carries the remainder beyond z_far, so mass and
+        first moment of the whole tail beyond r_lo are exact."""
+        r_lo = 0.3
+        m, c = tail_nodes(r_lo, 50.0, 64, alpha)
+        assert len(m) == 65 and c[-1] > 50.0
+        assert np.sum(m) == pytest.approx(r_lo ** -alpha / alpha, rel=1e-12)
+        assert np.dot(m, c) == pytest.approx(
+            r_lo ** (1.0 - alpha) / (alpha - 1.0), rel=1e-12)
 
 
 def wide_grid(nx=4001, half=40.0, r_cut=None, z_max=None):
