@@ -22,8 +22,8 @@ from .kernels import Grid
 from .laws import build_law, LawBuildError
 from .engine import (LawFamily, NarrowGridError, convergence_table,
                      table_to_csv)
-from .solver import (CFLError, TerminalProblem, make_grid, solve_forward,
-                     evaluate, surface_to_csv)
+from .solver import (CFLError, NonFiniteError, TerminalProblem, make_grid,
+                     solve_forward, evaluate, surface_to_csv)
 from .oracle import CharExponent, OracleError, classical_expectation
 from .checker import (check_condition_iii, example_41_check,
                       residual_table_to_csv)
@@ -38,13 +38,23 @@ class ThresholdError(RuntimeError):
     """A numerical check failed beyond its configured tolerance."""
 
 
+_WRITE_SLICE = 1 << 20  # characters handed to the encoder per write
+
+
 def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory
+    and a rename, so readers never see a partial file.
+
+    The text goes to the file in slices of _WRITE_SLICE characters, so
+    the encoder never holds a second copy of a whole surface export.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for lo in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[lo:lo + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -211,8 +221,8 @@ def main(argv=None) -> int:
     except (ConfigError, LawBuildError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (CFLError, NarrowGridError, OracleError, RegularityError,
-            ThresholdError) as exc:
+    except (CFLError, NarrowGridError, NonFiniteError, OracleError,
+            RegularityError, ThresholdError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -328,8 +328,6 @@ def _check_row(u_row: np.ndarray, grid: Grid) -> np.ndarray:
     u = np.asarray(u_row, dtype=float)
     if u.shape != (grid.nx,):
         raise ValueError("row length does not match grid")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite values in input row")
     return u
 
 

@@ -34,6 +34,10 @@ class CFLError(RuntimeError):
     """Raised when the requested time step violates the stability bound."""
 
 
+class NonFiniteError(RuntimeError):
+    """Raised when a march produces values that are not finite."""
+
+
 @dataclass(frozen=True)
 class TerminalProblem:
     """Initial (forward) or terminal (backward) data for a march.
@@ -101,6 +105,15 @@ def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
         u = u + grid.dt * apply_sup_generator_row(u, grid, uset)
         u[0], u[-1] = b_lo, b_hi
         rows[m + 1] = u
+    # min and max propagate nan and expose +-inf without allocating a
+    # surface-sized temporary, which would raise the peak memory
+    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        step = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise NonFiniteError(
+            f"the march produced non-finite values at step {step} of "
+            f"{grid.nt} (nx={grid.nx}, max |psi| = "
+            f"{float(np.max(np.abs(u0))):.3e}); lower pide_solver.safety, "
+            f"change pide_solver.nx or rescale psi")
     return rows
 
 
@@ -197,17 +210,18 @@ def dpp_check(psi: Callable, s: float, t: float, grid: Grid,
 
 
 def surface_to_csv(surface: Surface) -> str:
-    """CSV export with header t,x,value; one record per node."""
-    g = surface.grid
+    """CSV export with header t,x,value; one record per node.
+
+    Every number has 17 significant digits, so it reparses bit-exactly.
+    The x fields are formatted once into per-node cells that end in a
+    ``%.17g`` slot (the same conversion as an f-string's ``.17g``); each
+    row is then one join of those cells with its time field and one
+    %-format of its values.
+    """
     buf = io.StringIO()
     buf.write("t,x,value\n")
-    times = surface.times
-    xs = g.x
-    for i, trow in enumerate(times):
-        vals = surface.values[i]
-        ts = f"{trow:.17g}"
-        buf.write("\n".join(
-            f"{ts},{xs[j]:.17g},{vals[j]:.17g}" for j in range(g.nx)
-        ))
-        buf.write("\n")
+    cells = [f",{x:.17g},%.17g\n" for x in surface.grid.x]
+    for t, vals in zip(surface.times, surface.values):
+        ts = f"{t:.17g}"
+        buf.write((ts + ts.join(cells)) % tuple(vals.tolist()))
     return buf.getvalue()

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from nlstable import basket
 from nlstable import config as config_mod
 from nlstable.config import ConfigError, ExperimentConfig
 from nlstable import cli
@@ -104,6 +105,32 @@ class TestCli:
                          write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 2
         assert "pide_solver.nx" in capsys.readouterr().err
+
+    def test_non_finite_march_exits_3(self, tmp_path, capsys, monkeypatch):
+        def oscillating():
+            def fn(x):
+                return np.where(np.arange(np.size(x)) % 2 == 0,
+                                1e308, -1e308)
+            return basket.TestFunction("oscillating", (), fn, lip=1.0,
+                                       sup=1e308)
+
+        monkeypatch.setitem(basket._BUILDERS, "oscillating", oscillating)
+        cfg = base_config(psi=({"name": "oscillating"},))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["solve", "--config", write_config(tmp_path, cfg),
+                             "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "pide_solver.safety" in err
+
+    def test_write_atomic_round_trip_across_slices(self, tmp_path):
+        n = cli._WRITE_SLICE
+        # non-ASCII characters on both sides of the first slice boundary
+        text = "a" * (n - 1) + "\u00e9\u00fc" + "b" * n + "\u2211\n"
+        path = tmp_path / "sub" / "text.txt"
+        cli.write_atomic(str(path), text)
+        assert path.read_text() == text
+        assert list(path.parent.iterdir()) == [path]
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),

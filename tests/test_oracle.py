@@ -9,10 +9,11 @@ from scipy.special import gamma
 from nlstable.kernels import Grid, KernelPair
 from nlstable.oracle import (
     CharExponent,
-    char_exponent,
     classical_expectation,
     density_on_grid,
     _density_table,
+    _invert,
+    _log_phi_grid,
 )
 
 from conftest import gaussian
@@ -30,20 +31,25 @@ def ce_asym():
     return CharExponent(KernelPair(2.0, 1.0), ALPHA)
 
 
+def log_phi(ce, freq):
+    """log phi at one frequency, through the grid evaluator."""
+    return _log_phi_grid(ce, np.array([freq]))[0]
+
+
 class TestCharExponent:
     def test_zero_frequency(self, ce_sym):
-        assert char_exponent(ce_sym, 0.0) == 0.0
+        assert log_phi(ce_sym, 0.0) == 0.0
 
     def test_symmetric_pair_real(self, ce_sym):
         for f in (0.3, 1.0, 5.7):
-            assert char_exponent(ce_sym, f).imag == 0.0
-            assert char_exponent(ce_sym, f).real < 0.0
+            assert log_phi(ce_sym, f).imag == 0.0
+            assert log_phi(ce_sym, f).real < 0.0
 
     def test_real_part_closed_form(self, ce_sym):
         # integral of (cos w - 1) w^(-alpha-1) over (0, inf) equals
         # cos(pi alpha / 2) Gamma(-alpha)
         ref = 2.0 * np.cos(np.pi * ALPHA / 2.0) * gamma(-ALPHA)
-        assert char_exponent(ce_sym, 1.0).real == pytest.approx(ref, rel=1e-9)
+        assert log_phi(ce_sym, 1.0).real == pytest.approx(ref, rel=1e-9)
 
     def test_real_part_brute_force(self, ce_sym):
         parts = [quad(lambda w: (np.cos(w) - 1.0) * w ** (-ALPHA - 1.0),
@@ -53,16 +59,51 @@ class TestCharExponent:
                        weight="cos", wvar=1.0)
         tail -= 50.0 ** -ALPHA / ALPHA
         ref = 2.0 * (sum(parts) + tail)
-        assert char_exponent(ce_sym, 1.0).real == pytest.approx(ref, rel=1e-6)
+        assert log_phi(ce_sym, 1.0).real == pytest.approx(ref, rel=1e-6)
 
     def test_frequency_scaling(self, ce_asym):
-        a = char_exponent(ce_asym, 1.0)
-        b = char_exponent(ce_asym, 2.0)
+        a = log_phi(ce_asym, 1.0)
+        b = log_phi(ce_asym, 2.0)
         assert b == pytest.approx(2.0 ** ALPHA * a, rel=1e-12)
 
     def test_decay_rate_positive(self, ce_sym, ce_asym):
         assert ce_sym.decay_rate > 0.0
         assert ce_asym.decay_rate > 0.0
+
+
+def dense_invert(ce, t_time, x):
+    """Reference: the trapezoid sum over xi > 0 as dense cos/sin blocks
+    at arbitrary points x (the direct evaluation the chirp-z path
+    replaced)."""
+    c = t_time * ce.decay_rate
+    xi_max = (27.7 / c) ** (1.0 / ce.alpha)
+    span = max(np.max(np.abs(x)), 1.0)
+    d_xi = min(0.02, np.pi / (4.0 * span))
+    n_xi = int(np.ceil(xi_max / d_xi)) + 1
+    xi = np.linspace(0.0, xi_max, n_xi)
+    phi = np.exp(t_time * _log_phi_grid(ce, xi))
+    phi[0] *= 0.5
+    phi[-1] *= 0.5
+    out = np.empty(len(x))
+    block = 4096
+    for lo in range(0, len(x), block):
+        xs = x[lo:lo + block]
+        out[lo:lo + block] = (np.cos(np.outer(xs, xi)) @ phi.real
+                              + np.sin(np.outer(xs, xi)) @ phi.imag)
+    return out * (xi[1] - xi[0]) / np.pi
+
+
+@pytest.mark.parametrize("cut", [40.0, 120.0])
+@pytest.mark.parametrize("t_time", [0.5, 1.0, 2.0])
+def test_chirp_z_matches_dense_sum(ce_sym, ce_asym, cut, t_time):
+    dx = 0.05
+    n = int(np.ceil(cut / dx))
+    x = np.linspace(-n * dx, n * dx, 2 * n + 1)
+    for ce in (ce_sym, ce_asym):
+        ref = dense_invert(ce, t_time, x)
+        got = _invert(ce, t_time, n, dx)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def probe_grid(half=20.0, nx=801):

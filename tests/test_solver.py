@@ -1,11 +1,14 @@
 """Forward/backward marching, interpolation, and the consistency checks."""
 
+import io
+
 import numpy as np
 import pytest
 
 from nlstable.kernels import Grid, Surface
 from nlstable.solver import (
     CFLError,
+    NonFiniteError,
     TerminalProblem,
     cfl_report,
     dpp_check,
@@ -35,6 +38,17 @@ def test_cfl_violation_refused(uset_sym):
     g = Grid(-20.0, 20.0, 401, 1.0, 2, 0.1, 160.0)  # nt=2 is far too coarse
     with pytest.raises(CFLError, match="nt >="):
         solve(gaussian, g, uset_sym)
+
+
+def test_non_finite_march_refused(small_grid, uset_sym):
+    """Finite +-1e308 samples overflow in the first step; the march
+    refuses the surface and names the knobs."""
+    def psi(x):
+        return np.where(np.arange(np.size(x)) % 2 == 0, 1e308, -1e308)
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="pide_solver.safety"):
+        solve(psi, small_grid, uset_sym)
 
 
 def test_cfl_report_consistent(small_grid, uset_sym):
@@ -160,6 +174,37 @@ def test_csv_export_round_trip(small_grid, uset_sym):
     # 17 significant digits reparse bit-exactly
     t, x, val = (float(tok) for tok in lines[1 + 57].split(","))
     assert (t, x, val) == (0.0, small_grid.x[57], u.values[0, 57])
+
+
+def per_value_csv(surface):
+    """Reference: one f-string per node (the export before row templates)."""
+    g = surface.grid
+    buf = io.StringIO()
+    buf.write("t,x,value\n")
+    times = surface.times
+    xs = g.x
+    for i, trow in enumerate(times):
+        vals = surface.values[i]
+        ts = f"{trow:.17g}"
+        buf.write("\n".join(
+            f"{ts},{xs[j]:.17g},{vals[j]:.17g}" for j in range(g.nx)
+        ))
+        buf.write("\n")
+    return buf.getvalue()
+
+
+def test_csv_export_matches_per_value_format(small_grid, uset_sym):
+    g = Grid(-1.0, 1.0, 5, 0.3, 3, 0.1, 8.0)
+    values = np.array([[-0.0, 0.0, 5e-324, -5e-324, 1e16],
+                       [1.0 / 3.0, -1.0 / 3.0, 1e16 + 2.0, 2.0 ** -1074, 1.0],
+                       [np.pi, -1e-300, 1e300, 0.1, -7.0],
+                       [123456789.0, 1.5, -2.5e-8, 0.7, 0.0]])
+    special = Surface(grid=g, values=values, t0=1.0 / 3.0)
+    assert surface_to_csv(special) == per_value_csv(special)
+    back = solve_backward(TerminalProblem(gaussian, 1.0, 1.0, 1.25),
+                          small_grid, uset_sym)
+    assert back.t0 != 0.0
+    assert surface_to_csv(back) == per_value_csv(back)
 
 
 def test_row_zero_equals_psi_samples(small_grid, uset_sym):
