@@ -20,8 +20,8 @@ from . import config as config_mod
 from .config import ConfigError, ExperimentConfig
 from .kernels import Grid
 from .laws import build_law, LawBuildError
-from .engine import (LawFamily, NarrowGridError, convergence_table,
-                     table_to_csv)
+from .engine import (LawFamily, NarrowGridError, NegativeTapError,
+                     convergence_table, table_to_csv)
 from .solver import (CFLError, NonFiniteError, TerminalProblem, make_grid,
                      solve_forward, evaluate, surface_to_csv)
 from .oracle import CharExponent, OracleError, classical_expectation
@@ -221,8 +221,8 @@ def main(argv=None) -> int:
     except (ConfigError, LawBuildError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (CFLError, NarrowGridError, NonFiniteError, OracleError,
-            RegularityError, ThresholdError) as exc:
+    except (CFLError, NarrowGridError, NegativeTapError, NonFiniteError,
+            OracleError, RegularityError, ThresholdError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

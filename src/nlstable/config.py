@@ -106,10 +106,9 @@ class ExperimentConfig:
     def psi_functions(self) -> tuple[basket.TestFunction, ...]:
         return tuple(basket.from_spec(dict(s)) for s in self.psi)
 
-    def dp_grid(self, dx: float | None = None) -> Grid:
-        step = self.dp_dx if dx is None else dx
-        half = int(np.ceil(self.dp_half_width / step))
-        return Grid(-half * step, half * step, 2 * half + 1,
+    def dp_grid(self) -> Grid:
+        half = int(np.ceil(self.dp_half_width / self.dp_dx))
+        return Grid(-half * self.dp_dx, half * self.dp_dx, 2 * half + 1,
                     1.0, 1, 0.5, 4.0)
 
 

@@ -10,8 +10,12 @@ so w_n(0) is the sublinear expectation of psi(B_n S_n).  Each stage is a
 translation-invariant positive kernel on a uniform grid: one
 ``ShiftKernel`` per law, built once per n from ``laws.law_nodes``
 scaled by B_n and ``kernels.interp_taps``, holds the interpolation taps
-and the mass that lands beyond the grid as edge coefficients.  A stage is one forward FFT of the row and one inverse
-FFT per law.
+and the mass that lands beyond the grid as edge coefficients.  A stage
+is one forward FFT of the row and one inverse FFT per law.
+
+The taps carry the second-order correction of ``interp_taps`` for nodes
+within ``DP_REACH`` cells, so interpolation adds no spurious variance
+per stage and every n runs on the same grid (spacing ``dp_dx``).
 """
 
 from __future__ import annotations
@@ -26,10 +30,16 @@ from .kernels import (Grid, ShiftKernel, UncertaintySet, apply_max,
 from .laws import AttractedLaw, law_nodes
 
 ESCAPE_TOL = 1e-4
+DP_REACH = 16.0  # cells within which the stage taps are second order
 
 
 class NarrowGridError(RuntimeError):
     """Raised when too much quadrature mass falls off the grid."""
+
+
+class NegativeTapError(RuntimeError):
+    """Raised when a stage kernel has a negative tap, so the stage would
+    not be a positive (monotone) operator."""
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,21 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
     """Stage kernel of one law, and the worst-case off-grid mass seen
     from the middle half of the grid."""
     nodes, weights = law_nodes(law)
-    kern = shift_kernel(interp_taps(b_n * nodes / grid.dx, weights, grid.nx),
+    kern = shift_kernel(interp_taps(b_n * nodes / grid.dx, weights, grid.nx,
+                                    reach=DP_REACH),
                         grid.nx, grid.nx, 0.0, 0.0)
+    low = min(float(np.min(kern.taps)), kern.edge_lo, kern.edge_hi)
+    if low < 0.0:
+        cells = b_n * law.z0 / grid.dx
+        fix = ("decrease sublinear_engine.dp_dx so that it spans several "
+               "cells" if cells < DP_REACH else
+               f"its quadrature nodes within {DP_REACH:g} cells are sparser "
+               "than the grid, so increase sublinear_engine.dp_dx")
+        raise NegativeTapError(
+            f"stage kernel for pair {law.pair} at B_n={b_n:.6g} has a tap "
+            f"of {low:.3e} < 0, so the stage is not monotone; the law's "
+            f"interior |z| < z0 spans {cells:.3g} cells of dx={grid.dx:.6g}; "
+            + fix)
     # off-grid mass seen from the middle-half edges (worst case there)
     span = 0.5 * (grid.x_max - grid.x_min)
     reach_r = (0.5 * span) / b_n   # distance from mid-half edge to x_max
@@ -124,35 +147,15 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
     return (value, escaped) if return_escape else value
 
 
-def dp_grid_for(spec: NormalizedSumSpec, z0: float, half_width: float,
-                dx_cap: float) -> Grid:
-    """DP grid whose spacing resolves the scaled jumps B_n * z0.
-
-    Linear-interpolation taps add a spurious second moment of order
-    dx^2 per stage; tying dx to B_n keeps that far below the physical
-    per-stage variance at every n.
-    """
-    dx = min(dx_cap, spec.B_n * z0 / 8.0)
-    half = int(np.ceil(half_width / dx))
-    return Grid(-half * dx, half * dx, 2 * half + 1, 1.0, 1, 0.5, 4.0)
-
-
 def convergence_table(psi, family: LawFamily, n_values, dp_grid: Grid,
-                      pide_value: float, refine: bool = True) -> list[tuple]:
-    """Rows (n, B_n, nested_value, pide_value, abs_error).
-
-    With ``refine`` the DP grid spacing shrinks with B_n (same spatial
-    extent as ``dp_grid``); otherwise the given grid is reused as-is.
-    """
-    z0 = family.laws[0].z0
-    half_width = dp_grid.x_max
+                      pide_value: float) -> list[tuple]:
+    """Rows (n, B_n, nested_value, pide_value, abs_error), every n on
+    ``dp_grid``."""
     rows = []
     for n in sorted(n_values):
         spec = NormalizedSumSpec(int(n), family.b_scale,
                                  family.source_set.alpha)
-        grid = dp_grid_for(spec, z0, half_width, dp_grid.dx) if refine \
-            else dp_grid
-        val = nested_sum_expectation(psi, family, spec, grid)
+        val = nested_sum_expectation(psi, family, spec, dp_grid)
         rows.append((int(n), spec.B_n, val, pide_value,
                      abs(val - pide_value)))
     return rows

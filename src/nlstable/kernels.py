@@ -24,13 +24,17 @@ monotone.
 Every jump quadrature in the package goes through two helpers here.
 ``tail_nodes`` is the one-sided tail rule (``band_bins`` plus a node at
 the centroid of the remainder); ``interp_taps`` turns quadrature nodes
-at off-grid shifts into linear-interpolation taps.  Every
-translation-invariant operator (the generator, the dynamic-program
-stages in ``engine`` and the attraction residual in ``checker``) is a
-``ShiftKernel``: taps over offsets -(nx-1)..(nx-1) plus coefficients on
-the two edge values, with the rFFT of the reversed taps cached at a
-fixed padded length.  A family is applied by ``apply_max``: one forward
-FFT of the row and one inverse FFT per member.
+at off-grid shifts into linear-interpolation taps, optionally with a
+second-order correction of the interpolation bias for nodes within a
+given reach.  Every translation-invariant operator (the generator, the
+dynamic-program stages in ``engine`` and the attraction residual in
+``checker``) is a ``ShiftKernel``: taps over offsets -(nx-1)..(nx-1)
+plus coefficients on the two edge values, with the rFFT of the reversed
+taps cached at length >= 2nx - 1.  The row is not padded: the taps that
+reach past either end of the grid are summed once per node into two
+vectors that multiply the edge values.  A family is applied by
+``apply_max``: one forward FFT of the row and one inverse FFT per
+member.
 """
 
 from __future__ import annotations
@@ -198,7 +202,8 @@ def tail_nodes(r_lo: float, z_far: float, n_bins: int, alpha: float):
     return np.append(masses, far_mass), np.append(cents, far_cent)
 
 
-def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int) -> np.ndarray:
+def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int,
+                reach: float = 0.0) -> np.ndarray:
     """Taps of ``sum_i weights[i] * u(x + shifts[i] dx)`` on an nx-node
     row, with u linearly interpolated between nodes.
 
@@ -206,14 +211,34 @@ def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int) -> np.ndarray:
     ``center=nx`` to ``shift_kernel``).  Shifts are clipped to +-nx
     first: beyond that every node sees only the edge value, which
     ``shift_kernel`` collects exactly in its edge coefficients.
+
+    Linear interpolation at a fraction theta past node j overestimates
+    u by theta(1-theta) u''/2 (in cells).  Nodes with |shift| < ``reach``
+    cells subtract that bias, with u'' the mean of the second
+    differences at j and j+1: weight w adds c = w theta(1-theta)/4 times
+    the taps (-1, +1, +1, -1) at j-1..j+2.  Keep the reach where nodes
+    are denser than the grid; an isolated node would leave its outer
+    taps negative.
     """
     s = np.clip(shifts, -nx, nx)
     base = np.floor(s)
     frac = s - base
     idx = base.astype(np.int64) + nx
     size = 2 * nx + 2
-    return (np.bincount(idx, weights * (1.0 - frac), size)
+    taps = (np.bincount(idx, weights * (1.0 - frac), size)
             + np.bincount(idx + 1, weights * frac, size))
+    if reach > 0.0:
+        near = np.abs(shifts) < reach
+        j, f = idx[near], frac[near]
+        c = weights[near] * f * (1.0 - f) / 4.0
+        # offsets below -nx see u[0] like offset -nx does, so clipping
+        # j-1 at index 0 changes no value; j+2 passes the end only for a
+        # shift of exactly +nx, where c = 0
+        taps -= np.bincount(np.maximum(j - 1, 0), c, size)
+        taps += np.bincount(j, c, size)
+        taps += np.bincount(j + 1, c, size)
+        taps -= np.bincount(np.minimum(j + 2, size - 1), c, size)
+    return taps
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +249,13 @@ class ShiftKernel:
         (K u)_j = sum_m taps[m] u(x_j + (m - half) dx)
                   + edge_lo * u[0] + edge_hi * u[-1],
 
-    with ``half = nx - 1``.  ``spectrum`` is the rFFT of the reversed
-    taps at length ``n_fft``, long enough that the circular convolution
-    of the edge-padded row (length 3nx - 2) is alias-free on the nodes.
+    with ``half = nx - 1``.  Node j reads u[0] for every offset below
+    -j and u[-1] for every offset above nx-1-j; ``lo[j]`` and ``hi[j]``
+    are those tap sums plus ``edge_lo`` and ``edge_hi``.  The remaining
+    taps form a linear convolution of the unpadded row, and ``spectrum``
+    is the rFFT of the reversed taps at length ``n_fft`` >= 2nx - 1, the
+    shortest length at which that convolution is alias-free on the
+    nodes.
     """
 
     taps: np.ndarray
@@ -235,6 +264,8 @@ class ShiftKernel:
     edge_hi: float
     n_fft: int
     spectrum: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 def shift_kernel(taps: np.ndarray, center: int, nx: int, edge_lo: float,
@@ -251,19 +282,25 @@ def shift_kernel(taps: np.ndarray, center: int, nx: int, edge_lo: float,
     core[off[inner] + half] = taps[inner]
     edge_lo += float(np.sum(taps[off < -half]))
     edge_hi += float(np.sum(taps[off > half]))
-    n_fft = next_fast_len(3 * half + 1, real=True)
+    # both cumulative sums start at the outermost tap
+    lo = np.full(nx, edge_lo)
+    lo[:half] += np.cumsum(core[:half])[::-1]
+    hi = np.full(nx, edge_hi)
+    hi[1:] += np.cumsum(core[:half:-1])
+    n_fft = next_fast_len(2 * half + 1, real=True)
     return ShiftKernel(core, half, edge_lo, edge_hi, n_fft,
-                       rfft(core[::-1], n_fft))
+                       rfft(core[::-1], n_fft), lo, hi)
 
 
 def apply_max(kernels: Sequence[ShiftKernel], u: np.ndarray) -> np.ndarray:
     """Nodewise max over ``kernels`` (all built for len(u) nodes) of K u."""
     half, n_fft = kernels[0].half, kernels[0].n_fft
-    u_hat = rfft(np.pad(u, half, mode="edge"), n_fft)
+    u_hat = rfft(u, n_fft)
     out = None
     for k in kernels:
-        v = irfft(u_hat * k.spectrum, n_fft)[2 * half: 3 * half + 1]
-        v += k.edge_lo * u[0] + k.edge_hi * u[-1]
+        v = irfft(u_hat * k.spectrum, n_fft)[half: 2 * half + 1]
+        v += k.lo * u[0]
+        v += k.hi * u[-1]
         out = v if out is None else np.maximum(out, v, out=out)
     return out
 

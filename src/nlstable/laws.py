@@ -6,7 +6,7 @@ functions beta1, beta2 vanish identically beyond z0.  The interior on
 (-z0, z0) is a cubic matched in value and slope to the tails at both
 junctions, plus two compactly supported bump terms: an even one carrying
 the mass that normalization requires, and an odd one whose amplitude
-(the tilt) is calibrated by root finding so the mean is exactly zero.
+(the tilt) is solved for so the mean is exactly zero.
 
 ``law_nodes`` is the one quadrature rule of a law: Gauss-Legendre
 against the interior polynomial and ``kernels.tail_nodes`` beyond z0.
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
 
 from .kernels import KernelPair, tail_nodes
 
@@ -95,9 +94,8 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
     """Construct and calibrate a law for one kernel pair.
 
     The cubic is pinned by the four C1 junction conditions; the even
-    bump amplitude restores unit mass and the tilt is solved by Brent
-    root finding on the mean (affine in the tilt, so this converges in
-    a couple of iterations).
+    bump amplitude restores unit mass, and the mean is affine in the
+    tilt, so the tilt that zeroes it is one division.
     """
     if not (1.0 < alpha < 2.0):
         raise LawBuildError("alpha must lie in (1, 2)")
@@ -134,15 +132,7 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
 
     cubic_moment = (2.0 / 3.0) * c1 * z0**3 + (2.0 / 5.0) * c3 * z0**5
     tail_moment = c * (k_p - k_m) * z0 ** (1.0 - alpha) / (alpha - 1.0)
-    tilt_gain = 16.0 * z0**2 / 105.0
-
-    def mean_of(tilt):
-        return cubic_moment + tail_moment + tilt * tilt_gain
-
-    guess = -(cubic_moment + tail_moment) / tilt_gain
-    radius = max(1.0, abs(guess))
-    tilt = brentq(mean_of, guess - radius, guess + radius,
-                  xtol=1e-15, rtol=1e-15)
+    tilt = -(cubic_moment + tail_moment) / (16.0 * z0**2 / 105.0)
 
     law = AttractedLaw(pair, alpha, b_scale, z0,
                        (float(c0), float(c1), float(c2), float(c3)),

@@ -2,14 +2,14 @@
 
 For one intensity pair the process is a classical pure-jump process with
 fully compensated jumps and zero drift.  Its log-characteristic function
-is computed once per exponent alpha from the two frequency-rescaled tail
-integrals
+follows from the two frequency-rescaled tail integrals
 
-    J_r = integral over (0, inf) of (cos w - 1) w^(-alpha-1) dw,
-    J_i = integral over (0, inf) of (sin w - w) w^(-alpha-1) dw,
+    J_r = integral over (0, inf) of (cos w - 1) w^(-alpha-1) dw
+        = Gamma(-alpha) cos(pi alpha / 2),
+    J_i = integral over (0, inf) of (sin w - w) w^(-alpha-1) dw
+        = -Gamma(-alpha) sin(pi alpha / 2),
 
-after which log phi(xi) = |xi|^alpha [ (k- + k+) J_r
-                                       + i sign(xi) (k+ - k-) J_i ].
+as log phi(xi) = |xi|^alpha [ (k- + k+) J_r + i sign(xi) (k+ - k-) J_i ].
 
 Densities come from trapezoidal inversion of exp(t * log phi) on an
 extended uniform spatial window, with analytic power-tail mass estimates
@@ -20,52 +20,27 @@ cos/sin sum per node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import quad
 
 from .kernels import Grid, KernelPair
 
-_EPS = 1e-3   # near-origin Taylor radius for the tail integrals
-_ZCUT = 40.0  # switch to weighted infinite-range quadrature beyond this
-
 
 class OracleError(RuntimeError):
-    """Raised when a quadrature or mass check fails its tolerance."""
+    """Raised when an inversion or mass check fails its tolerance."""
 
 
 @lru_cache(maxsize=32)
 def _tail_constants(alpha: float) -> tuple[float, float]:
-    """The two universal integrals (J_r, J_i) for a given alpha."""
-    a1 = alpha + 1.0
-
-    # cos part: Taylor on (0, eps), adaptive on (eps, Z), oscillatory
-    # weighted quadrature plus the analytic -1 term beyond Z.
-    taylor_r = -_EPS ** (2.0 - alpha) / (2.0 * (2.0 - alpha)) \
-        + _EPS ** (4.0 - alpha) / (24.0 * (4.0 - alpha))
-    mid_r, err_r = quad(lambda w: (np.cos(w) - 1.0) * w ** (-a1), _EPS, _ZCUT,
-                        limit=400, epsabs=1e-13, epsrel=1e-12)
-    osc_r, err_r2 = quad(lambda w: w ** (-a1), _ZCUT, np.inf,
-                         weight="cos", wvar=1.0, limit=400)
-    far_r = -_ZCUT ** (-alpha) / alpha
-    j_r = taylor_r + mid_r + osc_r + far_r
-
-    taylor_i = -_EPS ** (3.0 - alpha) / (6.0 * (3.0 - alpha)) \
-        + _EPS ** (5.0 - alpha) / (120.0 * (5.0 - alpha))
-    mid_i, err_i = quad(lambda w: (np.sin(w) - w) * w ** (-a1), _EPS, _ZCUT,
-                        limit=400, epsabs=1e-13, epsrel=1e-12)
-    osc_i, err_i2 = quad(lambda w: w ** (-a1), _ZCUT, np.inf,
-                         weight="sin", wvar=1.0, limit=400)
-    far_i = -_ZCUT ** (1.0 - alpha) / (alpha - 1.0)
-    j_i = taylor_i + mid_i + osc_i + far_i
-
-    worst = max(abs(err_r), abs(err_r2), abs(err_i), abs(err_i2))
-    if worst > 1e-8 * max(abs(j_r), abs(j_i)):
-        raise OracleError(f"tail-integral quadrature only reached {worst:.2e}")
-    return j_r, j_i
+    """The two universal integrals (J_r, J_i) for a given alpha, in
+    closed form (both are finite for 1 < alpha < 2)."""
+    g = math.gamma(-alpha)
+    return (g * math.cos(0.5 * math.pi * alpha),
+            -g * math.sin(0.5 * math.pi * alpha))
 
 
 @dataclass(frozen=True)

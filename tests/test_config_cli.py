@@ -123,6 +123,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "non-finite" in err and "pide_solver.safety" in err
 
+    def test_negative_dp_tap_exits_3(self, tmp_path, capsys):
+        """At n = 512 the law's interior spans under one cell of a
+        dp_dx = 0.2 grid, so the corrected stage taps go negative."""
+        cfg = base_config(n_values=(512,), dp_dx=0.2)
+        assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "not monotone" in err and "sublinear_engine.dp_dx" in err
+
     def test_write_atomic_round_trip_across_slices(self, tmp_path):
         n = cli._WRITE_SLICE
         # non-ASCII characters on both sides of the first slice boundary

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from nlstable import engine
+from nlstable.config import ExperimentConfig
 from nlstable.kernels import Grid, KernelPair, UncertaintySet
 from nlstable.laws import build_law, law_expectation, law_nodes
 from nlstable.engine import (
+    DP_REACH,
     LawFamily,
     NarrowGridError,
+    NegativeTapError,
     NormalizedSumSpec,
     convergence_table,
-    dp_grid_for,
     nested_sum_expectation,
     table_to_csv,
 )
 
-from conftest import gaussian
+from conftest import dense_interp_sum, gaussian
 
 ALPHA = 1.5
 
@@ -91,20 +94,19 @@ class TestNestedSum:
 
     def test_two_stages_match_direct_sum(self, fam_small):
         """The FFT stages against a dense direct sum of the interpolated
-        law quadrature on the same grid, with constant extension."""
+        law quadrature on the same grid, with constant extension and the
+        explicit second-difference correction within DP_REACH cells."""
         spec = NormalizedSumSpec(2, 1.0, ALPHA)
         grid = dp_grid(dx=0.5)
         val = nested_sum_expectation(gaussian, fam_small, spec, grid)
 
-        pos = np.arange(grid.nx, dtype=float)
         w = gaussian(grid.x)
         for _ in range(spec.n):
             stages = []
             for law in fam_small.laws:
                 nodes, weights = law_nodes(law)
                 shifts = spec.B_n * nodes / grid.dx
-                stages.append(sum(wgt * np.interp(pos + s, pos, w)
-                                  for s, wgt in zip(shifts, weights)))
+                stages.append(dense_interp_sum(w, shifts, weights, DP_REACH))
             w = np.max(stages, axis=0)
         mid = grid.nx // 2
         ref = np.interp(0.0, grid.x[mid - 1: mid + 2], w[mid - 1: mid + 2])
@@ -130,6 +132,31 @@ class TestNestedSum:
         val = nested_sum_expectation(gaussian, fam_sym, spec,
                                      dp_grid(half=1280.0, dx=0.02))
         assert val == pytest.approx(ref, abs=1e-3)
+
+    def test_second_order_taps_remove_grid_bias(self, fam_small,
+                                                monkeypatch):
+        """On a fixed grid the corrected stages are at least 10x closer
+        to a 4x finer corrected run than plain linear-interpolation taps
+        on the same grid."""
+        spec = NormalizedSumSpec(16, 1.0, ALPHA)
+        fine = nested_sum_expectation(gaussian, fam_small, spec,
+                                      dp_grid(dx=0.025))
+        corrected = nested_sum_expectation(gaussian, fam_small, spec,
+                                           dp_grid())
+        monkeypatch.setattr(engine, "DP_REACH", 0.0)
+        plain = nested_sum_expectation(gaussian, fam_small, spec, dp_grid())
+        assert abs(plain - fine) >= 10.0 * abs(corrected - fine)
+
+    @pytest.mark.parametrize("n,dx,advice", [(64, 0.2, "decrease"),
+                                              (1, 0.005, "increase")])
+    def test_negative_tap_names_dp_dx(self, fam_small, n, dx, advice):
+        """A grid too coarse for B_n z0, or too fine for the law's
+        quadrature nodes, leaves a negative corrected tap."""
+        spec = NormalizedSumSpec(n, 1.0, ALPHA)
+        with pytest.raises(NegativeTapError,
+                           match=f"{advice} sublinear_engine.dp_dx"):
+            nested_sum_expectation(gaussian, fam_small, spec,
+                                   dp_grid(half=40.0, dx=dx))
 
 
 class TestAxiomsSmall:
@@ -164,15 +191,29 @@ class TestAxiomsSmall:
 
 
 class TestTables:
-    def test_dp_grid_refines_with_n(self):
-        g8 = dp_grid_for(NormalizedSumSpec(8, 1.0, ALPHA), 2.0, 320.0, 0.1)
-        g64 = dp_grid_for(NormalizedSumSpec(64, 1.0, ALPHA), 2.0, 320.0, 0.1)
-        assert g64.dx < g8.dx
-        assert g64.x_max >= 320.0 and g8.x_max >= 320.0
+    def test_every_n_uses_the_dp_dx_grid(self, fam_small, monkeypatch):
+        cfg = ExperimentConfig(alpha=ALPHA, lam=0.05, Lam=4.0,
+                               pairs=((0.1, 0.1), (0.12, 0.12)),
+                               dp_half_width=320.0, dp_dx=0.1)
+        seen = []
+        run = engine.nested_sum_expectation
+
+        def record(psi, family, spec, grid):
+            seen.append((spec.n, grid))
+            return run(psi, family, spec, grid)
+
+        monkeypatch.setattr(engine, "nested_sum_expectation", record)
+        convergence_table(gaussian, fam_small, (2, 8, 32), cfg.dp_grid(),
+                          0.7)
+        assert [n for n, _ in seen] == [2, 8, 32]
+        for _, grid in seen:
+            assert grid == cfg.dp_grid()
+            assert grid.dx == pytest.approx(cfg.dp_dx, rel=1e-12)
+            assert grid.nx == 6401
 
     def test_convergence_table_csv(self, fam_small):
         rows = convergence_table(gaussian, fam_small, (2, 4), dp_grid(),
-                                 0.7, refine=True)
+                                 0.7)
         assert [r[0] for r in rows] == [2, 4]
         text = table_to_csv(rows)
         lines = text.strip().split("\n")

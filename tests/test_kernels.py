@@ -25,7 +25,7 @@ from nlstable.kernels import (
     tail_nodes,
 )
 
-from conftest import singleton_set
+from conftest import dense_interp_sum, singleton_set
 
 
 def cos_generator_exact(alpha):
@@ -140,6 +140,28 @@ class TestInterpTaps:
                             0.0, 0.0)
         out = apply_max([kern], u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nx", [5, 41, 201])
+    def test_second_order_matches_dense_correction(self, nx):
+        """Taps with a reach against np.interp plus the explicit
+        second-difference correction, for shifts inside, at and past the
+        reach, near -nx (where j-1 leaves the tap array) and at +-nx."""
+        rng = np.random.default_rng(7 * nx)
+        u = rng.normal(size=nx)
+        reach = 16.0
+        near = np.array([reach - 0.5, reach, reach + 0.5, nx - 0.5, nx,
+                         nx - 0.7, 1.5 * nx, 0.4, 2.5])
+        shifts = np.concatenate([rng.uniform(-1.5 * nx, 1.5 * nx, 40),
+                                 rng.uniform(-reach, reach, 20),
+                                 near, -near])
+        weights = rng.uniform(0.1, 1.0, len(shifts))
+        ref = dense_interp_sum(u, shifts, weights, reach)
+        kern = shift_kernel(interp_taps(shifts, weights, nx, reach=reach),
+                            nx, nx, 0.0, 0.0)
+        out = apply_max([kern], u)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        plain = dense_interp_sum(u, shifts, weights)
+        assert np.max(np.abs(plain - ref)) > 1e-3 * np.max(np.abs(ref))
 
 
 class TestTailNodes:
