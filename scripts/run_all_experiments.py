@@ -2,14 +2,20 @@
 """Run every bundled experiment config through the CLI.
 
 Usage: python3 scripts/run_all_experiments.py [out_root]
+
+Runs from a plain checkout (``src`` is put on the import path).  The run
+ends with one ``sha256  <path>`` line per output file, paths relative to
+out_root, so two runs are compared byte for byte with ``diff``.
 """
 
-import sys
+import hashlib
 import pathlib
-
-from nlstable.cli import main
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from nlstable.cli import main  # noqa: E402
 
 RUNS = [
     ("solve", "solve_default"),
@@ -29,4 +35,7 @@ if __name__ == "__main__":
         code = main([command, "--config", str(cfg),
                      "--out", str(out_root / name)])
         worst = max(worst, code)
+    for path in sorted(p for p in out_root.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out_root)}")
     sys.exit(worst)

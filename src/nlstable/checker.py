@@ -28,7 +28,7 @@ import numpy as np
 
 from .kernels import (Grid, ShiftKernel, Surface, UncertaintySet, apply_max,
                       band_bins, interp_taps, shift_kernel, tail_nodes)
-from .laws import AttractedLaw, law_nodes
+from .laws import AttractedLaw, beta2_prime, law_nodes, tail_deviation
 from .engine import LawFamily, NormalizedSumSpec
 from .solver import TerminalProblem, evaluate_row, solve_backward, make_grid
 
@@ -179,8 +179,7 @@ def check_condition_iii(family: LawFamily, uset: UncertaintySet, psi,
     """
     if grid.t_max < 1.0 + h - 1e-12:
         raise ValueError("grid horizon must cover 1 + h")
-    prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h, direction="backward",
-                           h_pad=h)
+    prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h)
     v = solve_backward(prob, grid, uset)
     coarse = make_grid(grid.x_min, grid.x_max, (grid.nx - 1) // 2 + 1,
                        grid.t_max, uset, r_cut=None, z_max=grid.z_max)
@@ -198,20 +197,6 @@ def check_condition_iii(family: LawFamily, uset: UncertaintySet, psi,
     rate = _fit_rate(n_values, residuals, kept)
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
                          tuple(diags), tuple(floors), tuple(kept))
-
-
-def _beta2(law: AttractedLaw, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    c = law.b_scale ** law.alpha
-    out = (1.0 - law.cdf(u)) * u ** law.alpha - c * law.pair.k_plus / law.alpha
-    return np.where(u >= law.z0, 0.0, out)
-
-
-def _beta2_prime(law: AttractedLaw, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    a = law.alpha
-    out = -law.density(u) * u ** a + a * (1.0 - law.cdf(u)) * u ** (a - 1.0)
-    return np.where(u >= law.z0, 0.0, out)
 
 
 def _m1_bound(v: Surface) -> float:
@@ -243,15 +228,15 @@ def classical_term_bounds(law: AttractedLaw, v: Surface,
     decay = law.b_scale ** (alpha - 2.0) * float(n) ** (1.0 - 2.0 / alpha)
 
     zq = np.geomspace(1e-10, 1.0, 4001)
-    mid_int = float(np.trapezoid(np.abs(_beta2(law, zq / b_n))
+    mid_int = float(np.trapezoid(np.abs(tail_deviation(law, zq / b_n))
                                  * zq ** (1.0 - alpha), zq))
     i2 = float(np.trapezoid(
-        np.abs(-_beta2_prime(law, zq) * zq + alpha * _beta2(law, zq))
+        np.abs(-beta2_prime(law, zq) * zq + alpha * tail_deviation(law, zq))
         * zq ** (1.0 - alpha), zq))
-    beta_at_inv = float(_beta2(law, np.array(1.0 / b_n)))
+    beta_at_inv = float(tail_deviation(law, np.array(1.0 / b_n)))
     if b_n * law.z0 > 1.0:
         zf = np.geomspace(1.0, b_n * law.z0, 2001)
-        far_int = float(np.trapezoid(np.abs(_beta2(law, zf / b_n))
+        far_int = float(np.trapezoid(np.abs(tail_deviation(law, zf / b_n))
                                      * zf ** (-alpha), zf))
     else:
         far_int = 0.0
@@ -260,7 +245,7 @@ def classical_term_bounds(law: AttractedLaw, v: Surface,
     g2 = m1 * decay * i2
     g3 = m1 * alpha * mid_int
     g4 = 3.0 * m1 * abs(beta_at_inv) \
-        + m1 * abs(float(_beta2(law, np.array(1.0)))) * decay \
+        + m1 * abs(float(tail_deviation(law, np.array(1.0)))) * decay \
         + 2.0 * alpha * m1 * mid_int
     return (g1, g2, g3, g4)
 
@@ -276,7 +261,7 @@ def residual_pieces(law: AttractedLaw, v: Surface, n: int, t: float,
 
     def weight_full(z):
         u = z / b_n
-        return (-_beta2_prime(law, u) * u + alpha * _beta2(law, u)) \
+        return (-beta2_prime(law, u) * u + alpha * tail_deviation(law, u)) \
             / z ** (alpha + 1.0)
 
     def piece(z_lo, z_hi, w_fn):
@@ -293,9 +278,10 @@ def residual_pieces(law: AttractedLaw, v: Surface, n: int, t: float,
     p1 = piece(1.0, max(top, 1.0), weight_full)
     p2 = piece(0.0, min(b_n, top), weight_full)
     p3 = piece(b_n, min(1.0, top),
-               lambda z: alpha * _beta2(law, z / b_n) / z ** (alpha + 1.0))
+               lambda z: alpha * tail_deviation(law, z / b_n)
+               / z ** (alpha + 1.0))
     p4 = piece(b_n, min(1.0, top),
-               lambda z: -_beta2_prime(law, z / b_n) * (z / b_n)
+               lambda z: -beta2_prime(law, z / b_n) * (z / b_n)
                / z ** (alpha + 1.0))
     return (p1, p2, p3, p4)
 
@@ -310,8 +296,7 @@ def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
     maximized over sampled t in [1/n, 1] and the middle half in x.
     The fitted rate is reported; theory guarantees some negative rate
     without naming its value."""
-    prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h, direction="backward",
-                           h_pad=h)
+    prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h)
     v = solve_backward(prob, grid, uset)
     g = grid
     mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)

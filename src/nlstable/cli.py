@@ -167,13 +167,12 @@ def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
 
     grid = _solve_grid(cfg, horizon)
     prob = TerminalProblem(psi, psi.lip, psi.sup, horizon)
-    report = probe(solve_forward(prob, grid, uset), prob, cfg.h, singleton)
+    report = probe(solve_forward(prob, grid, uset), cfg.h, singleton)
 
     coarse = make_grid(cfg.x_min, cfg.x_max, (cfg.nx - 1) // 2 + 1,
                        horizon, uset, r_cut=cfg.r_cut, z_max=cfg.z_max,
                        safety=cfg.safety)
-    report_c = probe(solve_forward(prob, coarse, uset), prob, cfg.h,
-                     singleton)
+    report_c = probe(solve_forward(prob, coarse, uset), cfg.h, singleton)
     compare_reports(report, report_c)
 
     if report.lip_x > psi.lip * LIP_SLACK:

@@ -45,8 +45,6 @@ class ExperimentConfig:
     dp_dx: float = 0.05
     n_values: tuple[int, ...] = (8, 16, 32, 64)
     mode: str = "condition_iii"
-    output_dir: str = "out"
-    seedless: bool = True
 
     def validate(self) -> None:
         if not (1.0 < self.alpha < 2.0):
@@ -87,9 +85,6 @@ class ExperimentConfig:
         if self.mode not in ("condition_iii", "example_41"):
             raise ConfigError("hypothesis_checker", "mode",
                               f"unknown mode {self.mode!r}")
-        if not self.seedless:
-            raise ConfigError("experiment_cli", "seedless",
-                              "runs are deterministic by contract")
         for spec in self.psi:
             try:
                 basket.from_spec(dict(spec))

@@ -119,7 +119,7 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
 
 
 def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
-                           grid: Grid, return_escape: bool = False):
+                           grid: Grid) -> float:
     """Sublinear expectation of psi(B_n S_n) by backward value iteration.
 
     Raises NarrowGridError when the accumulated worst-case quadrature
@@ -142,9 +142,8 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
     for _ in range(spec.n):
         w = apply_max(kernels, w)
     mid = grid.nx // 2
-    value = float(np.interp(0.0, grid.x[mid - 1: mid + 2],
-                            w[mid - 1: mid + 2]))
-    return (value, escaped) if return_escape else value
+    return float(np.interp(0.0, grid.x[mid - 1: mid + 2],
+                           w[mid - 1: mid + 2]))
 
 
 def convergence_table(psi, family: LawFamily, n_values, dp_grid: Grid,

@@ -89,10 +89,6 @@ class UncertaintySet:
                     f"pair {p} violates the ellipticity bounds ({self.lam}, {self.Lam})"
                 )
 
-    @property
-    def k_sum_max(self) -> float:
-        return max(p.k_minus + p.k_plus for p in self.pairs)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -361,44 +357,18 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
     return kern
 
 
-def _check_row(u_row: np.ndarray, grid: Grid) -> np.ndarray:
+def apply_sup_generator_row(u_row: np.ndarray, grid: Grid,
+                            uset: UncertaintySet) -> np.ndarray:
+    """Nodewise max of the generator over the uncertainty set, at every
+    node of a row (boundary nodes included, using constant extension;
+    callers supply their own boundary policy)."""
     u = np.asarray(u_row, dtype=float)
     if u.shape != (grid.nx,):
         raise ValueError("row length does not match grid")
-    return u
-
-
-def apply_generator_row(u_row: np.ndarray, grid: Grid, k: KernelPair,
-                        alpha: float) -> np.ndarray:
-    """Generator applied at every node of a row (boundary rows included,
-    using constant extension; callers supply their own boundary policy)."""
-    u = _check_row(u_row, grid)
+    kernels = [generator_stencil(grid, p, uset.alpha) for p in uset.pairs]
     # G annihilates constants; shifting by u[0] keeps them exactly fixed
     # under FFT roundoff.
-    return apply_max((generator_stencil(grid, k, alpha),), u - u[0])
-
-
-def apply_generator(u_row: np.ndarray, grid: Grid, k: KernelPair, alpha: float,
-                    j: int) -> float:
-    """Generator at interior node j."""
-    if not (0 < j < grid.nx - 1):
-        raise KernelDomainError("j must be an interior node index")
-    return float(apply_generator_row(u_row, grid, k, alpha)[j])
-
-
-def apply_sup_generator_row(u_row: np.ndarray, grid: Grid,
-                            uset: UncertaintySet) -> np.ndarray:
-    """Nodewise max of the generator over the uncertainty set."""
-    u = _check_row(u_row, grid)
-    kernels = [generator_stencil(grid, p, uset.alpha) for p in uset.pairs]
     return apply_max(kernels, u - u[0])
-
-
-def apply_sup_generator(u_row: np.ndarray, grid: Grid, uset: UncertaintySet,
-                        j: int) -> float:
-    if not (0 < j < grid.nx - 1):
-        raise KernelDomainError("j must be an interior node index")
-    return float(apply_sup_generator_row(u_row, grid, uset)[j])
 
 
 def scheme_stability_constant(grid: Grid, uset: UncertaintySet) -> float:

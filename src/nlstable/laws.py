@@ -146,22 +146,31 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
     return law
 
 
-def beta_functions(law: AttractedLaw, z: float) -> tuple[float, float]:
-    """Tail-deviation pair (beta1, beta2); the off-side entry is nan.
+def tail_deviation(law: AttractedLaw, z):
+    """Tail-deviation functions, vectorized and sign-aware:
 
     beta1(z) = F(z)|z|^alpha - b^alpha k_minus/alpha for z < 0 and
     beta2(z) = (1 - F(z)) z^alpha - b^alpha k_plus/alpha for z > 0.
-    Both vanish identically for |z| >= z0.
+    Both are set to exactly 0 for |z| >= z0, where they vanish up to
+    rounding.  Undefined at z = 0.
     """
-    if z == 0.0:
+    z = np.asarray(z, dtype=float)
+    if np.any(z == 0.0):
         raise ValueError("beta functions are undefined at z = 0")
     c = _tail_scale(law)
-    if z < 0.0:
-        return (float(law.cdf(z) * abs(z) ** law.alpha
-                      - c * law.pair.k_minus / law.alpha), float("nan"))
-    return (float("nan"),
-            float((1.0 - law.cdf(z)) * z ** law.alpha
-                  - c * law.pair.k_plus / law.alpha))
+    a = law.alpha
+    cdf, za = law.cdf(z), np.abs(z) ** a
+    out = np.where(z < 0.0, cdf * za - c * law.pair.k_minus / a,
+                   (1.0 - cdf) * za - c * law.pair.k_plus / a)
+    return np.where(np.abs(z) >= law.z0, 0.0, out)
+
+
+def beta2_prime(law: AttractedLaw, u):
+    """Derivative of beta2 for u > 0, vectorized; 0 for u >= z0."""
+    u = np.asarray(u, dtype=float)
+    a = law.alpha
+    out = -law.density(u) * u ** a + a * (1.0 - law.cdf(u)) * u ** (a - 1.0)
+    return np.where(u >= law.z0, 0.0, out)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
@@ -208,31 +217,3 @@ def law_expectation(phi, law: AttractedLaw) -> float:
     nodes, weights = law_nodes(law)
     return float(weights @ np.asarray(phi(nodes), dtype=float))
 
-
-def describe_law(law: AttractedLaw) -> str:
-    """Structured text record; round-trips bit-exactly via parse_law."""
-    lines = [
-        f"alpha={law.alpha:.17g}",
-        f"k_minus={law.pair.k_minus:.17g}",
-        f"k_plus={law.pair.k_plus:.17g}",
-        f"b={law.b_scale:.17g}",
-        f"z0={law.z0:.17g}",
-        "cubic=" + ",".join(f"{v:.17g}" for v in law.cubic),
-        f"bump={law.bump:.17g}",
-        f"tilt={law.tilt:.17g}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_law(text: str) -> AttractedLaw:
-    fields = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
-    cubic = tuple(float(v) for v in fields["cubic"].split(","))
-    if len(cubic) != 4:
-        raise ValueError("cubic record must have four coefficients")
-    return AttractedLaw(
-        KernelPair(float(fields["k_minus"]), float(fields["k_plus"])),
-        float(fields["alpha"]), float(fields["b"]), float(fields["z0"]),
-        cubic, float(fields["bump"]), float(fields["tilt"]))

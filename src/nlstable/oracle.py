@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .kernels import Grid, KernelPair
+from .kernels import KernelPair
 
 
 class OracleError(RuntimeError):
@@ -102,12 +102,6 @@ def _invert(ce: CharExponent, t_time: float, n: int,
     return (conv * w[n_xi - 1:].conj()).real * step / np.pi
 
 
-def _tail_mass(ce: CharExponent, t_time: float, cut: float) -> float:
-    """Leading-order mass beyond |x| > cut from the exact power tails."""
-    k_m, k_p = ce.pair.k_minus, ce.pair.k_plus
-    return t_time * (k_m + k_p) * cut ** (-ce.alpha) / ce.alpha
-
-
 @dataclass(frozen=True)
 class _DensityTable:
     x: np.ndarray
@@ -144,19 +138,6 @@ def _mass_check(tab: _DensityTable, tol: float = 1e-4) -> float:
             f"density mass {mass:.8f} deviates from 1 by more than {tol}; "
             "use a wider spatial window")
     return mass
-
-
-def density_on_grid(ce: CharExponent, t_time: float, grid: Grid) -> np.ndarray:
-    """Density samples of the time-t increment at the grid nodes.
-
-    The mass check runs on an internal extended window; the returned
-    samples cover only the requested nodes.
-    """
-    if t_time <= 0.0:
-        raise ValueError("t_time must be positive")
-    tab = _density_table(ce, t_time, max(abs(grid.x_min), abs(grid.x_max)))
-    _mass_check(tab)
-    return np.interp(grid.x, tab.x, tab.f)
 
 
 def classical_expectation(psi, ce: CharExponent, t_time: float,

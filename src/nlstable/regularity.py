@@ -12,7 +12,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .kernels import Surface
-from .solver import TerminalProblem
+
+COMPARE_REL_TOL = 0.2
+COMPARE_SKIP = ("lip_x", "holder_gamma_fit")
 
 
 class RegularityError(RuntimeError):
@@ -40,7 +42,7 @@ def _mid(nx: int) -> slice:
     return slice(nx // 4, 3 * nx // 4 + 1)
 
 
-def probe(surface: Surface, prob: TerminalProblem, h: float,
+def probe(surface: Surface, h: float,
           singleton: bool = True) -> RegularityReport:
     """Measure the six regularity surrogates on the middle half.
 
@@ -100,14 +102,12 @@ def probe(surface: Surface, prob: TerminalProblem, h: float,
                             dxx_bound_singleton=dxx_u)
 
 
-def compare_reports(fine: RegularityReport, other: RegularityReport,
-                    rel_tol: float = 0.2,
-                    skip: tuple = ("lip_x", "holder_gamma_fit")):
+def compare_reports(fine: RegularityReport, other: RegularityReport):
     """Relative agreement of probe fields across two resolutions.
 
     Raises RegularityError naming the first field whose values differ
-    by more than rel_tol relative to the finer measurement; fields in
-    ``skip`` are reported but not enforced.
+    by more than COMPARE_REL_TOL relative to the finer measurement;
+    fields in COMPARE_SKIP are reported but not enforced.
     """
     rows = []
     for f in fields(RegularityReport):
@@ -115,21 +115,14 @@ def compare_reports(fine: RegularityReport, other: RegularityReport,
         ref = max(abs(a), 1e-12)
         rel = abs(a - b) / ref
         rows.append((f.name, a, b, rel))
-        if f.name not in skip and rel > rel_tol:
+        if f.name not in COMPARE_SKIP and rel > COMPARE_REL_TOL:
             raise RegularityError(
                 f"field {f.name} unstable across resolutions: "
-                f"{a:.6g} vs {b:.6g} ({100*rel:.1f}% > {100*rel_tol:.0f}%)")
+                f"{a:.6g} vs {b:.6g} "
+                f"({100*rel:.1f}% > {100*COMPARE_REL_TOL:.0f}%)")
     return rows
 
 
 def report_to_text(report: RegularityReport) -> str:
     return "".join(f"{f.name}={getattr(report, f.name):.17g}\n"
                    for f in fields(RegularityReport))
-
-
-def parse_report(text: str) -> RegularityReport:
-    kv = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        kv[key.strip()] = float(val)
-    return RegularityReport(**kv)

@@ -44,22 +44,14 @@ class TerminalProblem:
 
     ``psi`` is a bounded Lipschitz function given as a vectorizable
     callable; ``lip_psi`` and ``sup_psi`` are its stated constants.
-    ``h_pad`` is the interior-regularity padding used by the backward
-    equation, whose terminal time is ``horizon`` (= 1 + h_pad there).
+    ``horizon`` is the terminal time; only the backward march reads it,
+    to place its surface at t0 = horizon - grid.t_max.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
     lip_psi: float
     sup_psi: float
     horizon: float
-    direction: str = "forward"
-    h_pad: float = 0.25
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
-        if not (0.0 < self.h_pad < 1.0):
-            raise ValueError("h_pad must lie in (0, 1)")
 
     def samples(self, grid: Grid) -> np.ndarray:
         vals = np.asarray(self.psi(grid.x), dtype=float)
@@ -68,26 +60,19 @@ class TerminalProblem:
         return vals
 
 
-def cfl_report(grid: Grid, uset: UncertaintySet, safety: float = 0.5):
-    """Return (stability constant, largest admissible dt with safety)."""
-    c = scheme_stability_constant(grid, uset)
-    return c, safety / c
-
-
 def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
               uset: UncertaintySet, r_cut: float | None = None,
-              z_max: float | None = None, nq_band: int = 128,
-              safety: float = 0.5) -> Grid:
+              z_max: float | None = None, safety: float = 0.5) -> Grid:
     """Build a grid whose nt satisfies the CFL bound with a safety factor."""
     dx = (x_max - x_min) / (nx - 1)
     if r_cut is None:
         r_cut = dx
     if z_max is None:
         z_max = 4.0 * (x_max - x_min)
-    probe = Grid(x_min, x_max, nx, t_max, 1, r_cut, z_max, nq_band)
+    probe = Grid(x_min, x_max, nx, t_max, 1, r_cut, z_max)
     c = scheme_stability_constant(probe, uset)
     nt = max(1, int(np.ceil(t_max * c / safety)))
-    return Grid(x_min, x_max, nx, t_max, nt, r_cut, z_max, nq_band)
+    return Grid(x_min, x_max, nx, t_max, nt, r_cut, z_max)
 
 
 def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
@@ -130,10 +115,12 @@ def solve_backward(prob: TerminalProblem, grid: Grid,
     """Solve the backward equation down from the terminal condition.
 
     The surface's row i holds v(t0 + i*dt, .) with the terminal data in
-    the last row; t0 = terminal time - grid.t_max.
+    the last row; t0 = terminal time - grid.t_max.  Its values are a
+    reversed view of the marched rows, so no second surface is
+    allocated.
     """
     v_term = prob.samples(grid)
-    rows = _march(v_term, grid, uset)[::-1].copy()
+    rows = _march(v_term, grid, uset)[::-1]
     return Surface(grid=grid, values=rows, t0=prob.horizon - grid.t_max)
 
 

@@ -43,8 +43,7 @@ def grid(uset):
 
 @pytest.fixture(scope="module")
 def v_surface(grid, uset):
-    prob = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + H,
-                           direction="backward", h_pad=H)
+    prob = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + H)
     return solve_backward(prob, grid, uset)
 
 
@@ -194,8 +193,7 @@ def asym_case():
     family = LawFamily(tuple(build_law(p, ALPHA, 1.0, 2.0)
                              for p in uset.pairs), uset)
     grid = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
-    prob = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + H,
-                           direction="backward", h_pad=H)
+    prob = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + H)
     return family, uset, solve_backward(prob, grid, uset)
 
 

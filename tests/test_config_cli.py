@@ -42,7 +42,6 @@ class TestConfig:
         (dict(h=1.5), "pide_solver.h"),
         (dict(n_values=(8, 4)), "hypothesis_checker.n_values"),
         (dict(mode="other"), "hypothesis_checker.mode"),
-        (dict(seedless=False), "experiment_cli.seedless"),
         (dict(psi=({"name": "nope"},)), "experiment_cli.psi"),
     ])
     def test_validation_names_module_and_field(self, over, needle):

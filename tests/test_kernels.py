@@ -11,12 +11,11 @@ from nlstable.kernels import (
     KernelDomainError,
     KernelPair,
     UncertaintySet,
-    apply_generator,
-    apply_generator_row,
     apply_max,
-    apply_sup_generator,
+    apply_sup_generator_row,
     band_bins,
     drift_b,
+    generator_stencil,
     interp_taps,
     levy_density,
     scheme_stability_constant,
@@ -182,11 +181,18 @@ def wide_grid(nx=4001, half=40.0, r_cut=None, z_max=None):
     return Grid(-half, half, nx, 1.0, 1, r_cut or dx, z_max or 16 * half)
 
 
+def generator_row(u, g, k, alpha):
+    """Generator of one pair at every node: the sup over a one-pair set."""
+    lo, hi = sorted((k.k_minus, k.k_plus))
+    uset = UncertaintySet(alpha, (k,), 0.5 * lo, 2.0 * hi)
+    return apply_sup_generator_row(u, g, uset)
+
+
 class TestGenerator:
     def test_constant_annihilated(self):
         g = wide_grid()
         u = np.full(g.nx, 3.7)
-        out = apply_generator_row(u, g, KernelPair(1.0, 2.0), 1.5)
+        out = generator_row(u, g, KernelPair(1.0, 2.0), 1.5)
         assert np.max(np.abs(out)) < 1e-10
 
     @pytest.mark.parametrize("half", [40.0, 160.0])
@@ -195,7 +201,7 @@ class TestGenerator:
         k = KernelPair(1.0, 2.0)
         g = wide_grid(half=half)
         u = 0.3 + slope * g.x
-        val = apply_generator(u, g, k, alpha, g.nx // 2)
+        val = generator_row(u, g, k, alpha)[g.nx // 2]
         # the residual is pure far-field truncation: the constant extension
         # flattens the affine beyond +-half, whose compensated-increment
         # integral is slope * k * half^(1-alpha) / (alpha(alpha-1))
@@ -208,7 +214,7 @@ class TestGenerator:
         # closed form to a few parts in 1e4
         g = Grid(-80.0, 80.0, 16001, 1.0, 1, 0.2, 320.0, nq_band=512)
         u = np.cos(g.x)
-        val = apply_generator(u, g, KernelPair(1.0, 1.0), 1.5, g.nx // 2)
+        val = generator_row(u, g, KernelPair(1.0, 1.0), 1.5)[g.nx // 2]
         ref = cos_generator_exact(1.5)
         assert val == pytest.approx(ref, rel=1e-3)
 
@@ -216,8 +222,8 @@ class TestGenerator:
         g = wide_grid(nx=801)
         u = np.cos(g.x)
         j = g.nx // 2 + 7
-        base = apply_generator(u, g, KernelPair(0.5, 1.5), 1.5, j)
-        scaled = apply_generator(u, g, KernelPair(1.5, 4.5), 1.5, j)
+        base = generator_row(u, g, KernelPair(0.5, 1.5), 1.5)[j]
+        scaled = generator_row(u, g, KernelPair(1.5, 4.5), 1.5)[j]
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -233,8 +239,8 @@ class TestGenerator:
         bump[j] = 0.0
         u2 = u1 + bump
         k = KernelPair(1.0, 2.0)
-        a1 = apply_generator(u1, g, k, 1.5, j)
-        a2 = apply_generator(u2, g, k, 1.5, j)
+        a1 = generator_row(u1, g, k, 1.5)[j]
+        a2 = generator_row(u2, g, k, 1.5)[j]
         assert a2 >= a1 - 1e-10
 
     @pytest.mark.filterwarnings(
@@ -274,15 +280,16 @@ class TestSupGenerator:
         u = np.cos(g.x)
         j = g.nx // 2 + 3
         uset = singleton_set(1.0, 2.0)
-        assert apply_sup_generator(u, g, uset, j) \
-            == apply_generator(u, g, uset.pairs[0], uset.alpha, j)
+        single = apply_max(
+            [generator_stencil(g, uset.pairs[0], uset.alpha)], u - u[0])
+        assert apply_sup_generator_row(u, g, uset)[j] == single[j]
 
     def test_constant_zero(self):
         g = wide_grid(nx=801)
         uset = UncertaintySet(1.5, (KernelPair(1.0, 1.0), KernelPair(2.0, 2.0)),
                               0.5, 2.5)
         u = np.full(g.nx, -4.0)
-        assert abs(apply_sup_generator(u, g, uset, g.nx // 2)) < 1e-12
+        assert abs(apply_sup_generator_row(u, g, uset)[g.nx // 2]) < 1e-12
 
     def test_homogeneous_family_picks_larger_intensity(self):
         # at the cosine minimum of the generator both candidate values are
@@ -292,15 +299,10 @@ class TestSupGenerator:
         j = g.nx // 2
         uset = UncertaintySet(1.5, (KernelPair(1.0, 1.0), KernelPair(2.0, 2.0)),
                               0.5, 2.5)
-        one = apply_generator(u, g, KernelPair(1.0, 1.0), 1.5, j)
+        one = generator_row(u, g, KernelPair(1.0, 1.0), 1.5)[j]
         assert one < 0.0
-        assert apply_sup_generator(u, g, uset, j) == pytest.approx(one, rel=1e-12)
-
-    def test_boundary_index_rejected(self):
-        g = wide_grid(nx=101)
-        u = np.cos(g.x)
-        with pytest.raises(KernelDomainError):
-            apply_sup_generator(u, g, singleton_set(), 0)
+        assert apply_sup_generator_row(u, g, uset)[j] \
+            == pytest.approx(one, rel=1e-12)
 
     def test_stability_constant_positive(self):
         g = wide_grid(nx=801)

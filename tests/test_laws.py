@@ -9,11 +9,9 @@ from nlstable.kernels import KernelPair
 from nlstable.laws import (
     AttractedLaw,
     LawBuildError,
-    beta_functions,
     build_law,
-    describe_law,
     law_expectation,
-    parse_law,
+    tail_deviation,
 )
 
 ALPHA = 1.5
@@ -92,12 +90,11 @@ class TestCdfAndBeta:
                 c / (ALPHA * z ** ALPHA), abs=1e-12)
 
     def test_beta_vanishes_beyond_z0(self, law_sym):
-        b1, _ = beta_functions(law_sym, -4.0)
-        _, b2 = beta_functions(law_sym, 4.0)
+        b1, b2 = tail_deviation(law_sym, [-4.0, 4.0])
         assert abs(b1) < 1e-14 and abs(b2) < 1e-14
 
     def test_beta_near_origin_limit(self, law_sym):
-        b1, _ = beta_functions(law_sym, -1e-9)
+        b1 = tail_deviation(law_sym, -1e-9)
         assert b1 == pytest.approx(-1.0 / ALPHA, abs=1e-9)
 
     def test_beta_interior_from_cdf_quadrature(self, law_sym):
@@ -105,12 +102,31 @@ class TestCdfAndBeta:
         upper, _ = quad(law_sym.density, z, law_sym.z0, limit=200)
         one_minus_f = upper + law_sym.tail_mass / 2.0
         ref = one_minus_f * z ** ALPHA - 1.0 / ALPHA
-        _, b2 = beta_functions(law_sym, z)
+        b2 = tail_deviation(law_sym, z)
         assert b2 == pytest.approx(ref, abs=1e-10)
 
     def test_beta_rejects_origin(self, law_sym):
         with pytest.raises(ValueError):
-            beta_functions(law_sym, 0.0)
+            tail_deviation(law_sym, [-1.0, 0.0, 1.0])
+
+    def test_beta_mixed_signs_in_one_call(self):
+        """One call over z of both signs, inside and beyond z0, returns
+        beta1 on the left and beta2 on the right, as point by point."""
+        law = build_law(KernelPair(0.5, 0.3), ALPHA, 1.0, 2.0)
+        # -2.3 and 3.7: beyond z0, where the formula leaves rounding
+        z = np.array([-5.0, -2.3, -2.0, -1.3, -0.2, -1e-6, 1e-6, 0.4, 1.9,
+                      2.0, 3.7])
+        got = tail_deviation(law, z)
+        c, a = law.b_scale ** ALPHA, ALPHA
+        for zi, gi in zip(z, got):
+            if abs(zi) >= law.z0:
+                ref = 0.0
+            elif zi < 0.0:
+                ref = law.cdf(zi) * abs(zi) ** a - c * law.pair.k_minus / a
+            else:
+                ref = (1.0 - law.cdf(zi)) * zi ** a - c * law.pair.k_plus / a
+            assert gi == ref
+            assert float(tail_deviation(law, zi)) == ref
 
 
 class TestExpectation:
@@ -132,10 +148,3 @@ class TestExpectation:
     def test_growth_guard(self, law_sym):
         with pytest.raises(ValueError, match="not\\s+integrable"):
             law_expectation(lambda z: np.asarray(z) ** 2, law_sym)
-
-
-def test_describe_parse_round_trip(law_sym):
-    text = describe_law(law_sym)
-    law2 = parse_law(text)
-    assert law2 == law_sym
-    assert describe_law(law2) == text

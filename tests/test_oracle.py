@@ -6,11 +6,10 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import gamma
 
-from nlstable.kernels import Grid, KernelPair
+from nlstable.kernels import KernelPair
 from nlstable.oracle import (
     CharExponent,
     classical_expectation,
-    density_on_grid,
     _density_table,
     _invert,
     _log_phi_grid,
@@ -106,14 +105,9 @@ def test_chirp_z_matches_dense_sum(ce_sym, ce_asym, cut, t_time):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def probe_grid(half=20.0, nx=801):
-    return Grid(-half, half, nx, 1.0, 1, 0.1, 4.0 * 2 * half)
-
-
 class TestDensity:
     def test_symmetric_density_even(self, ce_sym):
-        g = probe_grid()
-        f = density_on_grid(ce_sym, 1.0, g)
+        f = _density_table(ce_sym, 1.0, 20.0).f
         assert np.max(np.abs(f - f[::-1])) < 1e-10
         assert np.all(f >= 0.0)
 

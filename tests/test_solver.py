@@ -5,12 +5,11 @@ import io
 import numpy as np
 import pytest
 
-from nlstable.kernels import Grid, Surface
+from nlstable.kernels import Grid, Surface, scheme_stability_constant
 from nlstable.solver import (
     CFLError,
     NonFiniteError,
     TerminalProblem,
-    cfl_report,
     dpp_check,
     evaluate,
     evaluate_row,
@@ -52,9 +51,13 @@ def test_non_finite_march_refused(small_grid, uset_sym):
 
 
 def test_cfl_report_consistent(small_grid, uset_sym):
-    c, dt_max = cfl_report(small_grid, uset_sym)
-    assert c > 0.0 and dt_max == pytest.approx(0.5 / c)
+    """make_grid takes the fewest steps whose dt meets the stability
+    bound with its default safety factor 0.5."""
+    c = scheme_stability_constant(small_grid, uset_sym)
+    dt_max = 0.5 / c
+    assert c > 0.0
     assert small_grid.dt <= dt_max * (1.0 + 1e-12)
+    assert small_grid.t_max / (small_grid.nt - 1) > dt_max
 
 
 def test_maximum_principle(small_grid, uset_sym):
@@ -99,10 +102,8 @@ def test_backward_is_time_reversed_forward(small_grid, uset_sym):
     h = 0.25
     grid = make_grid(-20.0, 20.0, 401, 1.0 + h, uset_sym)
     prob_f = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + h)
-    prob_b = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + h,
-                             direction="backward", h_pad=h)
     u = solve_forward(prob_f, grid, uset_sym)
-    v = solve_backward(prob_b, grid, uset_sym)
+    v = solve_backward(prob_f, grid, uset_sym)
     assert v.t0 == pytest.approx(0.0)
     # v(t, x) = u(1 + h - t, x), exact in floating arithmetic
     assert np.max(np.abs(v.values - u.values[::-1])) < 1e-14
