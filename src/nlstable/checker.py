@@ -14,9 +14,10 @@ so the law tail integral rescales to the kernel integral over
 one tail quadrature (``kernels.tail_nodes`` beyond B_n z0) for both
 sides, which pushes the measurement floor well below the
 n^(1 - 2/alpha) signal.  For each n every pair and every law becomes one
-``ShiftKernel`` holding its quadrature taps, the compensator
--v'(x) * (first moment) and the Taylor terms for jumps under one grid
-cell, so each sampled row costs one ``apply_max`` per side.
+``kernels.jump_kernel`` (the builder behind the march's generator too):
+its quadrature nodes, the compensator -v'(x) * (first moment) and the
+Taylor terms for jumps under one grid cell, so each sampled row costs
+one ``apply_max`` per side.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (Grid, ShiftKernel, Surface, UncertaintySet, apply_max,
-                      band_bins, interp_taps, shift_kernel, tail_nodes)
+from .kernels import (Grid, Surface, UncertaintySet, apply_max, band_bins,
+                      jump_kernel, tail_nodes)
 from .laws import AttractedLaw, beta2_prime, law_nodes, tail_deviation
 from .engine import LawFamily, NormalizedSumSpec
-from .solver import TerminalProblem, evaluate_row, solve_backward, make_grid
+from .solver import TerminalProblem, evaluate_row, solve_backward
 
 _T_SAMPLES = 33    # rows sampled from [0, 1] for the (t, x) maximum
 _TAIL_NB = 192
@@ -50,16 +51,6 @@ class ResidualTable:
             raise ValueError("n_values must be strictly increasing")
         if any(r < 0 for r in self.residuals):
             raise ValueError("residuals must be nonnegative")
-
-
-def _row_derivs(vrow: np.ndarray, dx: float):
-    vx = np.gradient(vrow, dx)
-    vxx = np.zeros_like(vrow)
-    vxx[1:-1] = (vrow[2:] - 2.0 * vrow[1:-1] + vrow[:-2]) / dx**2
-    vxxx = np.zeros_like(vrow)
-    vxxx[2:-2] = (vrow[4:] - 2.0 * vrow[3:-1] + 2.0 * vrow[1:-3]
-                  - vrow[:-4]) / (2.0 * dx**3)
-    return vx, vxx, vxxx
 
 
 def delta_increment(v: Surface, t: float, x: float, y: float) -> float:
@@ -82,22 +73,6 @@ def _sampled_rows(v: Surface, t_hi: float = 1.0):
     i_hi = int(np.floor((t_hi - v.t0) / g.dt + 1e-9))
     stride = max(1, i_hi // (_T_SAMPLES - 1))
     return range(0, i_hi + 1, stride)
-
-
-def _delta_kernel(shifts, weights, d2: float, d3: float,
-                  g: Grid) -> ShiftKernel:
-    """Kernel of sum_i w_i [v(x+s_i) - v(x) - v'(x) s_i] + d2 v''(x)
-    + d3 v'''(x) on the grid, with constant extension of v and the
-    centred differences of ``_row_derivs`` for the derivatives."""
-    c, dx = g.nx, g.dx
-    taps = interp_taps(shifts / dx, weights, g.nx)
-    taps[c] -= np.sum(weights)
-    m1 = float(np.dot(weights, shifts)) / (2.0 * dx)
-    e2 = d2 / dx**2
-    e3 = d3 / (2.0 * dx**3)
-    taps[c - 2: c + 3] += [-e3, 2.0 * e3 + m1 + e2, -2.0 * e2,
-                           e2 - m1 - 2.0 * e3, e3]
-    return shift_kernel(taps, c, g.nx, 0.0, 0.0)
 
 
 def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
@@ -124,13 +99,13 @@ def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
     sig3 = r_in ** (3.0 - alpha) / (3.0 - alpha)
     pair_shifts = np.concatenate([cents, in_c, -cents, -in_c])
     pair_kernels = [
-        _delta_kernel(pair_shifts,
-                      np.concatenate([pair.k_plus * masses,
-                                      pair.k_plus * in_m,
-                                      pair.k_minus * masses,
-                                      pair.k_minus * in_m]),
-                      0.5 * (pair.k_minus + pair.k_plus) * sig2,
-                      (pair.k_plus - pair.k_minus) * sig3 / 6.0, g)
+        jump_kernel(pair_shifts,
+                    np.concatenate([pair.k_plus * masses,
+                                    pair.k_plus * in_m,
+                                    pair.k_minus * masses,
+                                    pair.k_minus * in_m]),
+                    0.5 * (pair.k_minus + pair.k_plus) * sig2,
+                    (pair.k_plus - pair.k_minus) * sig3 / 6.0, g)
         for pair in uset.pairs]
 
     # law side: n times the interior rule, Taylor for jumps under dx,
@@ -143,7 +118,7 @@ def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
         s, w = b_n * nodes[inner], n * weights[inner]
         taylor = np.abs(s) <= g.dx
         st, wt = s[taylor], w[taylor]
-        law_kernels.append(_delta_kernel(
+        law_kernels.append(jump_kernel(
             np.concatenate([s[~taylor], cents, -cents]),
             np.concatenate([w[~taylor],
                             tail_scale * law.pair.k_plus * masses,
@@ -160,7 +135,9 @@ def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
     return worst
 
 
-def _fit_rate(n_values, residuals, kept):
+def fit_rate(n_values, residuals, kept):
+    """Slope of log residual against log n over the kept points; nan
+    when fewer than two are kept or a kept residual is not positive."""
     ns = [n for n, k in zip(n_values, kept) if k]
     rs = [r for r, k in zip(residuals, kept) if k]
     if len(ns) < 2 or any(r <= 0.0 for r in rs):
@@ -169,20 +146,20 @@ def _fit_rate(n_values, residuals, kept):
 
 
 def check_condition_iii(family: LawFamily, uset: UncertaintySet, psi,
-                        h: float, n_values, grid: Grid) -> ResidualTable:
+                        h: float, n_values, grid: Grid,
+                        coarse: Grid) -> ResidualTable:
     """Residual table for the attraction condition over the given n.
 
-    Solves the terminal-value equation with horizon 1 + h on the given
-    grid and on a half-resolution copy; the per-n difference between
-    the two measurements is reported as the discretization floor, and
-    points within 3x the floor are dropped from the rate fit.
+    Solves the terminal-value equation with horizon 1 + h on ``grid``
+    and on ``coarse``, a lower-resolution grid built with the same
+    settings; the per-n difference between the two measurements is
+    reported as the discretization floor, and points within 3x the
+    floor are dropped from the rate fit.
     """
-    if grid.t_max < 1.0 + h - 1e-12:
+    if min(grid.t_max, coarse.t_max) < 1.0 + h - 1e-12:
         raise ValueError("grid horizon must cover 1 + h")
     prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h)
     v = solve_backward(prob, grid, uset)
-    coarse = make_grid(grid.x_min, grid.x_max, (grid.nx - 1) // 2 + 1,
-                       grid.t_max, uset, r_cut=None, z_max=grid.z_max)
     v2 = solve_backward(prob, coarse, uset)
 
     n_values = sorted(int(n) for n in n_values)
@@ -194,7 +171,7 @@ def check_condition_iii(family: LawFamily, uset: UncertaintySet, psi,
         floors.append(abs(r - r2))
         diags.append(classical_term_bounds(family.laws[0], v, n))
     kept = [r > 3.0 * f for r, f in zip(residuals, floors)]
-    rate = _fit_rate(n_values, residuals, kept)
+    rate = fit_rate(n_values, residuals, kept)
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
                          tuple(diags), tuple(floors), tuple(kept))
 
@@ -205,9 +182,10 @@ def _m1_bound(v: Surface) -> float:
     m1 = 0.0
     for i in _sampled_rows(v):
         row = v.values[i]
-        vx, vxx, _ = _row_derivs(row, g.dx)
+        vxx = np.zeros_like(row)
+        vxx[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / g.dx**2
         m1 = max(m1, float(np.max(np.abs(row[mid]))),
-                 float(np.max(np.abs(vx[mid]))),
+                 float(np.max(np.abs(np.gradient(row, g.dx)[mid]))),
                  float(np.max(np.abs(vxx[mid]))))
     return m1
 
@@ -316,7 +294,7 @@ def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
             worst = max(worst, float(np.max(resid)))
         residuals.append(worst)
     kept = [r > 0.0 for r in residuals]
-    rate = _fit_rate(n_values, residuals, kept)
+    rate = fit_rate(n_values, residuals, kept)
     zero4 = (0.0, 0.0, 0.0, 0.0)
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
                          tuple(zero4 for _ in n_values),

@@ -25,7 +25,7 @@ from .engine import (LawFamily, NarrowGridError, NegativeTapError,
 from .solver import (CFLError, NonFiniteError, TerminalProblem, make_grid,
                      solve_forward, evaluate, surface_to_csv)
 from .oracle import CharExponent, OracleError, classical_expectation
-from .checker import (check_condition_iii, example_41_check,
+from .checker import (check_condition_iii, example_41_check, fit_rate,
                       residual_table_to_csv)
 from .regularity import (RegularityError, probe, compare_reports,
                          report_to_text)
@@ -62,8 +62,11 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _solve_grid(cfg: ExperimentConfig, t_max: float) -> Grid:
-    return make_grid(cfg.x_min, cfg.x_max, cfg.nx, t_max,
+def _solve_grid(cfg: ExperimentConfig, t_max: float,
+                nx: int | None = None) -> Grid:
+    """The config's march grid, at ``nx`` nodes in place of cfg.nx if
+    given."""
+    return make_grid(cfg.x_min, cfg.x_max, nx or cfg.nx, t_max,
                      cfg.uncertainty_set(), r_cut=cfg.r_cut,
                      z_max=cfg.z_max, safety=cfg.safety)
 
@@ -123,11 +126,7 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
         write_atomic(os.path.join(out, f"convergence_{tag}.csv"),
                      table_to_csv(rows))
         errs = [r[4] for r in rows]
-        if min(errs) > 0.0:
-            rate = float(np.polyfit(np.log([r[0] for r in rows]),
-                                    np.log(errs), 1)[0])
-        else:
-            rate = float("-inf")
+        rate = fit_rate([r[0] for r in rows], errs, [True] * len(rows))
         summary.append(f"{tag}: pide_value={pide_value:.10g} "
                        f"first_error={errs[0]:.3e} "
                        f"last_error={errs[-1]:.3e} fitted_rate={rate:.4f}")
@@ -141,9 +140,9 @@ def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
     psi = cfg.psi_functions()[0]
     grid = _solve_grid(cfg, 1.0 + cfg.h)
     if cfg.mode == "condition_iii":
-        family = _law_family(cfg)
-        table = check_condition_iii(family, uset, psi, cfg.h,
-                                    cfg.n_values, grid)
+        coarse = _solve_grid(cfg, 1.0 + cfg.h, (cfg.nx - 1) // 2 + 1)
+        table = check_condition_iii(_law_family(cfg), uset, psi, cfg.h,
+                                    cfg.n_values, grid, coarse)
     else:
         table = example_41_check(uset, psi, cfg.h, cfg.n_values, grid)
     write_atomic(os.path.join(out, "residuals.csv"),
@@ -169,9 +168,7 @@ def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
     prob = TerminalProblem(psi, psi.lip, psi.sup, horizon)
     report = probe(solve_forward(prob, grid, uset), cfg.h, singleton)
 
-    coarse = make_grid(cfg.x_min, cfg.x_max, (cfg.nx - 1) // 2 + 1,
-                       horizon, uset, r_cut=cfg.r_cut, z_max=cfg.z_max,
-                       safety=cfg.safety)
+    coarse = _solve_grid(cfg, horizon, (cfg.nx - 1) // 2 + 1)
     report_c = probe(solve_forward(prob, coarse, uset), cfg.h, singleton)
     compare_reports(report, report_c)
 

@@ -93,8 +93,7 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
     from the middle half of the grid."""
     nodes, weights = law_nodes(law)
     kern = shift_kernel(interp_taps(b_n * nodes / grid.dx, weights, grid.nx,
-                                    reach=DP_REACH),
-                        grid.nx, grid.nx, 0.0, 0.0)
+                                    reach=DP_REACH))
     low = min(float(np.min(kern.taps)), kern.edge_lo, kern.edge_hi)
     if low < 0.0:
         cells = b_n * law.z0 / grid.dx

@@ -6,35 +6,37 @@ The generator acting on a function u sampled on a uniform grid is
 
 with separate intensities k_minus on z < 0 and k_plus on z > 0, and the
 extremal operator is the max of G_k over a finite family of intensity
-pairs.  The singular integral is split into three ranges:
+pairs.  The singular integral is split into two ranges:
 
 * |z| < r_cut: second-order Taylor replacement using a centered second
   difference and the analytic small-jump second moment;
-* r_cut <= |z| <= z_max: bin-centroid quadrature on log-spaced bins
-  (exact mass and first moment per bin), with linear interpolation of u
-  and constant extension outside the grid;
-* |z| > z_max: constant far-field values u(x_min), u(x_max) with the
-  analytic tail mass and first moment.
+* |z| >= r_cut: ``tail_nodes``, bin-centroid quadrature on log-spaced
+  bins up to z_max (exact mass and first moment per bin) plus one node
+  at the centroid of the remainder, z_max alpha/(alpha-1), with linear
+  interpolation of u and constant extension outside the grid.  With the
+  default z_max of four grid widths the far node lies past the grid,
+  so it reads the edge values u(x_min) and u(x_max).
 
-The first-moment (drift) compensation is discretized with a centered
-difference when that keeps every off-diagonal weight nonnegative, and
-falls back to upwinding otherwise, so the assembled operator is always
-monotone.
+Every jump quadrature in the package goes through the helpers here.
+``tail_nodes`` is the one-sided tail rule (``band_bins`` plus the far
+node); ``interp_taps`` turns quadrature nodes at off-grid shifts into
+linear-interpolation taps, optionally with a second-order correction of
+the interpolation bias for nodes within a given reach; ``jump_kernel``
+builds the compensated-increment operator
+sum_i w_i [u(x+s_i) - u(x) - u'(x) s_i] plus centred second and third
+derivative terms, for the generator and for both sides of the
+attraction residual in ``checker``.  Its first-moment compensator is a
+centred difference when that keeps every off-diagonal weight
+nonnegative and upwind otherwise, so the generator is always monotone.
 
-Every jump quadrature in the package goes through two helpers here.
-``tail_nodes`` is the one-sided tail rule (``band_bins`` plus a node at
-the centroid of the remainder); ``interp_taps`` turns quadrature nodes
-at off-grid shifts into linear-interpolation taps, optionally with a
-second-order correction of the interpolation bias for nodes within a
-given reach.  Every translation-invariant operator (the generator, the
-dynamic-program stages in ``engine`` and the attraction residual in
-``checker``) is a ``ShiftKernel``: taps over offsets -(nx-1)..(nx-1)
-plus coefficients on the two edge values, with the rFFT of the reversed
-taps cached at length >= 2nx - 1.  The row is not padded: the taps that
-reach past either end of the grid are summed once per node into two
-vectors that multiply the edge values.  A family is applied by
-``apply_max``: one forward FFT of the row and one inverse FFT per
-member.
+Every translation-invariant operator (the generator, the
+dynamic-program stages in ``engine`` and the attraction residual) is a
+``ShiftKernel``: taps over offsets -(nx-1)..(nx-1) plus coefficients on
+the two edge values, with the rFFT of the reversed taps cached at
+length >= 2nx - 1.  The row is not padded: the taps that reach past
+either end of the grid are summed once per node into two vectors that
+multiply the edge values.  A family is applied by ``apply_max``: one
+forward FFT of the row and one inverse FFT per member.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class Grid:
     """Uniform space-time lattice with quadrature split parameters.
 
     ``r_cut`` is the small-jump radius below which the Taylor replacement
-    is used; ``z_max`` the far-field truncation radius; ``nq_band`` the
-    number of log-spaced quadrature bins per side on [r_cut, z_max].
+    is used; ``z_max`` the radius beyond which one far node carries the
+    tail; ``nq_band`` the number of log-spaced quadrature bins per side
+    on [r_cut, z_max].
     """
 
     x_min: float
@@ -203,9 +206,9 @@ def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int,
     """Taps of ``sum_i weights[i] * u(x + shifts[i] dx)`` on an nx-node
     row, with u linearly interpolated between nodes.
 
-    The taps cover offsets -nx..nx+1 with the centre at index nx (pass
-    ``center=nx`` to ``shift_kernel``).  Shifts are clipped to +-nx
-    first: beyond that every node sees only the edge value, which
+    The taps cover offsets -nx..nx+1 with the centre at index nx, the
+    layout ``shift_kernel`` takes.  Shifts are clipped to +-nx first:
+    beyond that every node sees only the edge value, which
     ``shift_kernel`` collects exactly in its edge coefficients.
 
     Linear interpolation at a fraction theta past node j overestimates
@@ -245,13 +248,14 @@ class ShiftKernel:
         (K u)_j = sum_m taps[m] u(x_j + (m - half) dx)
                   + edge_lo * u[0] + edge_hi * u[-1],
 
-    with ``half = nx - 1``.  Node j reads u[0] for every offset below
-    -j and u[-1] for every offset above nx-1-j; ``lo[j]`` and ``hi[j]``
-    are those tap sums plus ``edge_lo`` and ``edge_hi``.  The remaining
-    taps form a linear convolution of the unpadded row, and ``spectrum``
-    is the rFFT of the reversed taps at length ``n_fft`` >= 2nx - 1, the
-    shortest length at which that convolution is alias-free on the
-    nodes.
+    with ``half = nx - 1``.  ``edge_lo`` and ``edge_hi`` are the folded
+    taps past -(nx-1) and nx-1, which every node reads as u[0] and
+    u[-1].  Node j also reads u[0] for every offset below -j and u[-1]
+    for every offset above nx-1-j; ``lo[j]`` and ``hi[j]`` are those tap
+    sums plus ``edge_lo`` and ``edge_hi``.  The remaining taps form a
+    linear convolution of the unpadded row, and ``spectrum`` is the rFFT
+    of the reversed taps at length ``n_fft`` >= 2nx - 1, the shortest
+    length at which that convolution is alias-free on the nodes.
     """
 
     taps: np.ndarray
@@ -264,20 +268,18 @@ class ShiftKernel:
     hi: np.ndarray
 
 
-def shift_kernel(taps: np.ndarray, center: int, nx: int, edge_lo: float,
-                 edge_hi: float) -> ShiftKernel:
-    """Kernel with ``taps[m]`` at offset ``m - center`` on an nx-node grid.
+def shift_kernel(taps: np.ndarray) -> ShiftKernel:
+    """Kernel of taps in the ``interp_taps`` layout: offsets -nx..nx+1
+    on an nx-node grid, so nx = len(taps)/2 - 1.
 
-    Taps beyond +-(nx-1) are folded into the edge coefficients: every
-    node sees the edge value there, so the fold is exact.
+    The taps at offsets -nx, nx and nx+1 reach past the grid from every
+    node, so they fold exactly into ``edge_lo`` and ``edge_hi``.
     """
+    nx = len(taps) // 2 - 1
     half = nx - 1
-    off = np.arange(len(taps)) - center
-    inner = np.abs(off) <= half
-    core = np.zeros(2 * half + 1)
-    core[off[inner] + half] = taps[inner]
-    edge_lo += float(np.sum(taps[off < -half]))
-    edge_hi += float(np.sum(taps[off > half]))
+    core = taps[1: 2 * nx].copy()
+    edge_lo = float(taps[0])
+    edge_hi = float(np.sum(taps[2 * nx:]))
     # both cumulative sums start at the outermost tap
     lo = np.full(nx, edge_lo)
     lo[:half] += np.cumsum(core[:half])[::-1]
@@ -286,6 +288,35 @@ def shift_kernel(taps: np.ndarray, center: int, nx: int, edge_lo: float,
     n_fft = next_fast_len(2 * half + 1, real=True)
     return ShiftKernel(core, half, edge_lo, edge_hi, n_fft,
                        rfft(core[::-1], n_fft), lo, hi)
+
+
+def jump_kernel(shifts: np.ndarray, weights: np.ndarray, d2: float,
+                d3: float, grid: Grid) -> ShiftKernel:
+    """Kernel of sum_i w_i [u(x+s_i) - u(x) - u'(x) s_i] + d2 u''(x)
+    + d3 u'''(x), with u linearly interpolated between nodes and held
+    constant beyond the grid.
+
+    u'' and u''' are centred differences.  The compensator
+    -u'(x) sum_i w_i s_i is a centred difference when both neighbour
+    taps stay nonnegative with it, and upwind otherwise, so it never
+    makes an off-centre tap negative.
+    """
+    c, dx = grid.nx, grid.dx  # c: centre index of interp_taps
+    taps = interp_taps(shifts / dx, weights, grid.nx)
+    e2, e3 = d2 / dx**2, d3 / (2.0 * dx**3)
+    taps[c - 2: c + 3] += [-e3, 2.0 * e3 + e2, -2.0 * e2, e2 - 2.0 * e3, e3]
+    taps[c] -= np.sum(weights)
+    m1 = float(np.dot(weights, shifts))
+    if min(taps[c - 1], taps[c + 1]) >= abs(m1) / (2.0 * dx):
+        taps[c - 1] += m1 / (2.0 * dx)
+        taps[c + 1] -= m1 / (2.0 * dx)
+    elif m1 > 0.0:
+        taps[c - 1] += m1 / dx
+        taps[c] -= m1 / dx
+    else:
+        taps[c + 1] -= m1 / dx
+        taps[c] += m1 / dx
+    return shift_kernel(taps)
 
 
 def apply_max(kernels: Sequence[ShiftKernel], u: np.ndarray) -> np.ndarray:
@@ -303,57 +334,25 @@ def apply_max(kernels: Sequence[ShiftKernel], u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
-    """Assemble the monotone generator kernel for one pair on a grid.
+    """Monotone generator kernel of one pair on a grid.
 
-    The far tail (|z| > z_max) contributes
-    ``tail_plus * (u[-1] - u) + tail_minus * (u[0] - u)``, folded into
-    the edge coefficients and the centre tap, whose negative is the
-    diagonal magnitude used by the stability bound.
+    ``tail_nodes`` on |z| >= r_cut, scaled by k_plus and k_minus, plus
+    the Taylor term sigma2/2 u'' for |z| < r_cut.  A far node past the
+    grid puts its mass on the edge values.  The negative of the centre
+    tap is the diagonal magnitude used by the stability bound.
     """
-    dx, c = grid.dx, grid.nx  # c: centre index of interp_taps
-    w0, zc = band_bins(grid.r_cut, grid.z_max, grid.nq_band, alpha)
-
-    # Band quadrature, both sides: w * [u(x +/- zc) - u(x)].
-    w_plus, w_minus = k.k_plus * w0, k.k_minus * w0
-    taps = interp_taps(np.concatenate([zc, -zc]) / dx,
-                       np.concatenate([w_plus, w_minus]), grid.nx)
-
-    # Taylor term: 0.5 * sigma2 * centered second difference.
+    w, z = tail_nodes(grid.r_cut, grid.z_max, grid.nq_band, alpha)
     sigma2 = small_jump_second_moment(k, alpha, grid.r_cut)
-    c2 = 0.5 * sigma2 / dx ** 2
-    taps[c - 1] += c2
-    taps[c + 1] += c2
-    taps[c] -= 2.0 * c2
-    taps[c] -= float(np.sum(w_plus))
-    taps[c] -= float(np.sum(w_minus))
-
-    # Drift compensation -C * u'(x) with C the signed first moment of the
-    # kernel over |z| >= r_cut (band quadrature moments + analytic tail).
-    tail_mom0 = grid.z_max ** (1.0 - alpha) / (alpha - 1.0)
-    C = (k.k_plus - k.k_minus) * (float(np.sum(w0 * zc)) + tail_mom0)
-    if C != 0.0:
-        if min(taps[c - 1], taps[c + 1]) >= abs(C) / (2.0 * dx):
-            taps[c - 1] += C / (2.0 * dx)
-            taps[c + 1] -= C / (2.0 * dx)
-        elif C > 0.0:
-            taps[c - 1] += C / dx
-            taps[c] -= C / dx
-        else:
-            taps[c + 1] -= C / dx
-            taps[c] += C / dx
-
-    tail_mass0 = grid.z_max ** (-alpha) / alpha
-    tail_plus = k.k_plus * tail_mass0
-    tail_minus = k.k_minus * tail_mass0
-    taps[c] -= tail_plus
-    taps[c] -= tail_minus
-    kern = shift_kernel(taps, c, grid.nx, tail_minus, tail_plus)
+    kern = jump_kernel(np.concatenate([z, -z]),
+                       np.concatenate([k.k_plus * w, k.k_minus * w]),
+                       0.5 * sigma2, 0.0, grid)
     off_centre = np.delete(kern.taps, kern.half)
     if np.any(off_centre < 0.0) or min(kern.edge_lo, kern.edge_hi) < 0.0:
         raise ValueError(
             f"generator for pair {k} at alpha={alpha} on grid nx={grid.nx}, "
-            f"dx={dx:.6g}, r_cut={grid.r_cut:.6g} has a negative off-centre "
-            f"weight, so the explicit scheme would not be monotone")
+            f"dx={grid.dx:.6g}, r_cut={grid.r_cut:.6g} has a negative "
+            f"off-centre weight, so the explicit scheme would not be "
+            f"monotone")
     return kern
 
 

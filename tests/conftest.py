@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlstable.kernels import KernelPair, UncertaintySet, Grid
+from nlstable.kernels import KernelPair, UncertaintySet
 from nlstable.solver import make_grid
 
 ALPHA = 1.5

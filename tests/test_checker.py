@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from nlstable.kernels import (Grid, KernelPair, Surface, UncertaintySet,
-                              band_bins)
+from nlstable.kernels import KernelPair, Surface, UncertaintySet, band_bins
 from nlstable.laws import build_law
 from nlstable.engine import LawFamily, NormalizedSumSpec
 from nlstable.solver import TerminalProblem, make_grid, solve_backward
@@ -66,26 +65,31 @@ class TestDeltaIncrement:
                                                                 rel=1e-10)
 
 
+def fine_and_coarse(uset, t_max=1.0 + H, nx=201):
+    """A grid and its half-resolution copy, both with default settings."""
+    return (make_grid(-20.0, 20.0, nx, t_max, uset),
+            make_grid(-20.0, 20.0, (nx - 1) // 2 + 1, t_max, uset))
+
+
 class TestConditionIII:
     def test_constant_psi_zero_residuals(self, family, uset):
-        g = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
         table = check_condition_iii(family, uset,
                                     lambda x: np.full_like(x, 2.0),
-                                    H, (4, 8), g)
+                                    H, (4, 8), *fine_and_coarse(uset))
         assert max(table.residuals) < 1e-10
 
     def test_residual_invariant_under_constant_shift(self, family, uset):
-        g = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
-        t1 = check_condition_iii(family, uset, gaussian, H, (4, 8), g)
+        grids = fine_and_coarse(uset)
+        t1 = check_condition_iii(family, uset, gaussian, H, (4, 8), *grids)
         t2 = check_condition_iii(family, uset, lambda x: gaussian(x) + 3.0,
-                                 H, (4, 8), g)
+                                 H, (4, 8), *grids)
         np.testing.assert_allclose(t1.residuals, t2.residuals,
                                    rtol=1e-8, atol=1e-12)
 
     def test_requires_covering_horizon(self, family, uset):
-        g = make_grid(-20.0, 20.0, 201, 0.5, uset)
+        grids = fine_and_coarse(uset, t_max=0.5)
         with pytest.raises(ValueError, match="horizon"):
-            check_condition_iii(family, uset, gaussian, H, (4, 8), g)
+            check_condition_iii(family, uset, gaussian, H, (4, 8), *grids)
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -9,7 +9,8 @@ import pytest
 from nlstable import basket
 from nlstable import config as config_mod
 from nlstable.config import ConfigError, ExperimentConfig
-from nlstable import cli
+from nlstable import cli, solver
+from nlstable.kernels import scheme_stability_constant
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -173,6 +174,28 @@ class TestCli:
                          "--out", str(out)]) == 0
         text = (out / "residuals.csv").read_text()
         assert text.startswith("n,residual,rate_fit")
+
+    @pytest.mark.parametrize("command", ["hypothesis", "regularity"])
+    def test_both_resolutions_honour_config(self, tmp_path, monkeypatch,
+                                            command):
+        """The fine grid and its half-resolution copy both use the
+        config's r_cut and safety."""
+        marched = []
+        march = solver._march
+
+        def spy(u0, grid, uset):
+            marched.append((grid, scheme_stability_constant(grid, uset)))
+            return march(u0, grid, uset)
+
+        monkeypatch.setattr(solver, "_march", spy)
+        cfg = base_config(nx=201, t_max=1.25, n_values=(4, 8), safety=0.25,
+                          r_cut=0.3, psi=({"name": "abs_clip", "clip": 3.0},))
+        assert cli.main([command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert sorted(g.nx for g, _ in marched) == [101, 201]
+        for g, c in marched:
+            assert g.r_cut == 0.3
+            assert g.dt * c <= 0.25 * (1.0 + 1e-12)
 
     def test_regularity_runs(self, tmp_path):
         cfg = base_config(nx=201, t_max=1.25,

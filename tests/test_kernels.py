@@ -91,29 +91,27 @@ class TestBandBins:
         assert np.all(c > 0) and np.all(m > 0)
 
 
-def direct_shift_sum(taps, center, edge_lo, edge_hi, u):
-    """Dense reference: sum_m taps[m] u(x_j + (m - center) dx) with u held
-    constant beyond the grid, plus the edge terms."""
+def direct_shift_sum(taps, u):
+    """Dense reference: sum_m taps[m] u(x_j + (m - nx) dx) for taps in
+    the ``interp_taps`` layout, with u held constant beyond the grid."""
     nx = len(u)
-    idx = np.arange(nx)[:, None] + np.arange(len(taps))[None, :] - center
-    return u[np.clip(idx, 0, nx - 1)] @ taps + edge_lo * u[0] + edge_hi * u[-1]
+    idx = np.arange(nx)[:, None] + np.arange(len(taps))[None, :] - nx
+    return u[np.clip(idx, 0, nx - 1)] @ taps
 
 
 class TestShiftKernel:
     @pytest.mark.parametrize("nx", [5, 41, 201])
     @pytest.mark.parametrize("n_kernels", [1, 2, 3])
     def test_apply_max_matches_direct_sum(self, nx, n_kernels):
-        """Taps reaching past +-(nx-1) on both sides are folded into the
-        edge coefficients without changing the result."""
+        """The taps at offsets -nx, nx and nx+1, past +-(nx-1), are
+        folded into the edge coefficients without changing the result."""
         rng = np.random.default_rng(1000 * nx + n_kernels)
         u = rng.normal(size=nx)
         kernels, refs = [], []
         for _ in range(n_kernels):
-            center = nx + int(rng.integers(0, nx))
-            taps = rng.normal(size=center + nx + int(rng.integers(0, nx)))
-            edge_lo, edge_hi = rng.normal(size=2)
-            kernels.append(shift_kernel(taps, center, nx, edge_lo, edge_hi))
-            refs.append(direct_shift_sum(taps, center, edge_lo, edge_hi, u))
+            taps = rng.normal(size=2 * nx + 2)
+            kernels.append(shift_kernel(taps))
+            refs.append(direct_shift_sum(taps, u))
         ref = np.max(refs, axis=0)
         out = apply_max(kernels, u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -135,8 +133,7 @@ class TestInterpTaps:
         pos = np.arange(nx, dtype=float)
         ref = sum(w * np.interp(pos + s, pos, u)
                   for s, w in zip(shifts, weights))
-        kern = shift_kernel(interp_taps(shifts, weights, nx), nx, nx,
-                            0.0, 0.0)
+        kern = shift_kernel(interp_taps(shifts, weights, nx))
         out = apply_max([kern], u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -155,8 +152,7 @@ class TestInterpTaps:
                                  near, -near])
         weights = rng.uniform(0.1, 1.0, len(shifts))
         ref = dense_interp_sum(u, shifts, weights, reach)
-        kern = shift_kernel(interp_taps(shifts, weights, nx, reach=reach),
-                            nx, nx, 0.0, 0.0)
+        kern = shift_kernel(interp_taps(shifts, weights, nx, reach=reach))
         out = apply_max([kern], u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         plain = dense_interp_sum(u, shifts, weights)
@@ -307,3 +303,66 @@ class TestSupGenerator:
     def test_stability_constant_positive(self):
         g = wide_grid(nx=801)
         assert scheme_stability_constant(g, singleton_set()) > 0.0
+
+
+def hand_assembled_generator(grid, k, alpha):
+    """Reference generator kernel assembled term by term, without
+    ``jump_kernel`` or ``tail_nodes``: band bins, Taylor term, drift
+    with its centred/upwind switch and the analytic far tail on the edge
+    values.  Returns (core taps over -(nx-1)..(nx-1), edge_lo, edge_hi,
+    whether the drift was upwinded)."""
+    dx, c, nx = grid.dx, grid.nx, grid.nx
+    w0, zc = band_bins(grid.r_cut, grid.z_max, grid.nq_band, alpha)
+    w_plus, w_minus = k.k_plus * w0, k.k_minus * w0
+    taps = interp_taps(np.concatenate([zc, -zc]) / dx,
+                       np.concatenate([w_plus, w_minus]), nx)
+    sigma2 = small_jump_second_moment(k, alpha, grid.r_cut)
+    c2 = 0.5 * sigma2 / dx ** 2
+    taps[c - 1] += c2
+    taps[c + 1] += c2
+    taps[c] -= 2.0 * c2
+    taps[c] -= float(np.sum(w_plus))
+    taps[c] -= float(np.sum(w_minus))
+    tail_mom0 = grid.z_max ** (1.0 - alpha) / (alpha - 1.0)
+    C = (k.k_plus - k.k_minus) * (float(np.sum(w0 * zc)) + tail_mom0)
+    upwind = min(taps[c - 1], taps[c + 1]) < abs(C) / (2.0 * dx)
+    if not upwind:
+        taps[c - 1] += C / (2.0 * dx)
+        taps[c + 1] -= C / (2.0 * dx)
+    elif C > 0.0:
+        taps[c - 1] += C / dx
+        taps[c] -= C / dx
+    else:
+        taps[c + 1] -= C / dx
+        taps[c] += C / dx
+    tail_mass0 = grid.z_max ** (-alpha) / alpha
+    taps[c] -= k.k_plus * tail_mass0
+    taps[c] -= k.k_minus * tail_mass0
+    edge_lo = k.k_minus * tail_mass0 + taps[0]
+    edge_hi = k.k_plus * tail_mass0 + taps[2 * nx] + taps[2 * nx + 1]
+    return taps[1: 2 * nx], edge_lo, edge_hi, upwind
+
+
+class TestGeneratorAssembly:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("pair", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("cells", [1, 8])
+    def test_matches_hand_assembly(self, alpha, pair, cells):
+        """``generator_stencil`` through ``jump_kernel`` against the
+        hand assembly: taps, edge coefficients and stability constant."""
+        dx = 0.1
+        g = Grid(-20.0, 20.0, 401, 1.0, 1, cells * dx, 160.0)
+        k = KernelPair(*pair)
+        ref, lo, hi, upwind = hand_assembled_generator(g, k, alpha)
+        kern = generator_stencil(g, k, alpha)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(kern.taps - ref)) <= 1e-12 * scale
+        assert kern.edge_lo == pytest.approx(lo, rel=1e-12)
+        assert kern.edge_hi == pytest.approx(hi, rel=1e-12)
+        uset = UncertaintySet(alpha, (k,), 0.5, 2.5)
+        assert scheme_stability_constant(g, uset) == pytest.approx(
+            -ref[g.nx - 1], rel=1e-12)
+        # the asymmetric pairs at alpha = 1.1 and r_cut = dx are the
+        # cases whose drift outgrows the centred difference, one upwind
+        # direction each
+        assert upwind == (alpha == 1.1 and pair != (1.0, 1.0) and cells == 1)

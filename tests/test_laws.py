@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from nlstable.kernels import KernelPair
 from nlstable.laws import (
-    AttractedLaw,
     LawBuildError,
     build_law,
     law_expectation,

@@ -20,7 +20,7 @@ from nlstable.solver import (
     surface_to_csv,
 )
 
-from conftest import gaussian, singleton_set
+from conftest import gaussian
 
 
 def solve(psi, grid, uset, horizon=None):
