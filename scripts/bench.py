@@ -3,7 +3,7 @@
 
     python3 scripts/bench.py --parent DIR --change DIR --pr N \\
         --workload clt [--workload solve ...] [--pairs 10] [--seed 0] \\
-        [--trace clt ...] [--claim clt:wall_s] [--out BENCH_N.json]
+        [--trace clt ...] [--claim clt:wall_s] [--tier1] [--out BENCH_N.json]
 
 DIR is the root of a source checkout (for example a ``git archive`` of
 each commit).  For every workload and pair, ``benchmark/run.py
@@ -14,7 +14,10 @@ workload then runs once per side with ``--trace 1``.
 The report holds every run, and per workload and end-to-end metric the
 median and quartiles of each side and the number of pairs the change
 won (ties count for neither side).  The metric names, units and
-directions come from the change's ``BENCHMARK.json``.
+directions come from the change's ``BENCHMARK.json``.  With ``--tier1``
+the Tier-1 suite (``python TIER1``, ``src`` on ``PYTHONPATH``) then runs
+once per side, parent first, and ``tier1`` holds its wall time, outcome
+counts and failed tests.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_benchmark(root: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -45,6 +51,25 @@ def run_benchmark(root: Path, workload: str, seed: int, trace: bool) -> dict:
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines
                 if line.startswith("environment ")), {})
     return {"result": result, "environment": env}
+
+
+def run_tier1(root: Path) -> dict:
+    """One Tier-1 run in ``root``: wall time, outcome counts and the
+    failed tests."""
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {("errors" if kind.startswith("error") else kind): int(n)
+              for n, kind in re.findall(
+                  r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)",
+                  summary)}
+    return {"wall_s": round(wall, 2), "exit_code": proc.returncode, **counts,
+            "failed_tests": re.findall(r"^FAILED (\S+)", proc.stdout, re.M)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -77,12 +102,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", action="append", default=[])
     parser.add_argument("--claim", action="append", default=[],
                         help="WORKLOAD:METRIC whose gain the report checks")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also run the Tier-1 suite once per side")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -118,6 +145,14 @@ def main(argv=None) -> int:
                 roots[side], workload, args.seed, True)
                 ["result"]["metrics"].items()}
             for side in SIDES}
+
+    if args.tier1:
+        report["tier1"] = {"command": "PYTHONPATH=src python "
+                           + " ".join(TIER1)}
+        for side in SIDES:
+            report["tier1"][side] = run_tier1(roots[side])
+            print(f"tier1 {side}: {report['tier1'][side]['wall_s']} s",
+                  file=sys.stderr, flush=True)
 
     claims = {}
     for claim in args.claim:

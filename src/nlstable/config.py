@@ -7,7 +7,8 @@ randomness anywhere, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, fields as dc_fields
+import math
+from dataclasses import MISSING, dataclass, asdict, fields as dc_fields
 
 import numpy as np
 
@@ -71,6 +72,26 @@ class ExperimentConfig:
             raise ConfigError("pide_solver", "nx",
                               f"{self.nx} is even; the half-resolution grid "
                               "(nx - 1)//2 + 1 is nested only for odd nx")
+        if self.r_cut is not None and not (0.0 < self.r_cut < 1.0):
+            raise ConfigError("pide_solver", "r_cut",
+                              f"{self.r_cut} outside (0, 1)")
+        # make_grid's default r_cut is one cell, and hypothesis and
+        # regularity also march the half-resolution grid, whose cells
+        # are the widest
+        coarse_dx = (self.x_max - self.x_min) / ((self.nx - 1) // 2)
+        if self.r_cut is None and coarse_dx >= 1.0:
+            raise ConfigError("pide_solver", "nx",
+                              f"the default r_cut is one cell, and the "
+                              f"half-resolution grid of "
+                              f"{(self.nx - 1) // 2 + 1} nodes has cells of "
+                              f"{coarse_dx:g} >= 1; raise nx or set r_cut")
+        # make_grid's default z_max is four grid widths
+        z_max = 4.0 * (self.x_max - self.x_min) if self.z_max is None \
+            else self.z_max
+        if z_max <= 1.0:
+            raise ConfigError("pide_solver", "z_max",
+                              f"{z_max:g} is not above 1 (the default is "
+                              "four grid widths)")
         if self.t_max <= 0.0 or not (0.0 < self.safety <= 1.0):
             raise ConfigError("pide_solver", "grid",
                               "t_max and safety must be positive "
@@ -115,17 +136,73 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
+_MODULES = {"alpha": "stable_kernel", "lam": "stable_kernel",
+            "Lam": "stable_kernel", "pairs": "stable_kernel",
+            "b_scale": "attracted_laws", "z0": "attracted_laws",
+            "dp_half_width": "sublinear_engine", "dp_dx": "sublinear_engine",
+            "n_values": "hypothesis_checker", "mode": "hypothesis_checker",
+            "psi": "experiment_cli"}  # every other field: pide_solver
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    try:
+        return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, list) and all(map(item, v))
+
+
+# per annotation: what a JSON value must be, and how to store it
+_KINDS = {
+    "float": ("a finite number", _is_real, lambda v: v),
+    "float | None": ("null or a finite number",
+                     lambda v: v is None or _is_real(v), lambda v: v),
+    "int": ("an integer", _is_int, lambda v: v),
+    "str": ("a string", lambda v: isinstance(v, str), lambda v: v),
+    "tuple[tuple[float, float], ...]": (
+        "a list of [k_minus, k_plus] pairs",
+        lambda v: _is_list(v, lambda p: _is_list(p, _is_real)
+                           and len(p) == 2),
+        lambda v: tuple(tuple(float(x) for x in p) for p in v)),
+    "tuple[dict, ...]": ("a list of objects",
+                         lambda v: _is_list(v, lambda s: isinstance(s, dict)),
+                         lambda v: tuple(dict(s) for s in v)),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: _is_list(v, _is_int), tuple),
+}
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    d["pairs"] = tuple(tuple(float(v) for v in p) for p in d["pairs"])
-    d["psi"] = tuple(dict(s) for s in d.get("psi", ({"name": "gaussian_bump"},)))
-    d["n_values"] = tuple(int(n) for n in d.get("n_values", (8, 16, 32, 64)))
-    known = {f.name for f in dc_fields(ExperimentConfig)}
-    unknown = set(d) - known
+    """The config of a parsed JSON object; a missing required field or
+    a value of the wrong type raises ConfigError naming the field."""
+    if not isinstance(d, dict):
+        raise ConfigError("experiment_cli", "config",
+                          f"top level must be an object, not "
+                          f"{type(d).__name__}")
+    fields = {f.name: f for f in dc_fields(ExperimentConfig)}
+    unknown = set(d) - set(fields)
     if unknown:
         raise ConfigError("experiment_cli", "config",
                           f"unknown fields {sorted(unknown)}")
-    return ExperimentConfig(**d)
+    kw = {}
+    for name, f in fields.items():
+        module = _MODULES.get(name, "pide_solver")
+        if name not in d:
+            if f.default is MISSING:
+                raise ConfigError(module, name, "missing")
+            continue
+        what, ok, store = _KINDS[f.type]
+        if not ok(d[name]):
+            raise ConfigError(module, name, f"{d[name]!r} is not {what}")
+        kw[name] = store(d[name])
+    return ExperimentConfig(**kw)
 
 
 def dumps(cfg: ExperimentConfig) -> str:
@@ -136,7 +213,7 @@ def load(path: str) -> ExperimentConfig:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a file that is not UTF-8
             raise ConfigError("experiment_cli", "config",
                               f"not valid JSON: {exc}")
     cfg = config_from_dict(data)

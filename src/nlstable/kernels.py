@@ -41,12 +41,13 @@ forward FFT of the row and one inverse FFT per member.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 
 class KernelDomainError(ValueError):
@@ -238,6 +239,28 @@ def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int,
         taps += np.bincount(j + 1, c, size)
         taps -= np.bincount(np.minimum(j + 2, size - 1), c, size)
     return taps
+
+
+@lru_cache(maxsize=None)
+def _smooth_lengths(bits: int, real: bool) -> tuple[int, ...]:
+    """Sorted products of the fast radices up to 2**bits."""
+    lengths = [1]
+    for p in (2, 3, 5) if real else (2, 3, 5, 7, 11):
+        grown = []
+        for m in lengths:
+            while m <= 1 << bits:
+                grown.append(m)
+                m *= p
+        lengths = grown
+    return tuple(sorted(lengths))
+
+
+def next_fast_len(n: int, real: bool) -> int:
+    """Smallest length >= n (n >= 1) whose prime factors are at most 5
+    for a real transform or at most 11 for a complex one: the lengths
+    at which pocketfft, behind ``numpy.fft``, runs its fast radices."""
+    lengths = _smooth_lengths(n.bit_length(), real)
+    return lengths[bisect_left(lengths, n)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
-from .kernels import KernelPair
+from .kernels import KernelPair, next_fast_len
 
 
 class OracleError(RuntimeError):
@@ -96,7 +96,7 @@ def _invert(ce: CharExponent, t_time: float, n: int,
     # so w_j is read at m = -j and w_k at m = k
     m = np.arange(-(n + n_xi - 1), n + 1)
     w = np.exp(0.5j * step * dx * (m * m))
-    n_fft = next_fast_len(len(w))
+    n_fft = next_fast_len(len(w), real=False)
     a = phi * w[n:n + n_xi][::-1].conj()
     conv = ifft(fft(a, n_fft) * fft(w, n_fft))[n_xi - 1:n_xi + 2 * n]
     return (conv * w[n_xi - 1:].conj()).real * step / np.pi

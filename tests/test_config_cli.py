@@ -62,6 +62,55 @@ class TestConfig:
             config_mod.load(str(p))
 
 
+def without(name):
+    def edit(d):
+        del d[name]
+        return d
+    return edit
+
+
+def setting(**fields):
+    return lambda d: {**d, **fields}
+
+
+@pytest.mark.parametrize("edit,needle", [
+    pytest.param(without("pairs"), "stable_kernel.pairs", id="no-pairs"),
+    pytest.param(without("alpha"), "stable_kernel.alpha", id="no-alpha"),
+    pytest.param(setting(nx="201"), "pide_solver.nx", id="nx-string"),
+    pytest.param(setting(nx=201.0), "pide_solver.nx", id="nx-float"),
+    pytest.param(setting(pairs=[[1.0]]), "stable_kernel.pairs",
+                 id="short-pair"),
+    pytest.param(setting(pairs=[1.0, 1.0]), "stable_kernel.pairs",
+                 id="flat-pair"),
+    pytest.param(setting(x_max=10**400), "pide_solver.x_max", id="huge-int"),
+    pytest.param(lambda d: [d], "experiment_cli.config", id="top-level-array"),
+    pytest.param(setting(r_cut=0.0), "pide_solver.r_cut", id="r_cut-0"),
+    pytest.param(setting(r_cut=1.0), "pide_solver.r_cut", id="r_cut-1"),
+    pytest.param(setting(z_max=1.0), "pide_solver.z_max", id="z_max-1"),
+    # the default z_max, four grid widths, is 0.8
+    pytest.param(setting(x_min=-0.1, x_max=0.1), "pide_solver.z_max",
+                 id="default-z_max"),
+    # the default r_cut is one cell: 1.0 on the fine grid at nx 41, and
+    # on the half-resolution grid at nx 81
+    pytest.param(setting(nx=41), "pide_solver.nx", id="nx-41"),
+    pytest.param(setting(nx=81), "pide_solver.nx", id="nx-81"),
+    pytest.param(setting(n_values=[8.5]), "hypothesis_checker.n_values",
+                 id="n-not-integer"),
+])
+def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
+    d = json.loads(config_mod.dumps(base_config()))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(d)))
+    assert cli.main(["hypothesis", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_default_r_cut_accepted_at_nx_83():
+    """At nx 83 the half-resolution cells are 40/41 < 1."""
+    base_config(nx=83).validate()
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(config_mod.dumps(cfg))

@@ -1,13 +1,17 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, and the
+package imports nothing beyond the standard library and numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted((REPO / "src").rglob("*.py")) + sorted(
-    (REPO / "tests").glob("*.py"))
+PACKAGE = sorted((REPO / "src").rglob("*.py"))
+SOURCES = PACKAGE + sorted((REPO / "tests").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -35,3 +39,39 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom a.b import c, d as e\nprint(c)\n")
     assert unused_imports(tree) == ["e (line 2)", "os (line 1)"]
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Absolute imports of modules outside the standard library and
+    numpy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] not in allowed]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    found = {str(p.relative_to(REPO)): foreign_imports(ast.parse(p.read_text()))
+             for p in PACKAGE}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_detects_a_foreign_import():
+    tree = ast.parse("import os, numpy.fft\nimport scipy.fft\n"
+                     "from scipy import special\nfrom . import kernels\n")
+    assert foreign_imports(tree) == ["scipy.fft", "scipy"]
+
+
+def test_cli_import_loads_no_scipy():
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, nlstable.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, check=True).stdout.split()
+    assert "nlstable.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from nlstable import kernels
 from nlstable.kernels import (
     Grid,
     KernelDomainError,
@@ -18,6 +20,7 @@ from nlstable.kernels import (
     generator_stencil,
     interp_taps,
     levy_density,
+    next_fast_len,
     scheme_stability_constant,
     shift_kernel,
     small_jump_second_moment,
@@ -115,6 +118,35 @@ class TestShiftKernel:
         ref = np.max(refs, axis=0)
         out = apply_max(kernels, u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# rows of the bundled march grids and of the DP grid, and their n_fft
+SHIPPED_ROWS = [(801, 1620), (1601, 3240), (3201, 6480), (51201, 103680)]
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_next_fast_len_matches_scipy(real):
+    """Every length up to 2**17, which covers every shipped transform."""
+    n = range(1, 2**17 + 1)
+    assert [next_fast_len(m, real) for m in n] \
+        == [scipy.fft.next_fast_len(m, real=real) for m in n]
+
+
+@pytest.mark.parametrize("nx,n_fft", SHIPPED_ROWS)
+def test_apply_max_matches_scipy_fft(nx, n_fft, monkeypatch):
+    """numpy.fft against the same kernels built and applied with
+    scipy.fft, at every shipped transform length."""
+    rng = np.random.default_rng(nx)
+    u = rng.normal(size=nx)
+    taps = [rng.normal(size=2 * nx + 2) for _ in range(2)]
+    built = [shift_kernel(t) for t in taps]
+    assert built[0].n_fft == n_fft
+    got = apply_max(built, u)
+    monkeypatch.setattr(kernels, "rfft", scipy.fft.rfft)
+    monkeypatch.setattr(kernels, "irfft", scipy.fft.irfft)
+    monkeypatch.setattr(kernels, "next_fast_len", scipy.fft.next_fast_len)
+    ref = apply_max([shift_kernel(t) for t in taps], u)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestInterpTaps:

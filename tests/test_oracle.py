@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import gamma
 
+from nlstable import oracle
 from nlstable.kernels import KernelPair
 from nlstable.oracle import (
     CharExponent,
@@ -103,6 +105,28 @@ def test_chirp_z_matches_dense_sum(ce_sym, ce_asym, cut, t_time):
         got = _invert(ce, t_time, n, dx)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pair,n_fft", [((1.0, 1.0), 18144),
+                                        ((2.0, 1.0), 17600)])
+def test_invert_matches_scipy_fft(pair, n_fft, monkeypatch):
+    """numpy.fft against the same inversion with scipy.fft, at the
+    table size and transform lengths of the bundled solve configs."""
+    ce = CharExponent(KernelPair(*pair), ALPHA)
+    own, lengths = oracle.next_fast_len, []
+
+    def fast_len(n, real):
+        lengths.append(own(n, real))
+        return lengths[-1]
+
+    monkeypatch.setattr(oracle, "next_fast_len", fast_len)
+    got = _invert(ce, 1.0, 8000, 0.05)
+    monkeypatch.setattr(oracle, "next_fast_len", scipy.fft.next_fast_len)
+    monkeypatch.setattr(oracle, "fft", scipy.fft.fft)
+    monkeypatch.setattr(oracle, "ifft", scipy.fft.ifft)
+    ref = _invert(ce, 1.0, 8000, 0.05)
+    assert lengths == [n_fft]
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestDensity:
