@@ -85,4 +85,7 @@ def from_spec(spec: dict) -> TestFunction:
         raise ValueError(f"unknown test function {kind!r}; "
                          f"choose from {sorted(_BUILDERS)}")
     kwargs = {k: float(v) for k, v in spec.items() if k != "name"}
+    for k, v in kwargs.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{kind} parameter {k} = {v} is not finite")
     return _BUILDERS[kind](**kwargs)

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -38,23 +39,25 @@ class ThresholdError(RuntimeError):
     """A numerical check failed beyond its configured tolerance."""
 
 
-_WRITE_SLICE = 1 << 20  # characters handed to the encoder per write
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same directory
-    and a rename, so readers never see a partial file.
-
-    The text goes to the file in slices of _WRITE_SLICE characters, so
-    the encoder never holds a second copy of a whole surface export.
+def write_atomic(path: str, data: str | Iterable[bytes]) -> None:
+    """Write a str (as UTF-8) or a stream of byte blocks to path through
+    a temporary file in the same directory and a rename, so readers
+    never see a partial file and no whole surface export is held in
+    memory.  The file gets mode 0o666 less the umask, as open() would
+    give it.
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)     # reading the umask means setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            for lo in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[lo:lo + _WRITE_SLICE])
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            if isinstance(data, str):
+                fh.write(data.encode("utf-8"))
+            else:
+                fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -109,7 +109,7 @@ class ExperimentConfig:
         for spec in self.psi:
             try:
                 basket.from_spec(dict(spec))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError("experiment_cli", "psi", str(exc))
 
     # -- structured accessors -------------------------------------------

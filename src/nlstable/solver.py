@@ -15,9 +15,9 @@ holds exactly in floating arithmetic.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -196,19 +196,187 @@ def dpp_check(psi: Callable, s: float, t: float, grid: Grid,
     return float(np.max(np.abs(u.values[i_t, mid] - w[i_s, mid])))
 
 
-def surface_to_csv(surface: Surface) -> str:
-    """CSV export with header t,x,value; one record per node.
+# -- CSV export -----------------------------------------------------------
+# format_g17 gives the bytes of b"%.17g" % v for a block of float64 at
+# once.  Each |v| in [_G17_MIN, _G17_MAX] is scaled to the 17-digit
+# integer D = |v| * 10**(16 - k) as a Dekker double-double product,
+# accurate to about 1e-13; the rare values it cannot round beyond doubt
+# (a fraction within _G17_DOUBT of one half that is not an exact tie)
+# and those outside that range go through Python's own conversion.
 
-    Every number has 17 significant digits, so it reparses bit-exactly.
-    The x fields are formatted once into per-node cells that end in a
-    ``%.17g`` slot (the same conversion as an f-string's ``.17g``); each
-    row is then one join of those cells with its time field and one
-    %-format of its values.
+_G17_MIN, _G17_MAX = 1e-280, 1e280
+_G17_DOUBT = 2.0 ** -20
+_P10_MIN, _P10_MAX = -270, 300   # 10**p for p = 16 - k, k = log10 |v|
+_SPLIT = 134217729.0             # 2**27 + 1, Veltkamp's splitter
+_G17_WIDTH = 46                  # sign, "0.000", 17 + dot + 17 digits, e+XXX
+_CSV_BLOCK = 1 << 14             # values per CSV block
+
+
+@lru_cache(maxsize=None)
+def _g17_tables():
+    """10**p as hi + lo doubles for p in [_P10_MIN, _P10_MAX], from
+    exact integer arithmetic (int to float and int / int both round
+    correctly); the four-digit ASCII groups 0000..9999 as uint32; the
+    digit masks; and the '0.', '0.0', ... prefixes of 10**-z."""
+    hi, lo = [], []
+    for p in range(_P10_MIN, _P10_MAX + 1):
+        if p >= 0:
+            h = float(10 ** p)
+            hi.append(h)
+            lo.append(float(10 ** p - int(h)))
+        else:
+            q = 10 ** -p
+            h = 1 / q
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * q) / (den * q))
+    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
+                          dtype=np.uint32)
+    # row 17 * split + keep over [integer digits | dot | fraction digits]:
+    # 0xff over digits 0..min(split, keep), and when keep > split over
+    # the dot and fraction digits split+1..keep
+    masks = np.zeros((17, 17, 35), dtype=np.uint8)
+    for split in range(17):
+        for keep in range(17):
+            masks[split, keep, :min(split, keep) + 1] = 0xff
+            if keep > split:
+                masks[split, keep, 17] = 0xff
+                masks[split, keep, 19 + split:19 + keep] = 0xff
+    lead = np.zeros((10, 6), dtype=np.uint8)   # 5 * sign + zeros
+    for z in range(1, 5):
+        lead[z, 1:2 + z] = lead[5 + z, 1:2 + z] = list(b"0." + b"0" * (z - 1))
+    lead[5:, 0] = ord("-")
+    return (np.array(hi), np.array(lo), quads, masks.reshape(17 * 17, 35),
+            lead)
+
+
+def _split(a):
+    t = a * _SPLIT
+    h = t - (t - a)
+    return h, a - h
+
+
+def _scaled(a, k):
+    """Floor and fraction of a * 10**(16 - k), and whether they are
+    exact (10**(16 - k) is a double and the sum lost no bit)."""
+    hi, lo = _g17_tables()[:2]
+    h, low = hi[16 - k - _P10_MIN], lo[16 - k - _P10_MIN]
+    p = a * h
+    ah, al = _split(a)
+    hh, hl = _split(h)
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # a*h = p + err
+    x = p - np.floor(p)
+    s = err + a * low
+    r = x + s
+    lost = (x - (r - (r - x))) + (s - (r - x))           # two-sum: x + s - r
+    f = np.floor(r)
+    d = np.floor(p).astype(np.int64) + f.astype(np.int64)
+    return d, r - f, (low == 0.0) & (lost == 0.0)
+
+
+def _digits(d):
+    """The 17 ASCII digits of each integer in [10**16, 10**17)."""
+    quads = _g17_tables()[2]
+    out = np.empty((d.size, 5), dtype=np.uint32)
+    top = d // 10 ** 16
+    rest = d - top * 10 ** 16
+    a = rest // 10 ** 8
+    b = (rest - a * 10 ** 8).astype(np.int32)
+    a = a.astype(np.int32)
+    out[:, 1], out[:, 2] = quads[a // 10000], quads[a % 10000]
+    out[:, 3], out[:, 4] = quads[b // 10000], quads[b % 10000]
+    digits = out.view(np.uint8)[:, 3:]
+    digits[:, 0] = top + ord("0")
+    return digits
+
+
+def format_g17(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` for each float64, as one row of a NUL-padded
+    uint8 matrix; ``row[row != 0]`` is the text.
+
+    The decimal exponent k comes from log10 and is corrected where the
+    scaled value |v| * 10**(16 - k) falls outside [10**16, 10**17); it
+    then rounds half to even to the 17 digits.  The %g layout is fixed notation for -4 <= k < 17, otherwise
+    d.ddde+XX, with trailing zeros and a bare dot left as NULs.
     """
-    buf = io.StringIO()
-    buf.write("t,x,value\n")
-    cells = [f",{x:.17g},%.17g\n" for x in surface.grid.x]
-    for t, vals in zip(surface.times, surface.values):
-        ts = f"{t:.17g}"
-        buf.write((ts + ts.join(cells)) % tuple(vals.tolist()))
-    return buf.getvalue()
+    v = np.ravel(np.asarray(values, dtype=float))
+    a = np.abs(v)
+    fast = (a >= _G17_MIN) & (a <= _G17_MAX)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    d, frac, exact = _scaled(a, k)
+    off = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    redo = np.flatnonzero(off)
+    if redo.size:   # log10 is off by one next to a power of ten
+        k[redo] += off[redo]
+        d[redo], frac[redo], exact[redo] = _scaled(a[redo], k[redo])
+    tie = exact & (frac == 0.5)
+    d += (frac > 0.5) | (tie & (d % 2 == 1))
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    k += carry
+
+    _, _, _, masks, lead = _g17_tables()
+    digits = _digits(d)
+    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    sci = (k < -4) | (k > 16)
+    small = (k < 0) & ~sci
+    # digits 0..split form the integer part (all of them after "0.000"
+    # when k < 0); keep is the last digit printed
+    split = np.where(sci, 0, np.where(small, 16, k))
+    keep = np.where(small, last, np.maximum(last, split))
+    out = np.empty((v.size, _G17_WIDTH), dtype=np.uint8)
+    out[:, :6] = np.take(lead, 5 * np.signbit(v) + np.where(small, -k, 0),
+                         axis=0)
+    out[:, 6:23] = out[:, 24:41] = digits
+    out[:, 23] = ord(".")
+    out[:, 6:41] &= np.take(masks, 17 * split + keep, axis=0)
+    out[:, 41:] = 0
+    if sci.any():
+        e = np.abs(k[sci])
+        out[sci, 41:] = np.stack([
+            np.full(e.size, ord("e")), np.where(k[sci] < 0, ord("-"), ord("+")),
+            np.where(e >= 100, e // 100 + ord("0"), 0),
+            e // 10 % 10 + ord("0"), e % 10 + ord("0")], axis=1)
+    zero = v == 0.0
+    out[zero, 1:] = 0
+    out[zero, 1] = ord("0")
+    doubt = (np.abs(frac - 0.5) < _G17_DOUBT) & ~tie
+    for i in np.flatnonzero(~fast & ~zero | doubt):
+        text = b"%.17g" % v[i]
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+def _text_rows(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` for a few values, NUL-padded to the longest."""
+    texts = np.array([b"%.17g" % v for v in values.tolist()])
+    return texts.view(np.uint8).reshape(len(texts), -1)
+
+
+def surface_to_csv(surface: Surface) -> Iterator[bytes]:
+    """CSV export with header t,x,value; one record per node, as ASCII
+    byte blocks of _CSV_BLOCK records each.
+
+    Every number is ``%.17g``, so it reparses bit-exactly.  The t and x
+    fields are formatted once; each block's values are formatted by
+    format_g17, laid out with their t and x fields as NUL-padded rows of
+    one uint8 matrix, and the NULs dropped.  Nothing runs until the
+    first block is asked for.
+    """
+    yield b"t,x,value\n"
+    times = _text_rows(surface.times)
+    xs = _text_rows(surface.grid.x)
+    wt, wx = times.shape[1], xs.shape[1]
+    nx = surface.grid.nx
+    for lo in range(0, surface.values.size, _CSV_BLOCK):
+        row, col = np.divmod(np.arange(lo, min(lo + _CSV_BLOCK,
+                                               surface.values.size)), nx)
+        rec = np.empty((row.size, wt + wx + _G17_WIDTH + 3), dtype=np.uint8)
+        rec[:, :wt] = np.take(times, row, axis=0)
+        rec[:, wt] = rec[:, wt + wx + 1] = ord(",")
+        rec[:, wt + 1:wt + wx + 1] = np.take(xs, col, axis=0)
+        rec[:, wt + wx + 2:-1] = format_g17(surface.values[row, col])
+        rec[:, -1] = ord("\n")
+        yield rec[rec != 0].tobytes()

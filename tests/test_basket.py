@@ -50,3 +50,13 @@ def test_bad_parameters_rejected():
         basket.gaussian_bump(width=-1.0)
     with pytest.raises(ValueError):
         basket.abs_clip(0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "gaussian_bump", "center": float("nan")},
+    {"name": "sigmoid", "slope": float("inf")},
+    {"name": "constant", "value": float("-inf")},
+])
+def test_from_spec_rejects_non_finite_parameters(spec):
+    with pytest.raises(ValueError, match="not finite"):
+        basket.from_spec(spec)

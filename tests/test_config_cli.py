@@ -1,7 +1,10 @@
 """Config round-trips and the four CLI subcommands."""
 
 import json
+import math
+import os
 import pathlib
+import stat
 
 import numpy as np
 import pytest
@@ -96,6 +99,12 @@ def setting(**fields):
     pytest.param(setting(nx=81), "pide_solver.nx", id="nx-81"),
     pytest.param(setting(n_values=[8.5]), "hypothesis_checker.n_values",
                  id="n-not-integer"),
+    pytest.param(setting(psi=[{"name": "gaussian_bump", "center": math.nan}]),
+                 "experiment_cli.psi", id="psi-nan-center"),
+    pytest.param(setting(psi=[{"name": "sigmoid", "slope": math.inf}]),
+                 "experiment_cli.psi", id="psi-infinite-slope"),
+    pytest.param(setting(psi=[{"name": "abs_clip", "clip": 10 ** 400}]),
+                 "experiment_cli.psi", id="psi-huge-int"),
 ])
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     d = json.loads(config_mod.dumps(base_config()))
@@ -182,13 +191,39 @@ class TestCli:
         assert "not monotone" in err and "sublinear_engine.dp_dx" in err
 
     def test_write_atomic_round_trip_across_slices(self, tmp_path):
-        n = cli._WRITE_SLICE
-        # non-ASCII characters on both sides of the first slice boundary
+        n = 1 << 20
+        # non-ASCII characters on both sides of a 1 MiB boundary
         text = "a" * (n - 1) + "\u00e9\u00fc" + "b" * n + "\u2211\n"
         path = tmp_path / "sub" / "text.txt"
         cli.write_atomic(str(path), text)
-        assert path.read_text() == text
+        assert path.read_text(encoding="utf-8") == text
         assert list(path.parent.iterdir()) == [path]
+
+    def test_write_atomic_streams_byte_blocks(self, tmp_path):
+        path = tmp_path / "blocks.csv"
+        cli.write_atomic(str(path), (b"%d\n" % i for i in range(5)))
+        assert path.read_bytes() == b"0\n1\n2\n3\n4\n"
+
+    def test_write_atomic_honours_umask(self, tmp_path):
+        """mkstemp makes 0600 files; the output gets 0666 less the
+        umask, as open() would give it."""
+        old = os.umask(0o022)
+        try:
+            for name, data in (("a.txt", "text\n"), ("b.csv", [b"1,2\n"])):
+                cli.write_atomic(str(tmp_path / name), data)
+                assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) \
+                    == 0o644
+        finally:
+            os.umask(old)
+
+    def test_write_atomic_removes_temp_file_on_error(self, tmp_path):
+        def failing():
+            yield b"partial"
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli.write_atomic(str(tmp_path / "out.csv"), failing())
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),

@@ -66,12 +66,30 @@ def test_detects_a_foreign_import():
     assert foreign_imports(tree) == ["scipy.fft", "scipy"]
 
 
-def test_cli_import_loads_no_scipy():
+def fresh_cli_import(code: str) -> list[str]:
+    """Import nlstable.cli in a new interpreter, run code and return
+    what it prints."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, nlstable.cli; print(*sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", "import sys, nlstable.cli; " + code],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, check=True).stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = fresh_cli_import("print(*sys.modules)")
     assert "nlstable.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_builds_no_export_tables():
+    """The CSV formatter's power-of-ten table is built on the first
+    export, with integer arithmetic alone."""
+    loaded = fresh_cli_import(
+        "from nlstable import solver; "
+        "print(solver._g17_tables.cache_info().currsize); "
+        "solver.format_g17([0.1]); "
+        "print(solver._g17_tables.cache_info().currsize, *sys.modules)")
+    assert loaded[:2] == ["0", "1"]
+    assert {"fractions", "decimal", "_pydecimal"} & set(loaded[2:]) == set()

@@ -4,7 +4,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nlstable import solver as solver_mod
 from nlstable.kernels import Grid, Surface, scheme_stability_constant
 from nlstable.solver import (
     CFLError,
@@ -13,6 +15,7 @@ from nlstable.solver import (
     dpp_check,
     evaluate,
     evaluate_row,
+    format_g17,
     make_grid,
     scaling_check,
     solve_backward,
@@ -166,9 +169,13 @@ class TestIdentityChecks:
         assert res == 0.0
 
 
+def csv_text(surface):
+    return b"".join(surface_to_csv(surface)).decode("ascii")
+
+
 def test_csv_export_round_trip(small_grid, uset_sym):
     u = solve(gaussian, small_grid, uset_sym)
-    text = surface_to_csv(u)
+    text = csv_text(u)
     lines = text.strip().split("\n")
     assert lines[0] == "t,x,value"
     assert len(lines) == 1 + (small_grid.nt + 1) * small_grid.nx
@@ -201,11 +208,89 @@ def test_csv_export_matches_per_value_format(small_grid, uset_sym):
                        [np.pi, -1e-300, 1e300, 0.1, -7.0],
                        [123456789.0, 1.5, -2.5e-8, 0.7, 0.0]])
     special = Surface(grid=g, values=values, t0=1.0 / 3.0)
-    assert surface_to_csv(special) == per_value_csv(special)
+    assert csv_text(special) == per_value_csv(special)
     back = solve_backward(TerminalProblem(gaussian, 1.0, 1.0, 1.25),
                           small_grid, uset_sym)
     assert back.t0 != 0.0
-    assert surface_to_csv(back) == per_value_csv(back)
+    assert csv_text(back) == per_value_csv(back)
+
+
+def test_csv_export_spans_blocks(monkeypatch):
+    """Blocks that end inside a row, on a row boundary and past the last
+    value give the same text, and nothing runs before the first block
+    is asked for."""
+    g = Grid(-1.0, 1.0, 5, 0.3, 3, 0.1, 8.0)
+    u = Surface(grid=g, values=np.random.default_rng(5).normal(size=(4, 5)),
+                t0=0.1)
+    monkeypatch.setattr(solver_mod, "format_g17", None)
+    blocks = surface_to_csv(u)          # not started: no format call yet
+    monkeypatch.undo()
+    whole = per_value_csv(u)
+    for size in (1, 3, 5, 7, 20, 64):
+        monkeypatch.setattr(solver_mod, "_CSV_BLOCK", size)
+        assert csv_text(u) == whole
+    monkeypatch.undo()
+    assert b"".join(blocks).decode("ascii") == whole
+
+
+def g17_lines(values):
+    """format_g17's texts, one per line."""
+    rows = format_g17(np.asarray(values, dtype=float))
+    rows = np.concatenate([rows, np.full((len(rows), 1), ord("\n"),
+                                         dtype=np.uint8)], axis=1)
+    return rows[rows != 0].tobytes().split(b"\n")[:-1]
+
+
+def assert_g17(values):
+    values = np.asarray(values, dtype=float)
+    got = g17_lines(values)
+    want = [b"%.17g" % v for v in values.tolist()]
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want)
+               if g != w]
+        pytest.fail(f"{len(bad)} of {len(want)} differ, first {bad[:3]}")
+
+
+def test_g17_random_bit_patterns():
+    """10**6 random 64-bit patterns: every exponent, both signs and
+    subnormals."""
+    bits = np.random.default_rng(17).integers(0, 2 ** 64, size=1_000_000,
+                                              dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert len(values) > 999_000 and (np.abs(values) < 2.3e-308).any()
+    assert_g17(values)
+
+
+def g17_edge_values():
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             1e16, 1e17, 1e-280, 1e280]
+    edges += [10.0 ** k for k in range(-5, 18)]
+    edges += [float(f"1e{k}") for k in range(-323, 309)]
+    near = []
+    with np.errstate(over="ignore"):    # above the largest double: inf
+        for x in edges:
+            near += [x, np.nextafter(x, np.inf), np.nextafter(x, 0.0),
+                     np.nextafter(np.nextafter(x, 0.0), 0.0)]
+    # just below 10**k: the 17-digit rounding carries into a new digit
+    near += [9.9999999999999999 * 10.0 ** k for k in range(-6, 18)]
+    # exact ties at the 18th digit, which round half to even
+    near += [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+             100000000000000.375, 1e15 + 0.5, 2.0 ** 53 + 1.0,
+             3.0 / 2 ** 24, 12345678901234565 * 1e-16]
+    return np.array(near)[np.isfinite(near)]
+
+
+def test_g17_edge_values():
+    values = g17_edge_values()
+    assert_g17(np.concatenate([values, -values]))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_g17_matches_percent_format(values):
+    assert_g17(values)
 
 
 def test_row_zero_equals_psi_samples(small_grid, uset_sym):
