@@ -22,13 +22,12 @@ one ``apply_max`` per side.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import (Grid, Surface, UncertaintySet, apply_max, band_bins,
-                      jump_kernel, tail_nodes)
+                      jump_kernel, middle_half, tail_nodes)
 from .laws import AttractedLaw, beta2_prime, law_nodes, tail_deviation
 from .engine import LawFamily, NormalizedSumSpec
 from .solver import TerminalProblem, evaluate_row, solve_backward
@@ -53,20 +52,6 @@ class ResidualTable:
             raise ValueError("residuals must be nonnegative")
 
 
-def delta_increment(v: Surface, t: float, x: float, y: float) -> float:
-    """v(t, x+y) - v(t,x) - dv/dx(t,x) * y with a centered difference
-    derivative and constant extension beyond the spatial window."""
-    g = v.grid
-    i = int(round((t - v.t0) / g.dt))
-    if not (0 <= i <= g.nt):
-        raise ValueError(f"t={t} outside surface range")
-    row = v.values[i]
-    xs = np.clip([x + y, x, x - g.dx, x + g.dx], g.x_min, g.x_max)
-    vals = np.interp(xs, g.x, row)
-    vx = (vals[3] - vals[2]) / (2.0 * g.dx)
-    return float(vals[0] - vals[1] - vx * y)
-
-
 def _sampled_rows(v: Surface, t_hi: float = 1.0):
     """Row indices covering [0, t_hi] subsampled to about _T_SAMPLES."""
     g = v.grid
@@ -83,7 +68,7 @@ def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
     spec = NormalizedSumSpec(n, family.b_scale, alpha)
     b_n = spec.B_n
     r_split = b_n * z0
-    mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)
+    mid = middle_half(g.nx)
 
     # shared tail quadrature beyond r_split, one node set per side
     masses, cents = tail_nodes(r_split, 2.0 * (g.x_max - g.x_min),
@@ -178,7 +163,7 @@ def check_condition_iii(family: LawFamily, uset: UncertaintySet, psi,
 
 def _m1_bound(v: Surface) -> float:
     g = v.grid
-    mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)
+    mid = middle_half(g.nx)
     m1 = 0.0
     for i in _sampled_rows(v):
         row = v.values[i]
@@ -228,42 +213,6 @@ def classical_term_bounds(law: AttractedLaw, v: Surface,
     return (g1, g2, g3, g4)
 
 
-def residual_pieces(law: AttractedLaw, v: Surface, n: int, t: float,
-                    x: float) -> tuple[float, float, float, float]:
-    """Direct quadrature of the four positive-side residual pieces at
-    one (t, x); each is bounded by the matching classical_term_bounds
-    group.  Intended for spot checks, not for sweeps."""
-    alpha = law.alpha
-    b_n = NormalizedSumSpec(n, law.b_scale, alpha).B_n
-    scale = law.b_scale ** (-alpha)
-
-    def weight_full(z):
-        u = z / b_n
-        return (-beta2_prime(law, u) * u + alpha * tail_deviation(law, u)) \
-            / z ** (alpha + 1.0)
-
-    def piece(z_lo, z_hi, w_fn):
-        # below one grid cell the interpolated increment is linear in z
-        # and measures nothing but interpolation noise; start there
-        z_lo = max(z_lo, v.grid.dx)
-        if z_hi <= z_lo:
-            return 0.0
-        z = np.geomspace(z_lo, z_hi, 4001)
-        d = np.array([delta_increment(v, t, x, zi) for zi in z])
-        return abs(float(np.trapezoid(d * w_fn(z), z))) * scale
-
-    top = b_n * law.z0
-    p1 = piece(1.0, max(top, 1.0), weight_full)
-    p2 = piece(0.0, min(b_n, top), weight_full)
-    p3 = piece(b_n, min(1.0, top),
-               lambda z: alpha * tail_deviation(law, z / b_n)
-               / z ** (alpha + 1.0))
-    p4 = piece(b_n, min(1.0, top),
-               lambda z: -beta2_prime(law, z / b_n) * (z / b_n)
-               / z ** (alpha + 1.0))
-    return (p1, p2, p3, p4)
-
-
 def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
                      grid: Grid) -> ResidualTable:
     """Self-attraction residual: how well one 1/n time step of the
@@ -277,7 +226,7 @@ def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
     prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h)
     v = solve_backward(prob, grid, uset)
     g = grid
-    mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)
+    mid = middle_half(g.nx)
     n_values = sorted(int(n) for n in n_values)
     residuals = []
     for n in n_values:
@@ -300,12 +249,3 @@ def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
                          tuple(zero4 for _ in n_values),
                          tuple(0.0 for _ in n_values), tuple(kept))
 
-
-def residual_table_to_csv(table: ResidualTable) -> str:
-    buf = io.StringIO()
-    buf.write("n,residual,rate_fit,term1,term2,term3,term4\n")
-    for n, r, d in zip(table.n_values, table.residuals,
-                       table.term_diagnostics):
-        buf.write(f"{n},{r:.17g},{table.fitted_rate:.17g},"
-                  + ",".join(f"{t:.17g}" for t in d) + "\n")
-    return buf.getvalue()

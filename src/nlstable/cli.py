@@ -22,14 +22,13 @@ from .config import ConfigError, ExperimentConfig
 from .kernels import Grid
 from .laws import build_law, LawBuildError
 from .engine import (LawFamily, NarrowGridError, NegativeTapError,
-                     convergence_table, table_to_csv)
+                     convergence_table)
 from .solver import (CFLError, NonFiniteError, TerminalProblem, make_grid,
                      solve_forward, evaluate, surface_to_csv)
 from .oracle import CharExponent, OracleError, classical_expectation
-from .checker import (check_condition_iii, example_41_check, fit_rate,
-                      residual_table_to_csv)
-from .regularity import (RegularityError, probe, compare_reports,
-                         report_to_text)
+from .checker import check_condition_iii, example_41_check, fit_rate
+from .regularity import (RegularityError, lipschitz_x, probe,
+                         compare_reports, report_to_text)
 
 ORACLE_TOL = 2e-2
 LIP_SLACK = 1.05
@@ -65,6 +64,18 @@ def write_atomic(path: str, data: str | Iterable[bytes]) -> None:
         raise
 
 
+def table_to_csv(header: str, rows) -> str:
+    """CSV text of a header line and rows of numbers, each ``%.17g``
+    (which prints a Python int as str() does)."""
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _tag(psi) -> str:
+    """File-name tag of a test function: its name and parameters."""
+    return f"{psi.name}_" + "_".join(f"{p:g}" for p in psi.params)
+
+
 def _solve_grid(cfg: ExperimentConfig, t_max: float,
                 nx: int | None = None) -> Grid:
     """The config's march grid, at ``nx`` nodes in place of cfg.nx if
@@ -81,14 +92,12 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
         grid = _solve_grid(cfg, cfg.t_max)
         prob = TerminalProblem(psi, psi.lip, psi.sup, cfg.t_max)
         surface = solve_forward(prob, grid, uset)
-        tag = f"{psi.name}_" + "_".join(f"{p:g}" for p in psi.params)
+        tag = _tag(psi)
         write_atomic(os.path.join(out, f"surface_{tag}.csv"),
                      surface_to_csv(surface))
 
         overshoot = float(np.max(np.abs(surface.values))) - psi.sup
-        mid = slice(grid.nx // 4, 3 * grid.nx // 4)
-        lip = float(np.max(np.abs(np.diff(surface.values[:, mid],
-                                          axis=1)))) / grid.dx
+        lip = lipschitz_x(surface)
         line = (f"{tag}: max_principle_residual={max(overshoot, 0.0):.3e} "
                 f"lip={lip:.6g} lip_bound={psi.lip * LIP_SLACK:.6g}")
         if overshoot > 1e-9 or lip > psi.lip * LIP_SLACK + 1e-12:
@@ -125,9 +134,10 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
         pide_value = evaluate(solve_forward(prob, grid, uset), 1.0, 0.0)
         rows = convergence_table(psi, family, cfg.n_values,
                                  cfg.dp_grid(), pide_value)
-        tag = f"{psi.name}_" + "_".join(f"{p:g}" for p in psi.params)
+        tag = _tag(psi)
         write_atomic(os.path.join(out, f"convergence_{tag}.csv"),
-                     table_to_csv(rows))
+                     table_to_csv("n,B_n,nested_value,pide_value,abs_error",
+                                  rows))
         errs = [r[4] for r in rows]
         rate = fit_rate([r[0] for r in rows], errs, [True] * len(rows))
         summary.append(f"{tag}: pide_value={pide_value:.10g} "
@@ -143,13 +153,15 @@ def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
     psi = cfg.psi_functions()[0]
     grid = _solve_grid(cfg, 1.0 + cfg.h)
     if cfg.mode == "condition_iii":
-        coarse = _solve_grid(cfg, 1.0 + cfg.h, (cfg.nx - 1) // 2 + 1)
+        coarse = _solve_grid(cfg, 1.0 + cfg.h, cfg.coarse_nx)
         table = check_condition_iii(_law_family(cfg), uset, psi, cfg.h,
                                     cfg.n_values, grid, coarse)
     else:
         table = example_41_check(uset, psi, cfg.h, cfg.n_values, grid)
-    write_atomic(os.path.join(out, "residuals.csv"),
-                 residual_table_to_csv(table))
+    write_atomic(os.path.join(out, "residuals.csv"), table_to_csv(
+        "n,residual,rate_fit,term1,term2,term3,term4",
+        [(n, r, table.fitted_rate, *d) for n, r, d in
+         zip(table.n_values, table.residuals, table.term_diagnostics)]))
     summary = [
         f"mode={cfg.mode} fitted_rate={table.fitted_rate:.4f}",
         "n,residual,floor,kept",
@@ -171,7 +183,7 @@ def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
     prob = TerminalProblem(psi, psi.lip, psi.sup, horizon)
     report = probe(solve_forward(prob, grid, uset), cfg.h, singleton)
 
-    coarse = _solve_grid(cfg, horizon, (cfg.nx - 1) // 2 + 1)
+    coarse = _solve_grid(cfg, horizon, cfg.coarse_nx)
     report_c = probe(solve_forward(prob, coarse, uset), cfg.h, singleton)
     compare_reports(report, report_c)
 

@@ -61,30 +61,34 @@ class ExperimentConfig:
                 raise ConfigError("stable_kernel", "pairs",
                                   f"pair ({km}, {kp}) outside "
                                   f"({self.lam}, {self.Lam})")
-        if self.b_scale <= 0.0 or self.z0 <= 0.0:
-            raise ConfigError("attracted_laws", "b_scale/z0",
-                              "must be positive")
+        for name in ("b_scale", "z0"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError("attracted_laws", name, "must be positive")
         if not (0.0 < self.h < 1.0):
             raise ConfigError("pide_solver", "h", "must lie in (0, 1)")
-        if self.nx < 5 or self.x_min >= self.x_max:
-            raise ConfigError("pide_solver", "grid", "degenerate grid")
+        if self.nx < 5:
+            raise ConfigError("pide_solver", "nx", f"{self.nx} is below 5")
+        if self.x_min >= self.x_max:
+            raise ConfigError("pide_solver", "x_max",
+                              f"{self.x_max} is not above x_min = "
+                              f"{self.x_min}")
         if self.nx % 2 == 0:
             raise ConfigError("pide_solver", "nx",
                               f"{self.nx} is even; the half-resolution grid "
-                              "(nx - 1)//2 + 1 is nested only for odd nx")
+                              "is nested only for odd nx")
         if self.r_cut is not None and not (0.0 < self.r_cut < 1.0):
             raise ConfigError("pide_solver", "r_cut",
                               f"{self.r_cut} outside (0, 1)")
         # make_grid's default r_cut is one cell, and hypothesis and
         # regularity also march the half-resolution grid, whose cells
         # are the widest
-        coarse_dx = (self.x_max - self.x_min) / ((self.nx - 1) // 2)
+        coarse_dx = (self.x_max - self.x_min) / (self.coarse_nx - 1)
         if self.r_cut is None and coarse_dx >= 1.0:
             raise ConfigError("pide_solver", "nx",
                               f"the default r_cut is one cell, and the "
-                              f"half-resolution grid of "
-                              f"{(self.nx - 1) // 2 + 1} nodes has cells of "
-                              f"{coarse_dx:g} >= 1; raise nx or set r_cut")
+                              f"half-resolution grid of {self.coarse_nx} "
+                              f"nodes has cells of {coarse_dx:g} >= 1; "
+                              "raise nx or set r_cut")
         # make_grid's default z_max is four grid widths
         z_max = 4.0 * (self.x_max - self.x_min) if self.z_max is None \
             else self.z_max
@@ -92,20 +96,26 @@ class ExperimentConfig:
             raise ConfigError("pide_solver", "z_max",
                               f"{z_max:g} is not above 1 (the default is "
                               "four grid widths)")
-        if self.t_max <= 0.0 or not (0.0 < self.safety <= 1.0):
-            raise ConfigError("pide_solver", "grid",
-                              "t_max and safety must be positive "
-                              "(safety at most 1)")
-        if self.dp_half_width <= 0.0 or self.dp_dx <= 0.0:
-            raise ConfigError("sublinear_engine", "dp_grid",
-                              "must be positive")
-        if any(n < 1 for n in self.n_values) \
+        if self.t_max <= 0.0:
+            raise ConfigError("pide_solver", "t_max", "must be positive")
+        if not (0.0 < self.safety <= 1.0):
+            raise ConfigError("pide_solver", "safety",
+                              f"{self.safety} outside (0, 1]")
+        for name in ("dp_half_width", "dp_dx"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError("sublinear_engine", name,
+                                  "must be positive")
+        if not self.n_values or any(n < 1 for n in self.n_values) \
                 or list(self.n_values) != sorted(set(self.n_values)):
             raise ConfigError("hypothesis_checker", "n_values",
-                              "need strictly increasing positive n")
+                              "need a nonempty, strictly increasing list "
+                              "of positive n")
         if self.mode not in ("condition_iii", "example_41"):
             raise ConfigError("hypothesis_checker", "mode",
                               f"unknown mode {self.mode!r}")
+        if not self.psi:
+            raise ConfigError("experiment_cli", "psi",
+                              "empty test-function list")
         for spec in self.psi:
             try:
                 basket.from_spec(dict(spec))
@@ -113,6 +123,12 @@ class ExperimentConfig:
                 raise ConfigError("experiment_cli", "psi", str(exc))
 
     # -- structured accessors -------------------------------------------
+    @property
+    def coarse_nx(self) -> int:
+        """Node count of the half-resolution grid, nested in the nx
+        grid when nx is odd."""
+        return (self.nx - 1) // 2 + 1
+
     def uncertainty_set(self) -> UncertaintySet:
         return UncertaintySet(self.alpha,
                               tuple(KernelPair(km, kp)

@@ -20,7 +20,6 @@ per stage and every n runs on the same grid (spacing ``dp_dx``).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +157,3 @@ def convergence_table(psi, family: LawFamily, n_values, dp_grid: Grid,
                      abs(val - pide_value)))
     return rows
 
-
-def table_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("n,B_n,nested_value,pide_value,abs_error\n")
-    for n, b_n, val, pide, err in rows:
-        buf.write(f"{n},{b_n:.17g},{val:.17g},{pide:.17g},{err:.17g}\n")
-    return buf.getvalue()

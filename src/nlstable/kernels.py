@@ -151,14 +151,10 @@ class Surface:
         return self.t0 + self.grid.dt * np.arange(self.grid.nt + 1)
 
 
-def levy_density(k: KernelPair, alpha: float, z: float) -> float:
-    """Density of the jump measure at z (z must be nonzero)."""
-    if z == 0.0:
-        raise KernelDomainError("jump density is singular at z = 0")
-    if not (1.0 < alpha < 2.0):
-        raise KernelDomainError("alpha must lie in (1, 2)")
-    intensity = k.k_plus if z > 0 else k.k_minus
-    return intensity * abs(z) ** (-alpha - 1.0)
+def middle_half(nx: int) -> slice:
+    """Nodes nx//4 .. 3nx//4 of an nx-node row: the window every
+    diagnostic takes its maximum over, clear of the pinned edges."""
+    return slice(nx // 4, 3 * nx // 4 + 1)
 
 
 def drift_b(k: KernelPair, alpha: float) -> float:

@@ -10,7 +10,8 @@ the mass that normalization requires, and an odd one whose amplitude
 
 ``law_nodes`` is the one quadrature rule of a law: Gauss-Legendre
 against the interior polynomial and ``kernels.tail_nodes`` beyond z0.
-``law_expectation`` and the dynamic-program stages both use it.
+The dynamic-program stages in ``engine`` and the law side of the
+attraction residual in ``checker`` both use it.
 """
 
 from __future__ import annotations
@@ -82,12 +83,6 @@ class AttractedLaw:
                        np.where(z >= self.z0, right, interior))
         return out if out.ndim else float(out)
 
-    @property
-    def tail_mass(self) -> float:
-        c = _tail_scale(self)
-        return c * (self.pair.k_minus + self.pair.k_plus) \
-            / (self.alpha * self.z0 ** self.alpha)
-
 
 def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
               z0: float = 2.0) -> AttractedLaw:
@@ -108,10 +103,10 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
         raise LawBuildError(
             f"tail mass {tail_mass:.4f} >= 1 leaves no interior mass; "
             "increase z0 or decrease b_scale")
-    tail_moment_pre = c * (k_p - k_m) * z0 ** (1.0 - alpha) / (alpha - 1.0)
-    if abs(tail_moment_pre) >= z0 * (1.0 - tail_mass):
+    tail_moment = c * (k_p - k_m) * z0 ** (1.0 - alpha) / (alpha - 1.0)
+    if abs(tail_moment) >= z0 * (1.0 - tail_mass):
         raise LawBuildError(
-            f"tail first moment {tail_moment_pre:.4f} exceeds what any "
+            f"tail first moment {tail_moment:.4f} exceeds what any "
             f"interior density on (-{z0}, {z0}) can cancel; increase z0")
 
     # value and slope of the tail density at the junctions
@@ -131,7 +126,6 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
     bump = (1.0 - tail_mass - cubic_mass) / (16.0 * z0 / 15.0)
 
     cubic_moment = (2.0 / 3.0) * c1 * z0**3 + (2.0 / 5.0) * c3 * z0**5
-    tail_moment = c * (k_p - k_m) * z0 ** (1.0 - alpha) / (alpha - 1.0)
     tilt = -(cubic_moment + tail_moment) / (16.0 * z0**2 / 105.0)
 
     law = AttractedLaw(pair, alpha, b_scale, z0,
@@ -176,18 +170,6 @@ def beta2_prime(law: AttractedLaw, u):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
 
-def _growth_guard(phi, law: AttractedLaw) -> None:
-    probes = np.array([_TAIL_FAR, 4.0 * _TAIL_FAR])
-    for sgn in (1.0, -1.0):
-        v = np.abs(np.asarray(phi(sgn * probes), dtype=float))
-        if v[0] > 1e-300 and v[1] > v[0]:
-            p = np.log(v[1] / v[0]) / np.log(4.0)
-            if p >= law.alpha - 0.02:
-                raise ValueError(
-                    f"phi grows like |z|^{p:.2f} at infinity, not "
-                    f"integrable against alpha={law.alpha} tails")
-
-
 def law_nodes(law: AttractedLaw) -> tuple[np.ndarray, np.ndarray]:
     """Probability quadrature (nodes, weights) for one law; the weights
     sum to 1 up to quadrature rounding.
@@ -209,11 +191,4 @@ def law_nodes(law: AttractedLaw) -> tuple[np.ndarray, np.ndarray]:
         c * law.pair.k_plus * m, c * law.pair.k_minus * m,
     ])
     return nodes, weights
-
-
-def law_expectation(phi, law: AttractedLaw) -> float:
-    """Integral of phi against the law by the ``law_nodes`` rule."""
-    _growth_guard(phi, law)
-    nodes, weights = law_nodes(law)
-    return float(weights @ np.asarray(phi(nodes), dtype=float))
 

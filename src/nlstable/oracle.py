@@ -29,6 +29,8 @@ from numpy.fft import fft, ifft
 
 from .kernels import KernelPair, next_fast_len
 
+TABLE_DX = 0.05     # spacing of the inverted density table
+MASS_TOL = 1e-4     # allowed deviation of the table's mass from 1
 
 class OracleError(RuntimeError):
     """Raised when an inversion or mass check fails its tolerance."""
@@ -110,17 +112,17 @@ class _DensityTable:
     tail_hi: float  # mass above x[-1]
 
 
-def _density_table(ce: CharExponent, t_time: float, x_span: float,
-                   dx: float = 0.05) -> _DensityTable:
-    return _inverted_table(ce, t_time, max(8.0 * x_span, 400.0), dx)
+def _density_table(ce: CharExponent, t_time: float,
+                   x_span: float) -> _DensityTable:
+    return _inverted_table(ce, t_time, max(8.0 * x_span, 400.0))
 
 
 @lru_cache(maxsize=32)
-def _inverted_table(ce: CharExponent, t_time: float, cut: float,
-                    dx: float) -> _DensityTable:
-    n = int(np.ceil(cut / dx))
-    x = np.linspace(-n * dx, n * dx, 2 * n + 1)
-    f = _invert(ce, t_time, n, dx)
+def _inverted_table(ce: CharExponent, t_time: float,
+                    cut: float) -> _DensityTable:
+    n = int(np.ceil(cut / TABLE_DX))
+    x = np.linspace(-n * TABLE_DX, n * TABLE_DX, 2 * n + 1)
+    f = _invert(ce, t_time, n, TABLE_DX)
     clip_level = 1e-12 * max(1.0, float(np.max(f)))
     f = np.where(f < 0.0, np.where(f > -clip_level * 1e3, 0.0, f), f)
     if np.any(f < 0.0):
@@ -131,13 +133,12 @@ def _inverted_table(ce: CharExponent, t_time: float, cut: float,
                          tail_hi=ce.pair.k_plus * side)
 
 
-def _mass_check(tab: _DensityTable, tol: float = 1e-4) -> float:
+def _mass_check(tab: _DensityTable) -> None:
     mass = float(np.trapezoid(tab.f, tab.x)) + tab.tail_lo + tab.tail_hi
-    if abs(mass - 1.0) > tol:
+    if abs(mass - 1.0) > MASS_TOL:
         raise OracleError(
-            f"density mass {mass:.8f} deviates from 1 by more than {tol}; "
-            "use a wider spatial window")
-    return mass
+            f"density mass {mass:.8f} deviates from 1 by more than "
+            f"{MASS_TOL}; use a wider spatial window")
 
 
 def classical_expectation(psi, ce: CharExponent, t_time: float,

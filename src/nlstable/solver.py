@@ -26,6 +26,7 @@ from .kernels import (
     Surface,
     UncertaintySet,
     apply_sup_generator_row,
+    middle_half,
     scheme_stability_constant,
 )
 
@@ -125,33 +126,23 @@ def solve_backward(prob: TerminalProblem, grid: Grid,
 
 
 def evaluate(surface: Surface, t: float, x: float) -> float:
-    """Bilinear interpolation on the stored surface; exact at nodes."""
+    """Bilinear interpolation on the stored surface: the row at t from
+    ``evaluate_row``, linearly interpolated at x; exact at nodes."""
     g = surface.grid
-    tl, th = surface.t0, surface.t0 + g.t_max
-    eps_t, eps_x = 1e-12 * max(1.0, abs(th)), 1e-12 * max(1.0, abs(g.x_max))
-    if not (tl - eps_t <= t <= th + eps_t):
-        raise ValueError(f"t={t} outside surface range [{tl}, {th}]")
+    eps_x = 1e-12 * max(1.0, abs(g.x_max))
     if not (g.x_min - eps_x <= x <= g.x_max + eps_x):
         raise ValueError(f"x={x} outside surface range [{g.x_min}, {g.x_max}]")
-    pt = np.clip((t - tl) / g.dt, 0.0, g.nt)
-    px = np.clip((x - g.x_min) / g.dx, 0.0, g.nx - 1)
-    it = min(int(pt), g.nt - 1)
-    ix = min(int(px), g.nx - 2)
-    ft, fx = pt - it, px - ix
-    v = surface.values
-    return float(
-        (1 - ft) * ((1 - fx) * v[it, ix] + fx * v[it, ix + 1])
-        + ft * ((1 - fx) * v[it + 1, ix] + fx * v[it + 1, ix + 1])
-    )
+    return float(np.interp(x, g.x, evaluate_row(surface, t)))
 
 
 def evaluate_row(surface: Surface, t: float) -> np.ndarray:
     """Full spatial row at time t, linearly interpolated between rows."""
     g = surface.grid
-    pt = (t - surface.t0) / g.dt
-    if not (-1e-9 <= pt <= g.nt + 1e-9):
-        raise ValueError(f"t={t} outside surface range")
-    pt = np.clip(pt, 0.0, g.nt)
+    tl, th = surface.t0, surface.t0 + g.t_max
+    eps_t = 1e-12 * max(1.0, abs(th))
+    if not (tl - eps_t <= t <= th + eps_t):
+        raise ValueError(f"t={t} outside surface range [{tl}, {th}]")
+    pt = np.clip((t - tl) / g.dt, 0.0, g.nt)
     it = min(int(pt), g.nt - 1)
     ft = pt - it
     return (1 - ft) * surface.values[it] + ft * surface.values[it + 1]
@@ -190,7 +181,7 @@ def dpp_check(psi: Callable, s: float, t: float, grid: Grid,
     u = solve_forward(prob, grid, uset)
     i_t = int(round(t / grid.dt))
     i_s = int(round(s / grid.dt))
-    mid = slice(grid.nx // 4, 3 * grid.nx // 4)
+    mid = middle_half(grid.nx)
     restart_grid = replace(grid, t_max=i_s * grid.dt, nt=i_s)
     w = _march(u.values[i_t - i_s], restart_grid, uset)
     return float(np.max(np.abs(u.values[i_t, mid] - w[i_s, mid])))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlstable.kernels import KernelPair, UncertaintySet
+from nlstable.laws import law_nodes
 from nlstable.solver import make_grid
 
 ALPHA = 1.5
@@ -29,6 +30,12 @@ def small_grid(uset_sym):
 
 def gaussian(x):
     return np.exp(-np.asarray(x, dtype=float) ** 2)
+
+
+def law_expectation(phi, law):
+    """Integral of phi against the law by its ``law_nodes`` rule."""
+    nodes, weights = law_nodes(law)
+    return float(weights @ np.asarray(phi(nodes), dtype=float))
 
 
 def dense_interp_sum(u, shifts, weights, reach=0.0):

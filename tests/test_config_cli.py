@@ -105,6 +105,22 @@ def setting(**fields):
                  "experiment_cli.psi", id="psi-infinite-slope"),
     pytest.param(setting(psi=[{"name": "abs_clip", "clip": 10 ** 400}]),
                  "experiment_cli.psi", id="psi-huge-int"),
+    pytest.param(setting(n_values=[]), "hypothesis_checker.n_values",
+                 id="n-empty"),
+    pytest.param(setting(psi=[]), "experiment_cli.psi", id="psi-empty"),
+    # one field named per message; the brackets close the field name,
+    # which "b_scale/z0" would not
+    pytest.param(setting(b_scale=0.0), "[attracted_laws.b_scale]",
+                 id="b_scale-0"),
+    pytest.param(setting(z0=0.0), "attracted_laws.z0", id="z0-0"),
+    pytest.param(setting(nx=3), "pide_solver.nx", id="nx-3"),
+    pytest.param(setting(x_min=20.0), "pide_solver.x_max",
+                 id="x_max-not-above-x_min"),
+    pytest.param(setting(t_max=0.0), "pide_solver.t_max", id="t_max-0"),
+    pytest.param(setting(safety=1.5), "pide_solver.safety", id="safety-1.5"),
+    pytest.param(setting(dp_half_width=0.0), "sublinear_engine.dp_half_width",
+                 id="dp_half_width-0"),
+    pytest.param(setting(dp_dx=0.0), "sublinear_engine.dp_dx", id="dp_dx-0"),
 ])
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     d = json.loads(config_mod.dumps(base_config()))

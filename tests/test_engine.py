@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from nlstable import engine
+from nlstable import cli, engine
 from nlstable.config import ExperimentConfig
 from nlstable.kernels import Grid, KernelPair, UncertaintySet
-from nlstable.laws import build_law, law_expectation, law_nodes
+from nlstable.laws import build_law, law_nodes
 from nlstable.engine import (
     DP_REACH,
     LawFamily,
@@ -16,10 +16,9 @@ from nlstable.engine import (
     NormalizedSumSpec,
     convergence_table,
     nested_sum_expectation,
-    table_to_csv,
 )
 
-from conftest import dense_interp_sum, gaussian
+from conftest import dense_interp_sum, gaussian, law_expectation
 
 ALPHA = 1.5
 
@@ -215,7 +214,8 @@ class TestTables:
         rows = convergence_table(gaussian, fam_small, (2, 4), dp_grid(),
                                  0.7)
         assert [r[0] for r in rows] == [2, 4]
-        text = table_to_csv(rows)
+        text = cli.table_to_csv("n,B_n,nested_value,pide_value,abs_error",
+                                rows)
         lines = text.strip().split("\n")
         assert lines[0] == "n,B_n,nested_value,pide_value,abs_error"
         n, b_n, val, pide, err = lines[1].split(",")

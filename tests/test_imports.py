@@ -1,5 +1,7 @@
-"""Every imported name in the package and its tests is used, and the
-package imports nothing beyond the standard library and numpy."""
+"""Every imported name in the package and its tests is used, every
+public function and class of the package has a user outside the unit
+tests, and the package imports nothing beyond the standard library and
+numpy."""
 
 import ast
 import os
@@ -39,6 +41,60 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom a.b import c, d as e\nprint(c)\n")
     assert unused_imports(tree) == ["e (line 2)", "os (line 1)"]
+
+
+# what may keep a public name of the package alive: the package itself,
+# the scripts, the benchmark and the acceptance tests, not the unit tests
+USERS = (PACKAGE + sorted((REPO / "scripts").glob("*.py"))
+         + sorted((REPO / "benchmark").glob("*.py"))
+         + [REPO / "tests" / "test_acceptance.py"])
+
+
+def references(node: ast.AST) -> set[str]:
+    """Names loaded, attributes and imported names anywhere in node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.update(sub.name.split("."))
+    return found
+
+
+def unreferenced_public(modules: dict, users: dict) -> list[str]:
+    """Public top-level functions and classes of the parsed modules that
+    no top-level statement of the parsed users references, other than
+    their own definition.  A module that is also a user is passed as the
+    same tree in both."""
+    refs = [(stmt, references(stmt))
+            for tree in users.values() for stmt in tree.body]
+    return [f"{name}:{stmt.name}" for name, tree in modules.items()
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and not any(stmt.name in names
+                        for other, names in refs if other is not stmt)]
+
+
+def test_every_public_name_has_a_user():
+    trees = {str(p.relative_to(REPO)): ast.parse(p.read_text())
+             for p in USERS}
+    package = {name: tree for name, tree in trees.items()
+               if name.startswith("src")}
+    assert unreferenced_public(package, trees) == []
+
+
+def test_detects_an_unreferenced_public_name():
+    lib = ast.parse("def used(): pass\n"
+                    "def recursive(n): return recursive(n - 1)\n"
+                    "class Dead: x = 1\n"
+                    "def _private(): pass\n"
+                    "def called(): return used()\n")
+    user = ast.parse("import lib.called\n")
+    assert unreferenced_public({"lib": lib}, {"lib": lib, "user": user}) \
+        == ["lib:recursive", "lib:Dead"]
 
 
 def foreign_imports(tree: ast.Module) -> list[str]:

@@ -19,7 +19,6 @@ from nlstable.kernels import (
     drift_b,
     generator_stencil,
     interp_taps,
-    levy_density,
     next_fast_len,
     scheme_stability_constant,
     shift_kernel,
@@ -33,6 +32,17 @@ from conftest import dense_interp_sum, singleton_set
 def cos_generator_exact(alpha):
     # integral of (cos z - 1)|z|^(-alpha-1) over the line, unit intensities
     return 2.0 * np.cos(np.pi * alpha / 2.0) * gamma(-alpha)
+
+
+def levy_density(k: KernelPair, alpha: float, z: float) -> float:
+    """Density of the jump measure at z (z must be nonzero): the
+    reference the generator tests integrate against."""
+    if z == 0.0:
+        raise KernelDomainError("jump density is singular at z = 0")
+    if not (1.0 < alpha < 2.0):
+        raise KernelDomainError("alpha must lie in (1, 2)")
+    intensity = k.k_plus if z > 0 else k.k_minus
+    return intensity * abs(z) ** (-alpha - 1.0)
 
 
 class TestDensityAndMoments:

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nlstable.kernels import KernelPair
-from nlstable.laws import (
-    LawBuildError,
-    build_law,
-    law_expectation,
-    tail_deviation,
-)
+from nlstable.laws import LawBuildError, build_law, tail_deviation
+
+from conftest import law_expectation
 
 ALPHA = 1.5
 
@@ -19,6 +16,11 @@ ALPHA = 1.5
 @pytest.fixture(scope="module")
 def law_sym():
     return build_law(KernelPair(1.0, 1.0), ALPHA, 1.0, 2.0)
+
+
+def tail_mass(law):
+    """Mass of the law beyond +-z0, from its cdf."""
+    return law.cdf(-law.z0) + 1.0 - law.cdf(law.z0)
 
 
 def quad_mean(law):
@@ -34,12 +36,12 @@ class TestBuild:
         assert abs(law_sym.tilt) < 1e-12
 
     def test_tail_mass_value(self, law_sym):
-        assert law_sym.tail_mass == pytest.approx(
+        assert tail_mass(law_sym) == pytest.approx(
             2.0 / (1.5 * 2.0 ** 1.5), rel=1e-14)   # ~0.4714
 
     def test_unit_mass(self, law_sym):
         interior, _ = quad(law_sym.density, -2.0, 2.0, limit=200)
-        assert interior + law_sym.tail_mass == pytest.approx(1.0, abs=1e-10)
+        assert interior + tail_mass(law_sym) == pytest.approx(1.0, abs=1e-10)
 
     def test_infeasible_asymmetric_tails_at_default_z0(self):
         # the (2,1) pair at z0=2 carries more net tail first moment than
@@ -99,7 +101,7 @@ class TestCdfAndBeta:
     def test_beta_interior_from_cdf_quadrature(self, law_sym):
         z = 1.0  # z0 / 2
         upper, _ = quad(law_sym.density, z, law_sym.z0, limit=200)
-        one_minus_f = upper + law_sym.tail_mass / 2.0
+        one_minus_f = upper + tail_mass(law_sym) / 2.0
         ref = one_minus_f * z ** ALPHA - 1.0 / ALPHA
         b2 = tail_deviation(law_sym, z)
         assert b2 == pytest.approx(ref, abs=1e-10)
@@ -143,7 +145,3 @@ class TestExpectation:
         val = law_expectation(np.abs, law_sym)
         assert val == pytest.approx(interior + tail, rel=1e-6)
         assert np.isfinite(val)
-
-    def test_growth_guard(self, law_sym):
-        with pytest.raises(ValueError, match="not\\s+integrable"):
-            law_expectation(lambda z: np.asarray(z) ** 2, law_sym)

@@ -87,9 +87,8 @@ def test_compare_reports_flags_instability(probe_run):
     bad = RegularityReport(**fields)
     with pytest.raises(RegularityError, match="dt_u_bound"):
         compare_reports(rep, bad)
-    # unchanged copy passes and returns the per-field comparison rows
-    rows = compare_reports(rep, rep)
-    assert len(rows) == 6
+    # an unchanged copy passes
+    compare_reports(rep, rep)
 
 
 def test_nonfinite_report_rejected():
