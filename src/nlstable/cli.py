@@ -85,6 +85,15 @@ def _solve_grid(cfg: ExperimentConfig, t_max: float,
                      z_max=cfg.z_max, safety=cfg.safety)
 
 
+def _one_psi(cfg: ExperimentConfig):
+    """The config's one test function, for the commands that take one."""
+    psis = cfg.psi_functions()
+    if len(psis) > 1:
+        raise ConfigError("psi", f"{len(psis)} test functions given; this "
+                          "command takes exactly one")
+    return psis[0]
+
+
 def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
     uset = cfg.uncertainty_set()
     summary = []
@@ -150,7 +159,7 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
 
 def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
     uset = cfg.uncertainty_set()
-    psi = cfg.psi_functions()[0]
+    psi = _one_psi(cfg)
     grid = _solve_grid(cfg, 1.0 + cfg.h)
     if cfg.mode == "condition_iii":
         coarse = _solve_grid(cfg, 1.0 + cfg.h, cfg.coarse_nx)
@@ -175,7 +184,7 @@ def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
 
 def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
     uset = cfg.uncertainty_set()
-    psi = cfg.psi_functions()[0]
+    psi = _one_psi(cfg)
     singleton = len(uset.pairs) == 1
     horizon = 1.0 + cfg.h
 

@@ -12,17 +12,27 @@ from dataclasses import MISSING, dataclass, asdict, fields as dc_fields
 
 import numpy as np
 
-from .kernels import KernelPair, UncertaintySet, Grid
+from .kernels import Grid, KernelPair, UncertaintySet, resolve_cutoffs
 from . import basket
 
 
-class ConfigError(ValueError):
-    """Validation failure; carries the offending module and field."""
+# the module of each field, as error messages name it; every other
+# field belongs to pide_solver
+_MODULES = {"alpha": "stable_kernel", "lam": "stable_kernel",
+            "Lam": "stable_kernel", "pairs": "stable_kernel",
+            "b_scale": "attracted_laws", "z0": "attracted_laws",
+            "dp_half_width": "sublinear_engine", "dp_dx": "sublinear_engine",
+            "n_values": "hypothesis_checker", "mode": "hypothesis_checker",
+            "psi": "experiment_cli", "config": "experiment_cli"}
 
-    def __init__(self, module: str, field_name: str, message: str):
-        self.module = module
-        self.field_name = field_name
-        super().__init__(f"[{module}.{field_name}] {message}")
+
+class ConfigError(ValueError):
+    """Validation failure, prefixed ``[module.field]`` for the config's
+    JSON key ``field`` (``config`` for the file as a whole)."""
+
+    def __init__(self, field: str, message: str):
+        module = _MODULES.get(field, "pide_solver")
+        super().__init__(f"[{module}.{field}] {message}")
 
 
 @dataclass(frozen=True)
@@ -49,78 +59,61 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if not (1.0 < self.alpha < 2.0):
-            raise ConfigError("stable_kernel", "alpha",
-                              f"{self.alpha} outside (1, 2)")
+            raise ConfigError("alpha", f"{self.alpha} outside (1, 2)")
         if not (0.0 < self.lam < self.Lam):
-            raise ConfigError("stable_kernel", "lambda",
-                              "need 0 < lambda < Lambda_cap")
+            raise ConfigError("lam", "need 0 < lambda < Lambda_cap")
         if not self.pairs:
-            raise ConfigError("stable_kernel", "pairs", "empty pair list")
+            raise ConfigError("pairs", "empty pair list")
         for km, kp in self.pairs:
             if not (self.lam < km < self.Lam and self.lam < kp < self.Lam):
-                raise ConfigError("stable_kernel", "pairs",
-                                  f"pair ({km}, {kp}) outside "
+                raise ConfigError("pairs", f"pair ({km}, {kp}) outside "
                                   f"({self.lam}, {self.Lam})")
         for name in ("b_scale", "z0"):
             if getattr(self, name) <= 0.0:
-                raise ConfigError("attracted_laws", name, "must be positive")
+                raise ConfigError(name, "must be positive")
         if not (0.0 < self.h < 1.0):
-            raise ConfigError("pide_solver", "h", "must lie in (0, 1)")
+            raise ConfigError("h", "must lie in (0, 1)")
         if self.nx < 5:
-            raise ConfigError("pide_solver", "nx", f"{self.nx} is below 5")
+            raise ConfigError("nx", f"{self.nx} is below 5")
         if self.x_min >= self.x_max:
-            raise ConfigError("pide_solver", "x_max",
-                              f"{self.x_max} is not above x_min = "
+            raise ConfigError("x_max", f"{self.x_max} is not above x_min = "
                               f"{self.x_min}")
         if self.nx % 2 == 0:
-            raise ConfigError("pide_solver", "nx",
-                              f"{self.nx} is even; the half-resolution grid "
-                              "is nested only for odd nx")
-        if self.r_cut is not None and not (0.0 < self.r_cut < 1.0):
-            raise ConfigError("pide_solver", "r_cut",
-                              f"{self.r_cut} outside (0, 1)")
-        # make_grid's default r_cut is one cell, and hypothesis and
-        # regularity also march the half-resolution grid, whose cells
-        # are the widest
-        coarse_dx = (self.x_max - self.x_min) / (self.coarse_nx - 1)
-        if self.r_cut is None and coarse_dx >= 1.0:
-            raise ConfigError("pide_solver", "nx",
-                              f"the default r_cut is one cell, and the "
+            raise ConfigError("nx", f"{self.nx} is even; the half-resolution "
+                              "grid is nested only for odd nx")
+        # hypothesis and regularity also march the half-resolution grid,
+        # whose cells are the widest
+        r_cut, z_max = resolve_cutoffs(self.x_min, self.x_max, self.coarse_nx,
+                                       self.r_cut, self.z_max)
+        if self.r_cut is not None and not (0.0 < r_cut < 1.0):
+            raise ConfigError("r_cut", f"{r_cut} outside (0, 1)")
+        if r_cut >= 1.0:
+            raise ConfigError("nx", f"the default r_cut is one cell, and the "
                               f"half-resolution grid of {self.coarse_nx} "
-                              f"nodes has cells of {coarse_dx:g} >= 1; "
+                              f"nodes has cells of {r_cut:g} >= 1; "
                               "raise nx or set r_cut")
-        # make_grid's default z_max is four grid widths
-        z_max = 4.0 * (self.x_max - self.x_min) if self.z_max is None \
-            else self.z_max
         if z_max <= 1.0:
-            raise ConfigError("pide_solver", "z_max",
-                              f"{z_max:g} is not above 1 (the default is "
-                              "four grid widths)")
+            raise ConfigError("z_max", f"{z_max:g} is not above 1 (the "
+                              "default is four grid widths)")
         if self.t_max <= 0.0:
-            raise ConfigError("pide_solver", "t_max", "must be positive")
+            raise ConfigError("t_max", "must be positive")
         if not (0.0 < self.safety <= 1.0):
-            raise ConfigError("pide_solver", "safety",
-                              f"{self.safety} outside (0, 1]")
+            raise ConfigError("safety", f"{self.safety} outside (0, 1]")
         for name in ("dp_half_width", "dp_dx"):
             if getattr(self, name) <= 0.0:
-                raise ConfigError("sublinear_engine", name,
-                                  "must be positive")
+                raise ConfigError(name, "must be positive")
         if not self.n_values or any(n < 1 for n in self.n_values) \
                 or list(self.n_values) != sorted(set(self.n_values)):
-            raise ConfigError("hypothesis_checker", "n_values",
-                              "need a nonempty, strictly increasing list "
-                              "of positive n")
+            raise ConfigError("n_values", "need a nonempty, strictly "
+                              "increasing list of positive n")
         if self.mode not in ("condition_iii", "example_41"):
-            raise ConfigError("hypothesis_checker", "mode",
-                              f"unknown mode {self.mode!r}")
+            raise ConfigError("mode", f"unknown mode {self.mode!r}")
         if not self.psi:
-            raise ConfigError("experiment_cli", "psi",
-                              "empty test-function list")
-        for spec in self.psi:
-            try:
-                basket.from_spec(dict(spec))
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ConfigError("experiment_cli", "psi", str(exc))
+            raise ConfigError("psi", "empty test-function list")
+        try:
+            self.psi_functions()
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError("psi", str(exc))
 
     # -- structured accessors -------------------------------------------
     @property
@@ -142,22 +135,6 @@ class ExperimentConfig:
         half = int(np.ceil(self.dp_half_width / self.dp_dx))
         return Grid(-half * self.dp_dx, half * self.dp_dx, 2 * half + 1,
                     1.0, 1, 0.5, 4.0)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["pairs"] = [list(p) for p in cfg.pairs]
-    d["psi"] = [dict(s) for s in cfg.psi]
-    d["n_values"] = list(cfg.n_values)
-    return d
-
-
-_MODULES = {"alpha": "stable_kernel", "lam": "stable_kernel",
-            "Lam": "stable_kernel", "pairs": "stable_kernel",
-            "b_scale": "attracted_laws", "z0": "attracted_laws",
-            "dp_half_width": "sublinear_engine", "dp_dx": "sublinear_engine",
-            "n_values": "hypothesis_checker", "mode": "hypothesis_checker",
-            "psi": "experiment_cli"}  # every other field: pide_solver
 
 
 def _is_int(v) -> bool:
@@ -199,30 +176,27 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """The config of a parsed JSON object; a missing required field or
     a value of the wrong type raises ConfigError naming the field."""
     if not isinstance(d, dict):
-        raise ConfigError("experiment_cli", "config",
-                          f"top level must be an object, not "
+        raise ConfigError("config", f"top level must be an object, not "
                           f"{type(d).__name__}")
     fields = {f.name: f for f in dc_fields(ExperimentConfig)}
     unknown = set(d) - set(fields)
     if unknown:
-        raise ConfigError("experiment_cli", "config",
-                          f"unknown fields {sorted(unknown)}")
+        raise ConfigError("config", f"unknown fields {sorted(unknown)}")
     kw = {}
     for name, f in fields.items():
-        module = _MODULES.get(name, "pide_solver")
         if name not in d:
             if f.default is MISSING:
-                raise ConfigError(module, name, "missing")
+                raise ConfigError(name, "missing")
             continue
         what, ok, store = _KINDS[f.type]
         if not ok(d[name]):
-            raise ConfigError(module, name, f"{d[name]!r} is not {what}")
+            raise ConfigError(name, f"{d[name]!r} is not {what}")
         kw[name] = store(d[name])
     return ExperimentConfig(**kw)
 
 
 def dumps(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def load(path: str) -> ExperimentConfig:
@@ -230,8 +204,7 @@ def load(path: str) -> ExperimentConfig:
         try:
             data = json.load(fh)
         except ValueError as exc:  # also a file that is not UTF-8
-            raise ConfigError("experiment_cli", "config",
-                              f"not valid JSON: {exc}")
+            raise ConfigError("config", f"not valid JSON: {exc}")
     cfg = config_from_dict(data)
     cfg.validate()
     return cfg

@@ -136,7 +136,8 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
         need = grid.x_max * (escaped / ESCAPE_TOL) ** (1.0 / spec.alpha)
         raise NarrowGridError(
             f"accumulated off-grid quadrature mass {escaped:.2e} exceeds "
-            f"{ESCAPE_TOL:.0e}; widen the grid to roughly +-{need:.0f}")
+            f"{ESCAPE_TOL:.0e}; widen the grid to roughly +-{need:.0f} "
+            "(sublinear_engine.dp_half_width)")
     for _ in range(spec.n):
         w = apply_max(kernels, w)
     mid = grid.nx // 2

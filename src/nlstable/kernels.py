@@ -133,6 +133,17 @@ class Grid:
         return x
 
 
+def resolve_cutoffs(x_min: float, x_max: float, nx: int, r_cut: float | None,
+                    z_max: float | None) -> tuple[float, float]:
+    """(r_cut, z_max) of the nx-node grid on [x_min, x_max], each given
+    or, if None, its default: one cell, and four grid widths."""
+    if r_cut is None:
+        r_cut = (x_max - x_min) / (nx - 1)
+    if z_max is None:
+        z_max = 4.0 * (x_max - x_min)
+    return r_cut, z_max
+
+
 @dataclass
 class Surface:
     """Solution field u(t_i, x_j) on a grid; row 0 is time ``t0``."""

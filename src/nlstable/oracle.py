@@ -129,16 +129,14 @@ def _inverted_table(ce: CharExponent, t_time: float,
         raise OracleError("inversion produced negative density beyond ripple "
                           "threshold; widen the frequency window")
     side = t_time / ce.alpha * cut ** (-ce.alpha)
-    return _DensityTable(x=x, f=f, tail_lo=ce.pair.k_minus * side,
-                         tail_hi=ce.pair.k_plus * side)
-
-
-def _mass_check(tab: _DensityTable) -> None:
-    mass = float(np.trapezoid(tab.f, tab.x)) + tab.tail_lo + tab.tail_hi
+    tail_lo, tail_hi = ce.pair.k_minus * side, ce.pair.k_plus * side
+    # checked once per cached table; lru_cache keeps no raised error
+    mass = float(np.trapezoid(f, x)) + tail_lo + tail_hi
     if abs(mass - 1.0) > MASS_TOL:
         raise OracleError(
             f"density mass {mass:.8f} deviates from 1 by more than "
             f"{MASS_TOL}; use a wider spatial window")
+    return _DensityTable(x=x, f=f, tail_lo=tail_lo, tail_hi=tail_hi)
 
 
 def classical_expectation(psi, ce: CharExponent, t_time: float,
@@ -151,7 +149,6 @@ def classical_expectation(psi, ce: CharExponent, t_time: float,
     if t_time <= 0.0:
         raise ValueError("t_time must be positive")
     tab = _density_table(ce, t_time, max(abs(x_shift) + 1.0, 40.0))
-    _mass_check(tab)
     vals = np.asarray(psi(x_shift + tab.x), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi produced non-finite values")

@@ -67,8 +67,6 @@ def probe(surface: Surface, h: float,
         diff = np.abs(vals[sep:, mid] - vals[:-sep, mid])
         holder = max(holder, float(np.max(diff)) / np.sqrt(sep * g.dt))
         sep *= 2
-    if np.max(np.abs(np.diff(vals[:, mid], axis=0))) == 0.0:
-        holder = 0.0
 
     inner = (times >= surface.t0 + h - 1e-12)
     if not np.any(inner[1:]):

@@ -27,6 +27,7 @@ from .kernels import (
     UncertaintySet,
     apply_sup_generator_row,
     middle_half,
+    resolve_cutoffs,
     scheme_stability_constant,
 )
 
@@ -65,11 +66,7 @@ def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
               uset: UncertaintySet, r_cut: float | None = None,
               z_max: float | None = None, safety: float = 0.5) -> Grid:
     """Build a grid whose nt satisfies the CFL bound with a safety factor."""
-    dx = (x_max - x_min) / (nx - 1)
-    if r_cut is None:
-        r_cut = dx
-    if z_max is None:
-        z_max = 4.0 * (x_max - x_min)
+    r_cut, z_max = resolve_cutoffs(x_min, x_max, nx, r_cut, z_max)
     probe = Grid(x_min, x_max, nx, t_max, 1, r_cut, z_max)
     c = scheme_stability_constant(probe, uset)
     nt = max(1, int(np.ceil(t_max * c / safety)))

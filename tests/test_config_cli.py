@@ -1,9 +1,12 @@
 """Config round-trips and the four CLI subcommands."""
 
+import ast
+import dataclasses
 import json
 import math
 import os
 import pathlib
+import re
 import stat
 
 import numpy as np
@@ -121,6 +124,9 @@ def setting(**fields):
     pytest.param(setting(dp_half_width=0.0), "sublinear_engine.dp_half_width",
                  id="dp_half_width-0"),
     pytest.param(setting(dp_dx=0.0), "sublinear_engine.dp_dx", id="dp_dx-0"),
+    # the message names the JSON key, not the symbol
+    pytest.param(setting(lam=3.0), "[stable_kernel.lam]",
+                 id="lam-not-below-Lam"),
 ])
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     d = json.loads(config_mod.dumps(base_config()))
@@ -129,6 +135,64 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     assert cli.main(["hypothesis", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name,psi", [
+    pytest.param("hypothesis", "hypothesis_example_41",
+                 [{"name": "gaussian_bump"}, {"name": "sigmoid"}],
+                 id="hypothesis"),
+    pytest.param("regularity", "regularity_clipped_linear",
+                 [{"name": "abs_clip", "clip": 3.0}, {"name": "sigmoid"}],
+                 id="regularity"),
+])
+def test_single_psi_command_rejects_two(tmp_path, capsys, command, name,
+                                        psi):
+    """hypothesis and regularity measure one test function; a second
+    one exits 2 before anything is written, instead of being dropped."""
+    d = json.loads((CONFIGS / f"{name}.json").read_text())
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({**d, "nx": 201, "psi": psi}))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "[experiment_cli.psi]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every module a config field belongs to, as ConfigError names it
+FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+MODULES = {str(ConfigError(name, ""))[1:].split(".")[0] for name in FIELDS}
+FIELD_REF = re.compile(r"\b(" + "|".join(sorted(MODULES)) + r")\.(\w+)")
+
+
+def field_refs(tree: ast.Module) -> list[re.Match]:
+    """The ``module.field`` references in the string constants of tree,
+    f-string parts included."""
+    return [ref for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for ref in FIELD_REF.finditer(node.value)]
+
+
+def misnamed(refs: list[re.Match]) -> list[str]:
+    """The references whose field is no config field or belongs to
+    another module."""
+    return [ref.group(0) for ref in refs if ref.group(2) not in FIELDS
+            or f"[{ref.group(0)}]" not in str(ConfigError(ref.group(2), ""))]
+
+
+def test_messages_name_config_fields():
+    """A message that tells the user which knob to turn names it as
+    ConfigError would."""
+    refs = [ref for p in sorted((REPO / "src" / "nlstable").glob("*.py"))
+            for ref in field_refs(ast.parse(p.read_text()))]
+    assert refs
+    assert misnamed(refs) == []
+
+
+def test_detects_a_misnamed_field():
+    tree = ast.parse('x = "lower pide_solver.safety or stable_kernel.lambda"\n'
+                     'y = f"{x}: raise sublinear_engine.nx or pide_solver.dx"\n')
+    assert misnamed(field_refs(tree)) == [
+        "stable_kernel.lambda", "sublinear_engine.nx", "pide_solver.dx"]
 
 
 def test_default_r_cut_accepted_at_nx_83():
@@ -251,7 +315,9 @@ class TestCli:
                           n_values=(16,), dp_half_width=20.0, dp_dx=0.1)
         assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 3
-        assert "widen the grid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "widen the grid" in err
+        assert "sublinear_engine.dp_half_width" in err
 
     def test_clt_constant_psi_zero_errors(self, tmp_path):
         cfg = base_config(lam=0.05, Lam=0.15, pairs=((0.1, 0.1),), nx=201,

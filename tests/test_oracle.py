@@ -197,3 +197,14 @@ class TestExpectation:
     def test_rejects_nonpositive_time(self, ce_sym):
         with pytest.raises(ValueError):
             classical_expectation(gaussian, ce_sym, 0.0)
+
+    def test_failed_mass_check_raises_on_every_call(self, ce_sym,
+                                                    monkeypatch):
+        """The mass check runs where the cached table is built, and a
+        table that fails it is not cached."""
+        oracle._inverted_table.cache_clear()
+        monkeypatch.setattr(oracle, "MASS_TOL", -1.0)
+        for _ in range(2):
+            with pytest.raises(oracle.OracleError, match="density mass"):
+                classical_expectation(gaussian, ce_sym, 1.0)
+        assert oracle._inverted_table.cache_info().currsize == 0
