@@ -24,6 +24,11 @@ class TestFunction:
     def __call__(self, x):
         return self.fn(x)
 
+    @property
+    def tag(self) -> str:
+        """File-name tag: the name and the parameters."""
+        return f"{self.name}_" + "_".join(f"{p:g}" for p in self.params)
+
 
 def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
     if width <= 0.0:
@@ -84,8 +89,10 @@ def from_spec(spec: dict) -> TestFunction:
     if kind not in _BUILDERS:
         raise ValueError(f"unknown test function {kind!r}; "
                          f"choose from {sorted(_BUILDERS)}")
-    kwargs = {k: float(v) for k, v in spec.items() if k != "name"}
+    kwargs = {k: v for k, v in spec.items() if k != "name"}
     for k, v in kwargs.items():
-        if not np.isfinite(v):
+        if isinstance(v, (bool, str)):  # float() would take both
+            raise ValueError(f"{kind} parameter {k} = {v!r} is not a number")
+        if not np.isfinite(float(v)):
             raise ValueError(f"{kind} parameter {k} = {v} is not finite")
-    return _BUILDERS[kind](**kwargs)
+    return _BUILDERS[kind](**{k: float(v) for k, v in kwargs.items()})

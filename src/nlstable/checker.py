@@ -52,12 +52,12 @@ class ResidualTable:
             raise ValueError("residuals must be nonnegative")
 
 
-def _sampled_rows(v: Surface, t_hi: float = 1.0):
-    """Row indices covering [0, t_hi] subsampled to about _T_SAMPLES."""
-    g = v.grid
-    i_hi = int(np.floor((t_hi - v.t0) / g.dt + 1e-9))
+def _sampled_rows(v: Surface) -> list[int]:
+    """Row indices covering [0, 1] subsampled to about _T_SAMPLES, always
+    with the last row at or before t = 1, where residuals peak."""
+    i_hi = int(np.floor((1.0 - v.t0) / v.grid.dt + 1e-9))
     stride = max(1, i_hi // (_T_SAMPLES - 1))
-    return range(0, i_hi + 1, stride)
+    return [*range(0, i_hi, stride), i_hi]
 
 
 def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,

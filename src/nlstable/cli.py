@@ -71,11 +71,6 @@ def table_to_csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tag(psi) -> str:
-    """File-name tag of a test function: its name and parameters."""
-    return f"{psi.name}_" + "_".join(f"{p:g}" for p in psi.params)
-
-
 def _solve_grid(cfg: ExperimentConfig, t_max: float,
                 nx: int | None = None) -> Grid:
     """The config's march grid, at ``nx`` nodes in place of cfg.nx if
@@ -101,7 +96,7 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
         grid = _solve_grid(cfg, cfg.t_max)
         prob = TerminalProblem(psi, psi.lip, psi.sup, cfg.t_max)
         surface = solve_forward(prob, grid, uset)
-        tag = _tag(psi)
+        tag = psi.tag
         write_atomic(os.path.join(out, f"surface_{tag}.csv"),
                      surface_to_csv(surface))
 
@@ -143,7 +138,7 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
         pide_value = evaluate(solve_forward(prob, grid, uset), 1.0, 0.0)
         rows = convergence_table(psi, family, cfg.n_values,
                                  cfg.dp_grid(), pide_value)
-        tag = _tag(psi)
+        tag = psi.tag
         write_atomic(os.path.join(out, f"convergence_{tag}.csv"),
                      table_to_csv("n,B_n,nested_value,pide_value,abs_error",
                                   rows))
@@ -232,8 +227,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = config_mod.load(args.config)
+        if args.command in ("hypothesis", "regularity"):
+            _one_psi(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"--out error: {exc}", file=sys.stderr)
         return 2
     try:
         for line in _COMMANDS[args.command](cfg, args.out):

@@ -111,9 +111,13 @@ class ExperimentConfig:
         if not self.psi:
             raise ConfigError("psi", "empty test-function list")
         try:
-            self.psi_functions()
+            tags = [psi.tag for psi in self.psi_functions()]
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError("psi", str(exc))
+        for tag in tags:
+            if tags.count(tag) > 1:
+                raise ConfigError("psi", f"two test functions share the "
+                                  f"file tag {tag!r}")
 
     # -- structured accessors -------------------------------------------
     @property

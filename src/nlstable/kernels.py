@@ -249,24 +249,19 @@ def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int,
 
 
 @lru_cache(maxsize=None)
-def _smooth_lengths(bits: int, real: bool) -> tuple[int, ...]:
-    """Sorted products of the fast radices up to 2**bits."""
+def _smooth_lengths(bits: int) -> tuple[int, ...]:
+    """Sorted products of the fast radices 2, 3, 5 up to 2**bits."""
     lengths = [1]
-    for p in (2, 3, 5) if real else (2, 3, 5, 7, 11):
-        grown = []
-        for m in lengths:
-            while m <= 1 << bits:
-                grown.append(m)
-                m *= p
-        lengths = grown
+    for p in (2, 3, 5):
+        lengths = [m * p**e for m in lengths for e in range(bits + 1)
+                   if m * p**e <= 1 << bits]
     return tuple(sorted(lengths))
 
 
-def next_fast_len(n: int, real: bool) -> int:
-    """Smallest length >= n (n >= 1) whose prime factors are at most 5
-    for a real transform or at most 11 for a complex one: the lengths
-    at which pocketfft, behind ``numpy.fft``, runs its fast radices."""
-    lengths = _smooth_lengths(n.bit_length(), real)
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth length >= n (n >= 1): pocketfft, behind
+    ``numpy.fft``, runs its fast radices at these lengths."""
+    lengths = _smooth_lengths(n.bit_length())
     return lengths[bisect_left(lengths, n)]
 
 
@@ -315,7 +310,7 @@ def shift_kernel(taps: np.ndarray) -> ShiftKernel:
     lo[:half] += np.cumsum(core[:half])[::-1]
     hi = np.full(nx, edge_hi)
     hi[1:] += np.cumsum(core[:half:-1])
-    n_fft = next_fast_len(2 * half + 1, real=True)
+    n_fft = next_fast_len(2 * half + 1)
     return ShiftKernel(core, half, edge_lo, edge_hi, n_fft,
                        rfft(core[::-1], n_fft), lo, hi)
 

@@ -1,9 +1,13 @@
 """Attraction-condition residuals and the classical bound groups."""
 
+import pathlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from nlstable.cli import table_to_csv
+from nlstable import config as config_mod
+from nlstable.cli import _solve_grid, table_to_csv
 from nlstable.kernels import KernelPair, Surface, UncertaintySet, band_bins
 from nlstable.laws import AttractedLaw, beta2_prime, build_law, tail_deviation
 from nlstable.engine import LawFamily, NormalizedSumSpec
@@ -21,6 +25,7 @@ from conftest import gaussian, singleton_set
 
 ALPHA = 1.5
 H = 0.25
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def delta_increment(v: Surface, t: float, x: float, y: float) -> float:
@@ -138,6 +143,31 @@ class TestConditionIII:
         grids = fine_and_coarse(uset, t_max=0.5)
         with pytest.raises(ValueError, match="horizon"):
             check_condition_iii(family, uset, gaussian, H, (4, 8), *grids)
+
+    @pytest.mark.parametrize("alpha,z0", [(1.25, 4.0), (1.75, 2.0)])
+    def test_rate_matches_theory_across_alpha(self, alpha, z0):
+        """The fitted rate is within 0.05 of 1 - 2/alpha away from the
+        bundled alpha = 1.5 (z0 = 4 keeps the alpha = 1.25 law's
+        interior density positive)."""
+        uset = singleton_set(alpha=alpha)
+        family = LawFamily((build_law(uset.pairs[0], alpha, 1.0, z0),), uset)
+        table = check_condition_iii(family, uset, gaussian, H,
+                                    (16, 32, 64, 128, 256),
+                                    *fine_and_coarse(uset, nx=801))
+        assert all(table.kept)
+        assert abs(table.fitted_rate - (1.0 - 2.0 / alpha)) <= 0.05
+
+    @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+    def test_sampled_rows_reach_t_one(self, coarse):
+        """Both grids of the bundled condition-(iii) config (1601 and 801
+        nodes) sample their last row at or before t = 1, where the
+        residual peaks."""
+        cfg = config_mod.load(str(CONFIGS / "hypothesis_condition_iii.json"))
+        g = _solve_grid(cfg, 1.0 + cfg.h, cfg.coarse_nx if coarse else None)
+        t0 = 1.0 + cfg.h - g.t_max
+        rows = _sampled_rows(SimpleNamespace(grid=g, t0=t0))
+        assert g.nx == (801 if coarse else 1601)
+        assert 1.0 - g.dt < t0 + rows[-1] * g.dt <= 1.0 + 1e-12
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="increasing"):

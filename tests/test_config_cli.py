@@ -111,6 +111,11 @@ def setting(**fields):
     pytest.param(setting(n_values=[]), "hypothesis_checker.n_values",
                  id="n-empty"),
     pytest.param(setting(psi=[]), "experiment_cli.psi", id="psi-empty"),
+    # float() would read these as 1.0 and 2.0
+    pytest.param(setting(psi=[{"name": "sigmoid", "clip": True}]),
+                 "experiment_cli.psi", id="psi-bool-clip"),
+    pytest.param(setting(psi=[{"name": "gaussian_bump", "width": "2"}]),
+                 "experiment_cli.psi", id="psi-string-width"),
     # one field named per message; the brackets close the field name,
     # which "b_scale/z0" would not
     pytest.param(setting(b_scale=0.0), "[attracted_laws.b_scale]",
@@ -155,6 +160,22 @@ def test_single_psi_command_rejects_two(tmp_path, capsys, command, name,
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     assert "[experiment_cli.psi]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "clt"])
+def test_psi_sharing_a_file_tag_exits_2(tmp_path, capsys, command):
+    """Two sigmoid centres that print alike under {:g} would write one
+    output file for two summary lines."""
+    d = json.loads(config_mod.dumps(base_config()))
+    d["psi"] = [{"name": "sigmoid", "center": 1.0},
+                {"name": "sigmoid", "center": 1.0000001}]
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[experiment_cli.psi]" in err and "sigmoid_1_1_50" in err
     assert not out.exists()
 
 
@@ -304,6 +325,20 @@ class TestCli:
         with pytest.raises(RuntimeError, match="interrupted"):
             cli.write_atomic(str(tmp_path / "out.csv"), failing())
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under-file"])
+    def test_unusable_out_exits_2_before_marching(self, tmp_path, capsys,
+                                                  monkeypatch, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "solve_forward",
+                            lambda *a: pytest.fail("marched"))
+        out = blocker / "o" if under else blocker
+        assert cli.main(["solve", "--config",
+                         write_config(tmp_path, base_config()),
+                         "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),

@@ -1,5 +1,7 @@
 """Jump-kernel primitives and the discrete nonlocal generator."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -134,11 +136,12 @@ class TestShiftKernel:
 SHIPPED_ROWS = [(801, 1620), (1601, 3240), (3201, 6480), (51201, 103680)]
 
 
-@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("real", [True])
 def test_next_fast_len_matches_scipy(real):
-    """Every length up to 2**17, which covers every shipped transform."""
+    """Every length up to 2**17, which covers every shipped transform;
+    every transform uses scipy's rule for real input."""
     n = range(1, 2**17 + 1)
-    assert [next_fast_len(m, real) for m in n] \
+    assert [next_fast_len(m) for m in n] \
         == [scipy.fft.next_fast_len(m, real=real) for m in n]
 
 
@@ -154,7 +157,8 @@ def test_apply_max_matches_scipy_fft(nx, n_fft, monkeypatch):
     got = apply_max(built, u)
     monkeypatch.setattr(kernels, "rfft", scipy.fft.rfft)
     monkeypatch.setattr(kernels, "irfft", scipy.fft.irfft)
-    monkeypatch.setattr(kernels, "next_fast_len", scipy.fft.next_fast_len)
+    monkeypatch.setattr(kernels, "next_fast_len",
+                        partial(scipy.fft.next_fast_len, real=True))
     ref = apply_max([shift_kernel(t) for t in taps], u)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 

@@ -8,7 +8,7 @@ from scipy.signal import fftconvolve
 from scipy.special import gamma
 
 from nlstable import oracle
-from nlstable.kernels import KernelPair
+from nlstable.kernels import KernelPair, next_fast_len
 from nlstable.oracle import (
     CharExponent,
     classical_expectation,
@@ -72,58 +72,71 @@ class TestCharExponent:
         assert ce_asym.decay_rate > 0.0
 
 
-def dense_invert(ce, t_time, x):
+def dense_invert(ce, t_time, n, dx):
     """Reference: the trapezoid sum over xi > 0 as dense cos/sin blocks
-    at arbitrary points x (the direct evaluation the chirp-z path
-    replaced)."""
+    at x_k = k*dx, |k| <= n, on the inversion's frequency grid (the
+    direct evaluation the one-FFT path replaces)."""
     c = t_time * ce.decay_rate
     xi_max = (27.7 / c) ** (1.0 / ce.alpha)
-    span = max(np.max(np.abs(x)), 1.0)
-    d_xi = min(0.02, np.pi / (4.0 * span))
-    n_xi = int(np.ceil(xi_max / d_xi)) + 1
-    xi = np.linspace(0.0, xi_max, n_xi)
+    period = max(8.0 * max(n * dx, 1.0), 100.0 * np.pi)
+    d_xi = 2.0 * np.pi / (next_fast_len(int(np.ceil(period / dx))) * dx)
+    xi = d_xi * np.arange(int(np.ceil(xi_max / d_xi)) + 1)
     phi = np.exp(t_time * _log_phi_grid(ce, xi))
     phi[0] *= 0.5
     phi[-1] *= 0.5
+    x = dx * np.arange(-n, n + 1)
     out = np.empty(len(x))
     block = 4096
     for lo in range(0, len(x), block):
         xs = x[lo:lo + block]
         out[lo:lo + block] = (np.cos(np.outer(xs, xi)) @ phi.real
                               + np.sin(np.outer(xs, xi)) @ phi.imag)
-    return out * (xi[1] - xi[0]) / np.pi
+    return out * d_xi / np.pi
 
 
 @pytest.mark.parametrize("cut", [40.0, 120.0])
 @pytest.mark.parametrize("t_time", [0.5, 1.0, 2.0])
 def test_chirp_z_matches_dense_sum(ce_sym, ce_asym, cut, t_time):
+    """The one-FFT inversion (which replaced a chirp-z transform under
+    this test's name) against the dense sum on the same frequencies."""
     dx = 0.05
     n = int(np.ceil(cut / dx))
-    x = np.linspace(-n * dx, n * dx, 2 * n + 1)
     for ce in (ce_sym, ce_asym):
-        ref = dense_invert(ce, t_time, x)
+        ref = dense_invert(ce, t_time, n, dx)
         got = _invert(ce, t_time, n, dx)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("pair,n_fft", [((1.0, 1.0), 18144),
-                                        ((2.0, 1.0), 17600)])
+def test_invert_folds_frequencies_past_one_period():
+    """A small alpha and intensity puts xi_max past 2 pi/dx, so phi
+    wraps around the FFT length more than once; the fold keeps the sum
+    equal to the dense one."""
+    ce = CharExponent(KernelPair(0.3, 0.3), 1.1)
+    n, dx = 40, 0.5
+    xi_max = (27.7 / ce.decay_rate) ** (1.0 / ce.alpha)
+    assert xi_max > 2.0 * np.pi / dx
+    ref = dense_invert(ce, 1.0, n, dx)
+    got = _invert(ce, 1.0, n, dx)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pair,n_fft", [((1.0, 1.0), 64000),
+                                        ((2.0, 1.0), 64000)])
 def test_invert_matches_scipy_fft(pair, n_fft, monkeypatch):
     """numpy.fft against the same inversion with scipy.fft, at the
-    table size and transform lengths of the bundled solve configs."""
+    table size and transform length of the bundled solve configs."""
     ce = CharExponent(KernelPair(*pair), ALPHA)
     own, lengths = oracle.next_fast_len, []
 
-    def fast_len(n, real):
-        lengths.append(own(n, real))
+    def fast_len(n):
+        lengths.append(own(n))
         return lengths[-1]
 
     monkeypatch.setattr(oracle, "next_fast_len", fast_len)
     got = _invert(ce, 1.0, 8000, 0.05)
     monkeypatch.setattr(oracle, "next_fast_len", scipy.fft.next_fast_len)
     monkeypatch.setattr(oracle, "fft", scipy.fft.fft)
-    monkeypatch.setattr(oracle, "ifft", scipy.fft.ifft)
     ref = _invert(ce, 1.0, 8000, 0.05)
     assert lengths == [n_fft]
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
