@@ -18,6 +18,9 @@ n^(1 - 2/alpha) signal.  For each n every pair and every law becomes one
 its quadrature nodes, the compensator -v'(x) * (first moment) and the
 Taylor terms for jumps under one grid cell, so each sampled row costs
 one ``apply_max`` per side.
+
+The checker marches nothing: it reads v(t) = u(T - t) as the rows, in
+reverse, of forward surfaces u that the caller marched to T >= 1.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (Grid, Surface, UncertaintySet, apply_max, band_bins,
-                      jump_kernel, middle_half, tail_nodes)
+from .kernels import (Grid, Surface, apply_max, band_bins, jump_kernel,
+                      middle_half, tail_nodes)
 from .laws import AttractedLaw, beta2_prime, law_nodes, tail_deviation
 from .engine import LawFamily, NormalizedSumSpec
-from .solver import TerminalProblem, evaluate_row, solve_backward
+from .solver import evaluate_row
 
 _T_SAMPLES = 33    # rows sampled from [0, 1] for the (t, x) maximum
 _TAIL_NB = 192
@@ -52,17 +55,23 @@ class ResidualTable:
             raise ValueError("residuals must be nonnegative")
 
 
-def _sampled_rows(v: Surface) -> list[int]:
+def _sampled_rows(g: Grid) -> list[int]:
     """Row indices covering [0, 1] subsampled to about _T_SAMPLES, always
     with the last row at or before t = 1, where residuals peak."""
-    i_hi = int(np.floor((1.0 - v.t0) / v.grid.dt + 1e-9))
+    i_hi = int(np.floor(1.0 / g.dt + 1e-9))
     stride = max(1, i_hi // (_T_SAMPLES - 1))
     return [*range(0, i_hi, stride), i_hi]
 
 
-def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
-                            v: Surface, n: int) -> float:
-    g = v.grid
+def _reversed(u: Surface) -> Surface:
+    """v(t) = u(t_max - t), as a view of u's rows."""
+    return Surface(u.grid, u.values[::-1])
+
+
+def _condition_iii_residual(family: LawFamily, rows, g: Grid,
+                            n: int) -> float:
+    """The residual maximized over the given rows of v on grid g."""
+    uset = family.source_set
     alpha = uset.alpha
     z0 = family.laws[0].z0
     spec = NormalizedSumSpec(n, family.b_scale, alpha)
@@ -112,10 +121,10 @@ def _condition_iii_residual(family: LawFamily, uset: UncertaintySet,
             float(np.sum(wt * st**3)) / 6.0, g))
 
     worst = 0.0
-    for i in _sampled_rows(v):
-        row = v.values[i] - v.values[i, 0]
-        resid = np.abs(apply_max(law_kernels, row)
-                       - apply_max(pair_kernels, row))[mid]
+    for row in rows:
+        d = row - row[0]
+        resid = np.abs(apply_max(law_kernels, d)
+                       - apply_max(pair_kernels, d))[mid]
         worst = max(worst, float(np.max(resid)))
     return worst
 
@@ -130,43 +139,44 @@ def fit_rate(n_values, residuals, kept):
     return float(np.polyfit(np.log(ns), np.log(rs), 1)[0])
 
 
-def check_condition_iii(family: LawFamily, uset: UncertaintySet, psi,
-                        h: float, n_values, grid: Grid,
-                        coarse: Grid) -> ResidualTable:
+def check_condition_iii(family: LawFamily, u: Surface, u_coarse: Surface,
+                        n_values) -> ResidualTable:
     """Residual table for the attraction condition over the given n.
 
-    Solves the terminal-value equation with horizon 1 + h on ``grid``
-    and on ``coarse``, a lower-resolution grid built with the same
-    settings; the per-n difference between the two measurements is
+    ``u`` and ``u_coarse`` are forward surfaces of one psi to one
+    horizon of at least 1, the second on a lower-resolution grid built
+    with the same settings.  The per-n difference between the residual
+    on u's sampled rows and on u_coarse interpolated at their times is
     reported as the discretization floor, and points within 3x the
     floor are dropped from the rate fit.
     """
-    if min(grid.t_max, coarse.t_max) < 1.0 + h - 1e-12:
-        raise ValueError("grid horizon must cover 1 + h")
-    prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h)
-    v = solve_backward(prob, grid, uset)
-    v2 = solve_backward(prob, coarse, uset)
+    if min(u.grid.t_max, u_coarse.grid.t_max) < 1.0 - 1e-12:
+        raise ValueError("surface horizon must reach t = 1")
+    v, v2 = _reversed(u), _reversed(u_coarse)
+    idx = _sampled_rows(v.grid)
+    rows = [v.values[i] for i in idx]
+    rows2 = [evaluate_row(v2, i * v.grid.dt) for i in idx]
+    m1 = _m1_bound(rows, v.grid)
 
     n_values = sorted(int(n) for n in n_values)
     residuals, floors, diags = [], [], []
     for n in n_values:
-        r = _condition_iii_residual(family, uset, v, n)
-        r2 = _condition_iii_residual(family, uset, v2, n)
+        r = _condition_iii_residual(family, rows, v.grid, n)
+        r2 = _condition_iii_residual(family, rows2, v2.grid, n)
         residuals.append(r)
         floors.append(abs(r - r2))
-        diags.append(classical_term_bounds(family.laws[0], v, n))
+        diags.append(classical_term_bounds(family.laws[0], m1, n))
     kept = [r > 3.0 * f for r, f in zip(residuals, floors)]
     rate = fit_rate(n_values, residuals, kept)
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
                          tuple(diags), tuple(floors), tuple(kept))
 
 
-def _m1_bound(v: Surface) -> float:
-    g = v.grid
+def _m1_bound(rows, g: Grid) -> float:
+    """Largest |v|, |v_x| and |v_xx| over the rows, on the middle half."""
     mid = middle_half(g.nx)
     m1 = 0.0
-    for i in _sampled_rows(v):
-        row = v.values[i]
+    for row in rows:
         vxx = np.zeros_like(row)
         vxx[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / g.dx**2
         m1 = max(m1, float(np.max(np.abs(row[mid]))),
@@ -175,9 +185,10 @@ def _m1_bound(v: Surface) -> float:
     return m1
 
 
-def classical_term_bounds(law: AttractedLaw, v: Surface,
+def classical_term_bounds(law: AttractedLaw, m1: float,
                           n: int) -> tuple[float, float, float, float]:
-    """The four positive-side bound-group values at this n.
+    """The four positive-side bound-group values at this n, given m1, the
+    bound on |v|, |v_x| and |v_xx| (``_m1_bound``).
 
     Group 1 covers jumps z > 1, group 2 the near field z < B_n, and
     groups 3 and 4 the midrange; group 2 carries the explicit
@@ -187,7 +198,6 @@ def classical_term_bounds(law: AttractedLaw, v: Surface,
     alpha = law.alpha
     spec = NormalizedSumSpec(n, law.b_scale, alpha)
     b_n = spec.B_n
-    m1 = _m1_bound(v)
     decay = law.b_scale ** (alpha - 2.0) * float(n) ** (1.0 - 2.0 / alpha)
 
     zq = np.geomspace(1e-10, 1.0, 4001)
@@ -213,28 +223,26 @@ def classical_term_bounds(law: AttractedLaw, v: Surface,
     return (g1, g2, g3, g4)
 
 
-def example_41_check(uset: UncertaintySet, psi, h: float, n_values,
-                     grid: Grid) -> ResidualTable:
+def example_41_check(u: Surface, n_values) -> ResidualTable:
     """Self-attraction residual: how well one 1/n time step of the
     terminal-value surface matches its own time derivative,
 
         r_n = max n * | v(t - 1/n, x) - v(t, x) + (1/n) dv/dt(t, x) |,
 
-    maximized over sampled t in [1/n, 1] and the middle half in x.
-    The fitted rate is reported; theory guarantees some negative rate
-    without naming its value."""
-    prob = TerminalProblem(psi, 1.0, 1.0, 1.0 + h)
-    v = solve_backward(prob, grid, uset)
-    g = grid
+    maximized over sampled t in [1/n, 1] and the middle half in x, with v
+    read off u in reverse.  The fitted rate is reported; theory
+    guarantees some negative rate without naming its value."""
+    v = _reversed(u)
+    g = v.grid
     mid = middle_half(g.nx)
     n_values = sorted(int(n) for n in n_values)
     residuals = []
     for n in n_values:
         step = 1.0 / n
         worst = 0.0
-        for i in _sampled_rows(v):
-            t = v.t0 + i * g.dt
-            if t - step < v.t0 - 1e-12 or i == 0:
+        for i in _sampled_rows(g):
+            t = i * g.dt
+            if t - step < -1e-12 or i == 0:
                 continue
             row = v.values[i]
             dv_dt = (row - v.values[i - 1]) / g.dt

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config as config_mod
 from .config import ConfigError, ExperimentConfig
-from .kernels import Grid
+from .kernels import Surface
 from .laws import build_law, LawBuildError
 from .engine import (LawFamily, NarrowGridError, NegativeTapError,
                      convergence_table)
@@ -71,13 +71,15 @@ def table_to_csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve_grid(cfg: ExperimentConfig, t_max: float,
-                nx: int | None = None) -> Grid:
-    """The config's march grid, at ``nx`` nodes in place of cfg.nx if
-    given."""
-    return make_grid(cfg.x_min, cfg.x_max, nx or cfg.nx, t_max,
-                     cfg.uncertainty_set(), r_cut=cfg.r_cut,
-                     z_max=cfg.z_max, safety=cfg.safety)
+def _surface(cfg: ExperimentConfig, psi, horizon: float,
+             nx: int | None = None) -> Surface:
+    """psi marched forward to ``horizon`` on the config's grid (``nx``
+    nodes if given): the one march of every command."""
+    uset = cfg.uncertainty_set()
+    grid = make_grid(cfg.x_min, cfg.x_max, nx or cfg.nx, horizon, uset,
+                     r_cut=cfg.r_cut, z_max=cfg.z_max, safety=cfg.safety)
+    return solve_forward(TerminalProblem(psi, psi.lip, psi.sup, horizon),
+                         grid, uset)
 
 
 def _one_psi(cfg: ExperimentConfig):
@@ -93,9 +95,7 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
     uset = cfg.uncertainty_set()
     summary = []
     for psi in cfg.psi_functions():
-        grid = _solve_grid(cfg, cfg.t_max)
-        prob = TerminalProblem(psi, psi.lip, psi.sup, cfg.t_max)
-        surface = solve_forward(prob, grid, uset)
+        surface = _surface(cfg, psi, cfg.t_max)
         tag = psi.tag
         write_atomic(os.path.join(out, f"surface_{tag}.csv"),
                      surface_to_csv(surface))
@@ -129,13 +129,10 @@ def _law_family(cfg: ExperimentConfig) -> LawFamily:
 
 
 def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
-    uset = cfg.uncertainty_set()
     family = _law_family(cfg)
     summary = []
     for psi in cfg.psi_functions():
-        grid = _solve_grid(cfg, 1.0)
-        prob = TerminalProblem(psi, psi.lip, psi.sup, 1.0)
-        pide_value = evaluate(solve_forward(prob, grid, uset), 1.0, 0.0)
+        pide_value = evaluate(_surface(cfg, psi, 1.0), 1.0, 0.0)
         rows = convergence_table(psi, family, cfg.n_values,
                                  cfg.dp_grid(), pide_value)
         tag = psi.tag
@@ -153,15 +150,15 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
-    uset = cfg.uncertainty_set()
     psi = _one_psi(cfg)
-    grid = _solve_grid(cfg, 1.0 + cfg.h)
+    horizon = 1.0 + cfg.h
+    u = _surface(cfg, psi, horizon)
     if cfg.mode == "condition_iii":
-        coarse = _solve_grid(cfg, 1.0 + cfg.h, cfg.coarse_nx)
-        table = check_condition_iii(_law_family(cfg), uset, psi, cfg.h,
-                                    cfg.n_values, grid, coarse)
+        u_coarse = _surface(cfg, psi, horizon, cfg.coarse_nx)
+        table = check_condition_iii(_law_family(cfg), u, u_coarse,
+                                    cfg.n_values)
     else:
-        table = example_41_check(uset, psi, cfg.h, cfg.n_values, grid)
+        table = example_41_check(u, cfg.n_values)
     write_atomic(os.path.join(out, "residuals.csv"), table_to_csv(
         "n,residual,rate_fit,term1,term2,term3,term4",
         [(n, r, table.fitted_rate, *d) for n, r, d in
@@ -183,12 +180,9 @@ def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
     singleton = len(uset.pairs) == 1
     horizon = 1.0 + cfg.h
 
-    grid = _solve_grid(cfg, horizon)
-    prob = TerminalProblem(psi, psi.lip, psi.sup, horizon)
-    report = probe(solve_forward(prob, grid, uset), cfg.h, singleton)
-
-    coarse = _solve_grid(cfg, horizon, cfg.coarse_nx)
-    report_c = probe(solve_forward(prob, coarse, uset), cfg.h, singleton)
+    report = probe(_surface(cfg, psi, horizon), cfg.h, singleton)
+    report_c = probe(_surface(cfg, psi, horizon, cfg.coarse_nx), cfg.h,
+                     singleton)
     compare_reports(report, report_c)
 
     if report.lip_x > psi.lip * LIP_SLACK:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, asdict, fields as dc_fields
+from dataclasses import MISSING, dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -197,10 +197,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(name, f"{d[name]!r} is not {what}")
         kw[name] = store(d[name])
     return ExperimentConfig(**kw)
-
-
-def dumps(cfg: ExperimentConfig) -> str:
-    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def load(path: str) -> ExperimentConfig:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (Grid, ShiftKernel, UncertaintySet, apply_max,
-                      interp_taps, shift_kernel)
+                      interp_taps, middle_half, shift_kernel)
 from .laws import AttractedLaw, law_nodes
 
 ESCAPE_TOL = 1e-4
@@ -105,14 +105,11 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
             f"of {low:.3e} < 0, so the stage is not monotone; the law's "
             f"interior |z| < z0 spans {cells:.3g} cells of dx={grid.dx:.6g}; "
             + fix)
-    # off-grid mass seen from the middle-half edges (worst case there)
-    span = 0.5 * (grid.x_max - grid.x_min)
-    reach_r = (0.5 * span) / b_n   # distance from mid-half edge to x_max
-    reach_l = (1.5 * span) / b_n
-    esc = 0.0
-    for x_gap_r, x_gap_l in ((reach_r, reach_l), (reach_l, reach_r)):
-        esc = max(esc, float(np.sum(weights[(nodes > x_gap_r)
-                                            | (nodes < -x_gap_l)])))
+    # off-grid mass: the tap sums that read an edge value, at the two
+    # middle-half edge nodes (the worst case over the middle half)
+    mid = middle_half(grid.nx)
+    esc = max(float(kern.lo[j] + kern.hi[j])
+              for j in (mid.start, mid.stop - 1))
     return kern, esc
 
 

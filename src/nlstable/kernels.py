@@ -146,11 +146,10 @@ def resolve_cutoffs(x_min: float, x_max: float, nx: int, r_cut: float | None,
 
 @dataclass
 class Surface:
-    """Solution field u(t_i, x_j) on a grid; row 0 is time ``t0``."""
+    """Solution field u(t_i, x_j) on a grid; row i is time i*dt."""
 
     grid: Grid
     values: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -159,7 +158,7 @@ class Surface:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.grid.dt * np.arange(self.grid.nt + 1)
+        return self.grid.dt * np.arange(self.grid.nt + 1)
 
 
 def middle_half(nx: int) -> slice:

@@ -101,11 +101,6 @@ class _DensityTable:
     tail_hi: float  # mass above x[-1]
 
 
-def _density_table(ce: CharExponent, t_time: float,
-                   x_span: float) -> _DensityTable:
-    return _inverted_table(ce, t_time, max(8.0 * x_span, 400.0))
-
-
 @lru_cache(maxsize=32)
 def _inverted_table(ce: CharExponent, t_time: float,
                     cut: float) -> _DensityTable:
@@ -137,7 +132,7 @@ def classical_expectation(psi, ce: CharExponent, t_time: float,
     """
     if t_time <= 0.0:
         raise ValueError("t_time must be positive")
-    tab = _density_table(ce, t_time, max(abs(x_shift) + 1.0, 40.0))
+    tab = _inverted_table(ce, t_time, max(8.0 * (abs(x_shift) + 1.0), 400.0))
     vals = np.asarray(psi(x_shift + tab.x), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi produced non-finite values")

@@ -68,7 +68,7 @@ def probe(surface: Surface, h: float,
         holder = max(holder, float(np.max(diff)) / np.sqrt(sep * g.dt))
         sep *= 2
 
-    inner = (times >= surface.t0 + h - 1e-12)
+    inner = (times >= h - 1e-12)
     if not np.any(inner[1:]):
         raise ValueError("surface horizon too short for the interior window")
     dt_rows = np.abs(np.diff(vals, axis=0)) / g.dt

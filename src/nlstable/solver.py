@@ -1,6 +1,6 @@
-"""Explicit monotone time-marching for the forward and backward nonlocal
-equations, plus surface interpolation and the scaling / dynamic-programming
-consistency checks.
+"""Explicit monotone time-marching for the nonlocal equation, plus
+surface interpolation and the scaling / dynamic-programming consistency
+checks.
 
 The forward problem marches
 
@@ -8,9 +8,9 @@ The forward problem marches
 
 with the two boundary nodes pinned to their initial values (consistent
 with the constant far-field extension inside the generator).  The
-backward problem applies the identical update marching down from the
-terminal time, so the time-reversal relation between the two surfaces
-holds exactly in floating arithmetic.
+equation is time-homogeneous, so the terminal-value solution with
+horizon T is v(t) = u(T - t): the forward surface read in reverse, which
+is how the checker reads it.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ class NonFiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class TerminalProblem:
-    """Initial (forward) or terminal (backward) data for a march.
+    """Initial data for a march.
 
     ``psi`` is a bounded Lipschitz function given as a vectorizable
-    callable; ``lip_psi`` and ``sup_psi`` are its stated constants.
-    ``horizon`` is the terminal time; only the backward march reads it,
-    to place its surface at t0 = horizon - grid.t_max.
+    callable.  The march reads nothing else; ``lip_psi``, ``sup_psi``
+    (its stated constants) and ``horizon`` stay because the acceptance
+    tests build the class positionally.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
@@ -105,21 +105,7 @@ def solve_forward(prob: TerminalProblem, grid: Grid,
     """Solve the forward equation from the initial data up to t_max."""
     u0 = prob.samples(grid)
     rows = _march(u0, grid, uset)
-    return Surface(grid=grid, values=rows, t0=0.0)
-
-
-def solve_backward(prob: TerminalProblem, grid: Grid,
-                   uset: UncertaintySet) -> Surface:
-    """Solve the backward equation down from the terminal condition.
-
-    The surface's row i holds v(t0 + i*dt, .) with the terminal data in
-    the last row; t0 = terminal time - grid.t_max.  Its values are a
-    reversed view of the marched rows, so no second surface is
-    allocated.
-    """
-    v_term = prob.samples(grid)
-    rows = _march(v_term, grid, uset)[::-1]
-    return Surface(grid=grid, values=rows, t0=prob.horizon - grid.t_max)
+    return Surface(grid=grid, values=rows)
 
 
 def evaluate(surface: Surface, t: float, x: float) -> float:
@@ -135,11 +121,10 @@ def evaluate(surface: Surface, t: float, x: float) -> float:
 def evaluate_row(surface: Surface, t: float) -> np.ndarray:
     """Full spatial row at time t, linearly interpolated between rows."""
     g = surface.grid
-    tl, th = surface.t0, surface.t0 + g.t_max
-    eps_t = 1e-12 * max(1.0, abs(th))
-    if not (tl - eps_t <= t <= th + eps_t):
-        raise ValueError(f"t={t} outside surface range [{tl}, {th}]")
-    pt = np.clip((t - tl) / g.dt, 0.0, g.nt)
+    eps_t = 1e-12 * max(1.0, g.t_max)
+    if not (-eps_t <= t <= g.t_max + eps_t):
+        raise ValueError(f"t={t} outside surface range [0, {g.t_max}]")
+    pt = np.clip(t / g.dt, 0.0, g.nt)
     it = min(int(pt), g.nt - 1)
     ft = pt - it
     return (1 - ft) * surface.values[it] + ft * surface.values[it + 1]

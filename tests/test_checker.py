@@ -1,23 +1,24 @@
 """Attraction-condition residuals and the classical bound groups."""
 
 import pathlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nlstable import cli
 from nlstable import config as config_mod
-from nlstable.cli import _solve_grid, table_to_csv
 from nlstable.kernels import KernelPair, Surface, UncertaintySet, band_bins
 from nlstable.laws import AttractedLaw, beta2_prime, build_law, tail_deviation
 from nlstable.engine import LawFamily, NormalizedSumSpec
-from nlstable.solver import TerminalProblem, make_grid, solve_backward
+from nlstable.solver import TerminalProblem, make_grid, solve_forward
 from nlstable.checker import (
     ResidualTable,
     check_condition_iii,
     classical_term_bounds,
     example_41_check,
     _condition_iii_residual,
+    _m1_bound,
+    _reversed,
     _sampled_rows,
 )
 
@@ -32,7 +33,7 @@ def delta_increment(v: Surface, t: float, x: float, y: float) -> float:
     """v(t, x+y) - v(t,x) - dv/dx(t,x) * y with a centered difference
     derivative and constant extension beyond the spatial window."""
     g = v.grid
-    i = int(round((t - v.t0) / g.dt))
+    i = int(round(t / g.dt))
     if not (0 <= i <= g.nt):
         raise ValueError(f"t={t} outside surface range")
     row = v.values[i]
@@ -93,10 +94,31 @@ def grid(uset):
     return make_grid(-20.0, 20.0, 401, 1.0 + H, uset)
 
 
+def forward(psi, grid, uset):
+    """psi marched forward over the whole grid."""
+    return solve_forward(TerminalProblem(psi, 1.0, 1.0, grid.t_max), grid,
+                         uset)
+
+
+def backward(psi, grid, uset):
+    """The terminal-value solution v(t) = u(t_max - t), as the checker
+    reads it."""
+    return _reversed(forward(psi, grid, uset))
+
+
+def sampled(v):
+    """The rows of v at the checker's sampled times."""
+    return [v.values[i] for i in _sampled_rows(v.grid)]
+
+
 @pytest.fixture(scope="module")
 def v_surface(grid, uset):
-    prob = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + H)
-    return solve_backward(prob, grid, uset)
+    return backward(gaussian, grid, uset)
+
+
+@pytest.fixture(scope="module")
+def m1(v_surface):
+    return _m1_bound(sampled(v_surface), v_surface.grid)
 
 
 class TestDeltaIncrement:
@@ -118,31 +140,56 @@ class TestDeltaIncrement:
                                                                 rel=1e-10)
 
 
-def fine_and_coarse(uset, t_max=1.0 + H, nx=201):
-    """A grid and its half-resolution copy, both with default settings."""
-    return (make_grid(-20.0, 20.0, nx, t_max, uset),
-            make_grid(-20.0, 20.0, (nx - 1) // 2 + 1, t_max, uset))
+def fine_and_coarse(uset, psi, t_max=1.0 + H, nx=201):
+    """Forward surfaces of psi on a grid and on its half-resolution
+    copy, both with default settings."""
+    return (forward(psi, make_grid(-20.0, 20.0, nx, t_max, uset), uset),
+            forward(psi, make_grid(-20.0, 20.0, (nx - 1) // 2 + 1, t_max,
+                                   uset), uset))
 
 
 class TestConditionIII:
     def test_constant_psi_zero_residuals(self, family, uset):
-        table = check_condition_iii(family, uset,
-                                    lambda x: np.full_like(x, 2.0),
-                                    H, (4, 8), *fine_and_coarse(uset))
+        table = check_condition_iii(
+            family, *fine_and_coarse(uset, lambda x: np.full_like(x, 2.0)),
+            (4, 8))
         assert max(table.residuals) < 1e-10
 
     def test_residual_invariant_under_constant_shift(self, family, uset):
-        grids = fine_and_coarse(uset)
-        t1 = check_condition_iii(family, uset, gaussian, H, (4, 8), *grids)
-        t2 = check_condition_iii(family, uset, lambda x: gaussian(x) + 3.0,
-                                 H, (4, 8), *grids)
+        t1 = check_condition_iii(family, *fine_and_coarse(uset, gaussian),
+                                 (4, 8))
+        t2 = check_condition_iii(
+            family, *fine_and_coarse(uset, lambda x: gaussian(x) + 3.0),
+            (4, 8))
         np.testing.assert_allclose(t1.residuals, t2.residuals,
                                    rtol=1e-8, atol=1e-12)
 
     def test_requires_covering_horizon(self, family, uset):
-        grids = fine_and_coarse(uset, t_max=0.5)
+        surfaces = fine_and_coarse(uset, gaussian, t_max=0.5)
         with pytest.raises(ValueError, match="horizon"):
-            check_condition_iii(family, uset, gaussian, H, (4, 8), *grids)
+            check_condition_iii(family, *surfaces, (4, 8))
+
+    def test_floor_compares_matching_times(self, family, uset):
+        """The floor is |r(fine rows) - r(coarse surface linearly
+        interpolated at the fine rows' times)|.  The coarse grid's own
+        sampled rows sit at other times, so their residual differs."""
+        u, u_c = fine_and_coarse(uset, gaussian)
+        v, v_c = _reversed(u), _reversed(u_c)
+        g, gc = v.grid, v_c.grid
+        coarse = []
+        for i in _sampled_rows(g):
+            p = i * g.dt / gc.dt
+            k = min(int(p), gc.nt - 1)
+            coarse.append((1.0 - (p - k)) * v_c.values[k]
+                          + (p - k) * v_c.values[k + 1])
+        table = check_condition_iii(family, u, u_c, (4, 8))
+        for n, floor in zip((4, 8), table.floor):
+            r = _condition_iii_residual(family, sampled(v), g, n)
+            want = abs(r - _condition_iii_residual(family, coarse, gc, n))
+            own = abs(r - _condition_iii_residual(family, sampled(v_c), gc,
+                                                  n))
+            assert floor == pytest.approx(want, rel=1e-12, abs=1e-16)
+            assert abs(floor - own) > 1e-3 * floor
 
     @pytest.mark.parametrize("alpha,z0", [(1.25, 4.0), (1.75, 2.0)])
     def test_rate_matches_theory_across_alpha(self, alpha, z0):
@@ -151,23 +198,25 @@ class TestConditionIII:
         interior density positive)."""
         uset = singleton_set(alpha=alpha)
         family = LawFamily((build_law(uset.pairs[0], alpha, 1.0, z0),), uset)
-        table = check_condition_iii(family, uset, gaussian, H,
-                                    (16, 32, 64, 128, 256),
-                                    *fine_and_coarse(uset, nx=801))
+        table = check_condition_iii(family,
+                                    *fine_and_coarse(uset, gaussian, nx=801),
+                                    (16, 32, 64, 128, 256))
         assert all(table.kept)
         assert abs(table.fitted_rate - (1.0 - 2.0 / alpha)) <= 0.05
 
     @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
-    def test_sampled_rows_reach_t_one(self, coarse):
+    def test_sampled_rows_reach_t_one(self, coarse, monkeypatch):
         """Both grids of the bundled condition-(iii) config (1601 and 801
         nodes) sample their last row at or before t = 1, where the
         residual peaks."""
         cfg = config_mod.load(str(CONFIGS / "hypothesis_condition_iii.json"))
-        g = _solve_grid(cfg, 1.0 + cfg.h, cfg.coarse_nx if coarse else None)
-        t0 = 1.0 + cfg.h - g.t_max
-        rows = _sampled_rows(SimpleNamespace(grid=g, t0=t0))
+        # the grid the CLI marches on, without the march
+        monkeypatch.setattr(cli, "solve_forward", lambda prob, g, uset: g)
+        g = cli._surface(cfg, cfg.psi_functions()[0], 1.0 + cfg.h,
+                         cfg.coarse_nx if coarse else None)
+        rows = _sampled_rows(g)
         assert g.nx == (801 if coarse else 1601)
-        assert 1.0 - g.dt < t0 + rows[-1] * g.dt <= 1.0 + 1e-12
+        assert 1.0 - g.dt < rows[-1] * g.dt <= 1.0 + 1e-12
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -175,7 +224,7 @@ class TestConditionIII:
                           ((0.0,) * 4,) * 2, (0.0, 0.0), (True, True))
 
     def test_csv_export(self):
-        text = table_to_csv("n,residual,rate_fit,term1,term2,term3,term4",
+        text = cli.table_to_csv("n,residual,rate_fit,term1,term2,term3,term4",
                             [(4, 0.2, -1.0, 1.0, 2.0, 3.0, 4.0)])
         lines = text.strip().split("\n")
         assert lines[0] == "n,residual,rate_fit,term1,term2,term3,term4"
@@ -213,8 +262,7 @@ def reference_residual(family, uset, v, n, n_bins=192):
     gw = 0.5 * z0 * _GL_W
 
     worst = 0.0
-    for i in _sampled_rows(v):
-        row = v.values[i]
+    for row in sampled(v):
         vx = np.gradient(row, g.dx)
         vxx = np.zeros_like(row)
         vxx[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / g.dx**2
@@ -274,8 +322,7 @@ def asym_case():
     family = LawFamily(tuple(build_law(p, ALPHA, 1.0, 2.0)
                              for p in uset.pairs), uset)
     grid = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
-    prob = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + H)
-    return family, uset, solve_backward(prob, grid, uset)
+    return family, uset, backward(gaussian, grid, uset)
 
 
 class TestResidualKernels:
@@ -284,34 +331,34 @@ class TestResidualKernels:
         """The ShiftKernel residual against the per-node np.interp
         reference on an asymmetric two-pair set."""
         family, uset, v = asym_case
-        got = _condition_iii_residual(family, uset, v, n)
+        got = _condition_iii_residual(family, sampled(v), v.grid, n)
         ref = reference_residual(family, uset, v, n)
         assert got == pytest.approx(ref, rel=1e-11)
 
 
 class TestClassicalBounds:
-    def test_group_one_vanishes_once_tails_align(self, family, v_surface):
+    def test_group_one_vanishes_once_tails_align(self, family, m1):
         # B_n^{-1} = n^{2/3} >= z0 from n = 3 on: beta2 is identically
         # zero on the whole bound range, so the group is exactly 0
         law = family.laws[0]
-        g1, g2, g3, g4 = classical_term_bounds(law, v_surface, 8)
+        g1, g2, g3, g4 = classical_term_bounds(law, m1, 8)
         assert g1 == 0.0
         assert g2 > 0.0
 
-    def test_group_two_exact_ratio(self, family, v_surface):
+    def test_group_two_exact_ratio(self, family, m1):
         law = family.laws[0]
         n = 8
-        _, g2_n, _, _ = classical_term_bounds(law, v_surface, n)
-        _, g2_4n, _, _ = classical_term_bounds(law, v_surface, 4 * n)
+        _, g2_n, _, _ = classical_term_bounds(law, m1, n)
+        _, g2_4n, _, _ = classical_term_bounds(law, m1, 4 * n)
         assert g2_4n / g2_n == pytest.approx(4.0 ** (1.0 - 2.0 / ALPHA),
                                              rel=1e-12)
 
-    def test_groups_bound_measured_pieces(self, family, v_surface):
+    def test_groups_bound_measured_pieces(self, family, v_surface, m1):
         """Direct quadrature of the four split residual pieces stays
         below the matching bound group at a sample (t, x)."""
         law = family.laws[0]
         n = 2  # B_n z0 > 1 so every piece has a nonempty range
-        groups = classical_term_bounds(law, v_surface, n)
+        groups = classical_term_bounds(law, m1, n)
         pieces = residual_pieces(law, v_surface, n, 0.5, 0.7)
         for piece, group in zip(pieces, groups):
             assert piece <= group + 1e-12
@@ -320,13 +367,13 @@ class TestClassicalBounds:
 class TestExample41:
     def test_constant_psi(self, uset):
         g = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
-        table = example_41_check(uset, lambda x: np.full_like(x, 1.0),
-                                 H, (4, 8), g)
+        table = example_41_check(forward(lambda x: np.full_like(x, 1.0), g,
+                                         uset), (4, 8))
         assert max(table.residuals) < 1e-10
 
     def test_monotone_decay_and_negative_rate(self, uset):
         g = make_grid(-20.0, 20.0, 401, 1.0 + H, uset)
-        table = example_41_check(uset, gaussian, H, (8, 16, 32), g)
+        table = example_41_check(forward(gaussian, g, uset), (8, 16, 32))
         r = table.residuals
         assert r[1] < r[0] and r[2] < r[1]
         assert table.fitted_rate < 0.0

@@ -22,6 +22,13 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 
 
+def dumps(cfg: ExperimentConfig) -> str:
+    """The canonical JSON text of a config: sorted keys, two-space
+    indent, as the bundled configs are written."""
+    return json.dumps(dataclasses.asdict(cfg), indent=2,
+                      sort_keys=True) + "\n"
+
+
 def base_config(**over):
     kw = dict(alpha=1.5, lam=0.5, Lam=2.5, pairs=((1.0, 1.0),),
               psi=({"name": "gaussian_bump"},), nx=201, t_max=1.0)
@@ -32,8 +39,8 @@ def base_config(**over):
 class TestConfig:
     def test_round_trip_idempotent(self):
         cfg = base_config()
-        text = config_mod.dumps(cfg)
-        again = config_mod.dumps(config_mod.config_from_dict(json.loads(text)))
+        text = dumps(cfg)
+        again = dumps(config_mod.config_from_dict(json.loads(text)))
         assert again == text
 
     def test_bundled_configs_valid_and_canonical(self):
@@ -41,7 +48,7 @@ class TestConfig:
         assert len(paths) >= 6
         for p in paths:
             cfg = config_mod.load(str(p))
-            assert config_mod.dumps(cfg) == p.read_text()
+            assert dumps(cfg) == p.read_text()
 
     @pytest.mark.parametrize("over,needle", [
         (dict(alpha=2.5), "stable_kernel.alpha"),
@@ -56,7 +63,7 @@ class TestConfig:
             base_config(**over).validate()
 
     def test_unknown_field_rejected(self):
-        d = json.loads(config_mod.dumps(base_config()))
+        d = json.loads(dumps(base_config()))
         d["typo_field"] = 1
         with pytest.raises(ConfigError, match="unknown fields"):
             config_mod.config_from_dict(d)
@@ -134,7 +141,7 @@ def setting(**fields):
                  id="lam-not-below-Lam"),
 ])
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
-    d = json.loads(config_mod.dumps(base_config()))
+    d = json.loads(dumps(base_config()))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(d)))
     assert cli.main(["hypothesis", "--config", str(path),
@@ -167,7 +174,7 @@ def test_single_psi_command_rejects_two(tmp_path, capsys, command, name,
 def test_psi_sharing_a_file_tag_exits_2(tmp_path, capsys, command):
     """Two sigmoid centres that print alike under {:g} would write one
     output file for two summary lines."""
-    d = json.loads(config_mod.dumps(base_config()))
+    d = json.loads(dumps(base_config()))
     d["psi"] = [{"name": "sigmoid", "center": 1.0},
                 {"name": "sigmoid", "center": 1.0000001}]
     path = tmp_path / "twins.json"
@@ -223,7 +230,7 @@ def test_default_r_cut_accepted_at_nx_83():
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
-    p.write_text(config_mod.dumps(cfg))
+    p.write_text(dumps(cfg))
     return str(p)
 
 
@@ -250,7 +257,7 @@ class TestCli:
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
-        d = json.loads(config_mod.dumps(base_config()))
+        d = json.loads(dumps(base_config()))
         d["alpha"] = 2.5
         p.write_text(json.dumps(d))
         assert cli.main(["solve", "--config", str(p),

@@ -1,7 +1,7 @@
 """Every imported name in the package and its tests is used, every
 public function and class of the package has a user outside the unit
-tests, and the package imports nothing beyond the standard library and
-numpy."""
+tests, the package imports nothing beyond the standard library and
+numpy, and only the CLI marches."""
 
 import ast
 import os
@@ -50,51 +50,150 @@ USERS = (PACKAGE + sorted((REPO / "scripts").glob("*.py"))
          + [REPO / "tests" / "test_acceptance.py"])
 
 
-def references(node: ast.AST) -> set[str]:
-    """Names loaded, attributes and imported names anywhere in node."""
+def from_package(node: ast.AST, package: str) -> bool:
+    """Whether node is a ``from ... import`` out of the package."""
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or node.module.split(".")[0] == package)
+
+
+def module_bindings(tree: ast.Module, package: str, modules) -> set[str]:
+    """Names the file binds to the package or to one of its modules."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or package for alias in node.names
+                         if alias.name.split(".")[0] == package)
+        elif from_package(node, package) and node.module in (None, package):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name in modules)
+    return bound
+
+
+def references(node: ast.AST, package: str, bound: set[str]) -> set[str]:
+    """Names node takes from the package: names imported from it, and
+    attributes read off a name in ``bound`` (through any chain of
+    attributes, as in nlstable.cli.main)."""
     found = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            found.update(sub.name.split("."))
+        if isinstance(sub, ast.Attribute):
+            root = sub.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.add(sub.attr)
+        elif from_package(sub, package):
+            found.update(alias.name for alias in sub.names)
     return found
 
 
-def unreferenced_public(modules: dict, users: dict) -> list[str]:
-    """Public top-level functions and classes of the parsed modules that
-    no top-level statement of the parsed users references, other than
-    their own definition.  A module that is also a user is passed as the
-    same tree in both."""
-    refs = [(stmt, references(stmt))
-            for tree in users.values() for stmt in tree.body]
+def loads(node: ast.AST) -> set[str]:
+    return {sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+def unreferenced_public(modules: dict, users: dict,
+                        package: str) -> list[str]:
+    """Public top-level functions and classes of the package's parsed
+    modules (keyed by module name) that no top-level statement of the
+    parsed users references, other than their own definition.  A user
+    references a name by taking it from the package (``references``);
+    the defining module also by loading it.  A module that is also a
+    user is passed as the same tree in both."""
+    refs = []
+    for user in users.values():
+        bound = module_bindings(user, package, modules)
+        refs += [(user, stmt, references(stmt, package, bound), loads(stmt))
+                 for stmt in user.body]
     return [f"{name}:{stmt.name}" for name, tree in modules.items()
             for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             and not stmt.name.startswith("_")
-            and not any(stmt.name in names
-                        for other, names in refs if other is not stmt)]
+            and not any(stmt.name in taken
+                        or (user is tree and stmt.name in loaded)
+                        for user, other, taken, loaded in refs
+                        if other is not stmt)]
 
 
 def test_every_public_name_has_a_user():
     trees = {str(p.relative_to(REPO)): ast.parse(p.read_text())
              for p in USERS}
-    package = {name: tree for name, tree in trees.items()
+    package = {pathlib.Path(name).stem: tree for name, tree in trees.items()
                if name.startswith("src")}
-    assert unreferenced_public(package, trees) == []
+    assert unreferenced_public(package, trees, "nlstable") == []
 
 
 def test_detects_an_unreferenced_public_name():
+    """Neither json.dumps nor a bare name in another file keeps a
+    package name alive."""
     lib = ast.parse("def used(): pass\n"
                     "def recursive(n): return recursive(n - 1)\n"
                     "class Dead: x = 1\n"
                     "def _private(): pass\n"
-                    "def called(): return used()\n")
-    user = ast.parse("import lib.called\n")
-    assert unreferenced_public({"lib": lib}, {"lib": lib, "user": user}) \
-        == ["lib:recursive", "lib:Dead"]
+                    "def called(): return used()\n"
+                    "def dumps(): pass\n"
+                    "def imported(): pass\n"
+                    "def via_alias(): pass\n")
+    user = ast.parse("import json\nimport pkg.lib\n"
+                     "from pkg import lib as other\n"
+                     "from pkg.lib import imported\n"
+                     "pkg.lib.called()\nother.via_alias()\n"
+                     "json.dumps(imported)\nDead()\n")
+    assert unreferenced_public({"lib": lib}, {"lib": lib, "user": user},
+                               "pkg") \
+        == ["lib:recursive", "lib:Dead", "lib:dumps"]
+
+
+def marching_functions(solver: ast.Module) -> set[str]:
+    """``_march`` and every function of solver that calls a marching
+    function."""
+    bodies = {stmt.name: loads(stmt) for stmt in solver.body
+              if isinstance(stmt, ast.FunctionDef)}
+    found, grown = set(), {"_march"}
+    while grown:
+        found |= grown
+        grown = {name for name, names in bodies.items()
+                 if names & found} - found
+    return found
+
+
+def solver_names(tree: ast.Module) -> set[str]:
+    """Names a package module imports from solver or reads off a name
+    bound to it."""
+    bound = module_bindings(tree, "nlstable", {"solver"})
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[-1] == "solver":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) and node.value.id in bound:
+            names.add(node.attr)
+    return names
+
+
+def test_diagnostics_import_no_march():
+    """Only the CLI marches: the checker, the engine, the oracle and the
+    regularity probes take surfaces and import no marching function."""
+    src = REPO / "src" / "nlstable"
+    marching = marching_functions(ast.parse((src / "solver.py").read_text()))
+    assert {"_march", "solve_forward", "dpp_check"} <= marching
+    found = {name: solver_names(ast.parse((src / f"{name}.py").read_text()))
+             & marching
+             for name in ("checker", "engine", "oracle", "regularity")}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_detects_a_marching_import():
+    solver = ast.parse("def _march(): pass\n"
+                       "def solve_forward(): return _march()\n"
+                       "def check(): return solve_forward()\n"
+                       "def evaluate_row(): pass\n")
+    user = ast.parse("from .solver import evaluate_row, solve_forward\n"
+                     "from .kernels import check\n"
+                     "from . import solver as s\n"
+                     "s.check()\n")
+    assert solver_names(user) & marching_functions(solver) \
+        == {"solve_forward", "check"}
 
 
 def foreign_imports(tree: ast.Module) -> list[str]:

@@ -12,8 +12,8 @@ from nlstable.kernels import KernelPair, next_fast_len
 from nlstable.oracle import (
     CharExponent,
     classical_expectation,
-    _density_table,
     _invert,
+    _inverted_table,
     _log_phi_grid,
 )
 
@@ -144,12 +144,12 @@ def test_invert_matches_scipy_fft(pair, n_fft, monkeypatch):
 
 class TestDensity:
     def test_symmetric_density_even(self, ce_sym):
-        f = _density_table(ce_sym, 1.0, 20.0).f
+        f = _inverted_table(ce_sym, 1.0, 400.0).f
         assert np.max(np.abs(f - f[::-1])) < 1e-10
         assert np.all(f >= 0.0)
 
     def test_mass_and_mean(self, ce_asym):
-        tab = _density_table(ce_asym, 1.0, 40.0)
+        tab = _inverted_table(ce_asym, 1.0, 400.0)
         mass = np.trapezoid(tab.f, tab.x) + tab.tail_lo + tab.tail_hi
         assert mass == pytest.approx(1.0, abs=1e-4)
         # windowed mean plus the analytic tail first moments
@@ -163,8 +163,8 @@ class TestDensity:
     def test_semigroup_in_law(self, ce_sym):
         """Self-convolving the unit-time density reproduces the t=2
         density within 1e-3 in L1 (independent stationary increments)."""
-        tab1 = _density_table(ce_sym, 1.0, 40.0)
-        tab2 = _density_table(ce_sym, 2.0, 40.0)
+        tab1 = _inverted_table(ce_sym, 1.0, 400.0)
+        tab2 = _inverted_table(ce_sym, 2.0, 400.0)
         dx = tab1.x[1] - tab1.x[0]
         conv = fftconvolve(tab1.f, tab1.f, mode="same") * dx
         err = np.trapezoid(np.abs(conv - tab2.f), tab2.x)
@@ -173,14 +173,14 @@ class TestDensity:
     def test_scaling_in_law(self, ce_sym):
         beta = 2.0
         s = beta ** (-1.0 / ALPHA)
-        tab1 = _density_table(ce_sym, 1.0, 40.0)
-        tab2 = _density_table(ce_sym, beta, 40.0)
+        tab1 = _inverted_table(ce_sym, 1.0, 400.0)
+        tab2 = _inverted_table(ce_sym, beta, 400.0)
         rescaled = s * np.interp(s * tab2.x, tab1.x, tab1.f)
         err = np.trapezoid(np.abs(rescaled - tab2.f), tab2.x)
         assert err < 1e-3
 
     def test_first_absolute_moment_stable(self, ce_sym):
-        tab = _density_table(ce_sym, 1.0, 40.0)
+        tab = _inverted_table(ce_sym, 1.0, 400.0)
         m = np.trapezoid(np.abs(tab.x) * tab.f, tab.x)
         half = len(tab.x) // 4
         m_inner = np.trapezoid(np.abs(tab.x[half:-half]) * tab.f[half:-half],

@@ -1,4 +1,4 @@
-"""Forward/backward marching, interpolation, and the consistency checks."""
+"""Forward marching, interpolation, and the consistency checks."""
 
 import io
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlstable import checker
 from nlstable import solver as solver_mod
 from nlstable.kernels import Grid, Surface, scheme_stability_constant
 from nlstable.solver import (
@@ -18,7 +19,6 @@ from nlstable.solver import (
     format_g17,
     make_grid,
     scaling_check,
-    solve_backward,
     solve_forward,
     surface_to_csv,
 )
@@ -26,8 +26,8 @@ from nlstable.solver import (
 from conftest import gaussian
 
 
-def solve(psi, grid, uset, horizon=None):
-    prob = TerminalProblem(psi, 1.0, 1.0, horizon or grid.t_max)
+def solve(psi, grid, uset):
+    prob = TerminalProblem(psi, 1.0, 1.0, grid.t_max)
     return solve_forward(prob, grid, uset)
 
 
@@ -101,15 +101,17 @@ def test_minus_psi_sublinearity(small_grid, uset_sym):
     assert np.all(um.values >= -u.values - 1e-12)
 
 
-def test_backward_is_time_reversed_forward(small_grid, uset_sym):
+def test_backward_is_time_reversed_forward(uset_sym):
+    """The checker reads the terminal-value solution as the forward
+    surface in reverse, as a view: no second surface is allocated."""
     h = 0.25
     grid = make_grid(-20.0, 20.0, 401, 1.0 + h, uset_sym)
-    prob_f = TerminalProblem(gaussian, 1.0, 1.0, 1.0 + h)
-    u = solve_forward(prob_f, grid, uset_sym)
-    v = solve_backward(prob_f, grid, uset_sym)
-    assert v.t0 == pytest.approx(0.0)
+    u = solve(gaussian, grid, uset_sym)
+    v = checker._reversed(u)
+    assert v.grid == grid and np.shares_memory(v.values, u.values)
     # v(t, x) = u(1 + h - t, x), exact in floating arithmetic
     assert np.max(np.abs(v.values - u.values[::-1])) < 1e-14
+    assert np.max(np.abs(evaluate_row(v, grid.dt) - u.values[-2])) < 1e-14
 
 
 def test_odd_data_symmetric_kernel_fixes_origin(uset_sym):
@@ -202,17 +204,15 @@ def per_value_csv(surface):
 
 
 def test_csv_export_matches_per_value_format(small_grid, uset_sym):
-    g = Grid(-1.0, 1.0, 5, 0.3, 3, 0.1, 8.0)
+    g = Grid(-1.0, 1.0, 5, 1.0, 3, 0.1, 8.0)    # times k/3: many digits
     values = np.array([[-0.0, 0.0, 5e-324, -5e-324, 1e16],
                        [1.0 / 3.0, -1.0 / 3.0, 1e16 + 2.0, 2.0 ** -1074, 1.0],
                        [np.pi, -1e-300, 1e300, 0.1, -7.0],
                        [123456789.0, 1.5, -2.5e-8, 0.7, 0.0]])
-    special = Surface(grid=g, values=values, t0=1.0 / 3.0)
+    special = Surface(grid=g, values=values)
     assert csv_text(special) == per_value_csv(special)
-    back = solve_backward(TerminalProblem(gaussian, 1.0, 1.0, 1.25),
-                          small_grid, uset_sym)
-    assert back.t0 != 0.0
-    assert csv_text(back) == per_value_csv(back)
+    u = solve(gaussian, small_grid, uset_sym)
+    assert csv_text(u) == per_value_csv(u)
 
 
 def test_csv_export_spans_blocks(monkeypatch):
@@ -220,8 +220,7 @@ def test_csv_export_spans_blocks(monkeypatch):
     value give the same text, and nothing runs before the first block
     is asked for."""
     g = Grid(-1.0, 1.0, 5, 0.3, 3, 0.1, 8.0)
-    u = Surface(grid=g, values=np.random.default_rng(5).normal(size=(4, 5)),
-                t0=0.1)
+    u = Surface(grid=g, values=np.random.default_rng(5).normal(size=(4, 5)))
     monkeypatch.setattr(solver_mod, "format_g17", None)
     blocks = surface_to_csv(u)          # not started: no format call yet
     monkeypatch.undo()
