@@ -33,6 +33,7 @@ from .kernels import (Grid, Surface, apply_max, band_bins, jump_kernel,
                       middle_half, tail_nodes)
 from .laws import AttractedLaw, beta2_prime, law_nodes, tail_deviation
 from .engine import LawFamily, NormalizedSumSpec
+from .regularity import middle_bounds
 from .solver import evaluate_row
 
 _T_SAMPLES = 33    # rows sampled from [0, 1] for the (t, x) maximum
@@ -129,14 +130,15 @@ def _condition_iii_residual(family: LawFamily, rows, g: Grid,
     return worst
 
 
-def fit_rate(n_values, residuals, kept):
-    """Slope of log residual against log n over the kept points; nan
-    when fewer than two are kept or a kept residual is not positive."""
+def fit_rate(n_values, values, floors):
+    """(kept, rate): which values exceed 3x their floor, and the slope of
+    log value against log n over those, nan when fewer than two."""
+    kept = tuple(v > 3.0 * f for v, f in zip(values, floors))
     ns = [n for n, k in zip(n_values, kept) if k]
-    rs = [r for r, k in zip(residuals, kept) if k]
-    if len(ns) < 2 or any(r <= 0.0 for r in rs):
-        return float("nan")
-    return float(np.polyfit(np.log(ns), np.log(rs), 1)[0])
+    vs = [v for v, k in zip(values, kept) if k]
+    if len(ns) < 2:
+        return kept, float("nan")
+    return kept, float(np.polyfit(np.log(ns), np.log(vs), 1)[0])
 
 
 def check_condition_iii(family: LawFamily, u: Surface, u_coarse: Surface,
@@ -147,8 +149,8 @@ def check_condition_iii(family: LawFamily, u: Surface, u_coarse: Surface,
     horizon of at least 1, the second on a lower-resolution grid built
     with the same settings.  The per-n difference between the residual
     on u's sampled rows and on u_coarse interpolated at their times is
-    reported as the discretization floor, and points within 3x the
-    floor are dropped from the rate fit.
+    reported as the discretization floor; ``fit_rate`` keeps the points
+    above 3x their floor.
     """
     if min(u.grid.t_max, u_coarse.grid.t_max) < 1.0 - 1e-12:
         raise ValueError("surface horizon must reach t = 1")
@@ -166,23 +168,14 @@ def check_condition_iii(family: LawFamily, u: Surface, u_coarse: Surface,
         residuals.append(r)
         floors.append(abs(r - r2))
         diags.append(classical_term_bounds(family.laws[0], m1, n))
-    kept = [r > 3.0 * f for r, f in zip(residuals, floors)]
-    rate = fit_rate(n_values, residuals, kept)
+    kept, rate = fit_rate(n_values, residuals, floors)
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
-                         tuple(diags), tuple(floors), tuple(kept))
+                         tuple(diags), tuple(floors), kept)
 
 
 def _m1_bound(rows, g: Grid) -> float:
     """Largest |v|, |v_x| and |v_xx| over the rows, on the middle half."""
-    mid = middle_half(g.nx)
-    m1 = 0.0
-    for row in rows:
-        vxx = np.zeros_like(row)
-        vxx[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / g.dx**2
-        m1 = max(m1, float(np.max(np.abs(row[mid]))),
-                 float(np.max(np.abs(np.gradient(row, g.dx)[mid]))),
-                 float(np.max(np.abs(vxx[mid]))))
-    return m1
+    return max(middle_bounds(np.asarray(rows), g.dx))
 
 
 def classical_term_bounds(law: AttractedLaw, m1: float,
@@ -250,10 +243,9 @@ def example_41_check(u: Surface, n_values) -> ResidualTable:
             resid = n * np.abs(back[mid] - row[mid] + step * dv_dt[mid])
             worst = max(worst, float(np.max(resid)))
         residuals.append(worst)
-    kept = [r > 0.0 for r in residuals]
-    rate = fit_rate(n_values, residuals, kept)
+    floors = tuple(0.0 for _ in n_values)
+    kept, rate = fit_rate(n_values, residuals, floors)
     zero4 = (0.0, 0.0, 0.0, 0.0)
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
-                         tuple(zero4 for _ in n_values),
-                         tuple(0.0 for _ in n_values), tuple(kept))
+                         tuple(zero4 for _ in n_values), floors, kept)
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands ``solve``, ``clt``, ``hypothesis``, ``regularity`` each
-take ``--config <path>`` and ``--out <dir>``.  Exit codes: 0 on pass,
-2 on validation failure, 3 on numerical-threshold failure.  All output
-files are written atomically (temp file then rename) and all CSVs use
-17-significant-digit decimals, so repeated runs are byte-identical.
+take ``--config <path>`` and ``--out <dir>``; the lines a command prints
+also go to ``<command>_summary.txt`` in ``--out``.  Exit codes: 0 on
+pass, 2 on validation failure, 3 on numerical-threshold failure.  All
+output files are written atomically (temp file then rename) and all
+CSVs use 17-significant-digit decimals, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -116,8 +118,6 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
                     f"solver disagrees with the classical oracle by "
                     f"{gap:.3e} > {ORACLE_TOL}")
         summary.append(line)
-    write_atomic(os.path.join(out, "solve_summary.txt"),
-                 "\n".join(summary) + "\n")
     return summary
 
 
@@ -140,12 +140,10 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
                      table_to_csv("n,B_n,nested_value,pide_value,abs_error",
                                   rows))
         errs = [r[4] for r in rows]
-        rate = fit_rate([r[0] for r in rows], errs, [True] * len(rows))
+        _, rate = fit_rate([r[0] for r in rows], errs, [0.0] * len(rows))
         summary.append(f"{tag}: pide_value={pide_value:.10g} "
                        f"first_error={errs[0]:.3e} "
                        f"last_error={errs[-1]:.3e} fitted_rate={rate:.4f}")
-    write_atomic(os.path.join(out, "clt_summary.txt"),
-                 "\n".join(summary) + "\n")
     return summary
 
 
@@ -163,15 +161,12 @@ def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
         "n,residual,rate_fit,term1,term2,term3,term4",
         [(n, r, table.fitted_rate, *d) for n, r, d in
          zip(table.n_values, table.residuals, table.term_diagnostics)]))
-    summary = [
+    return [
         f"mode={cfg.mode} fitted_rate={table.fitted_rate:.4f}",
         "n,residual,floor,kept",
     ] + [f"{n},{r:.6e},{f:.2e},{int(k)}"
          for n, r, f, k in zip(table.n_values, table.residuals,
                                table.floor, table.kept)]
-    write_atomic(os.path.join(out, "hypothesis_summary.txt"),
-                 "\n".join(summary) + "\n")
-    return summary
 
 
 def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
@@ -191,12 +186,9 @@ def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
             f"{LIP_SLACK} x Lip(psi) = {psi.lip * LIP_SLACK:.6g}")
     write_atomic(os.path.join(out, "regularity.txt"),
                  report_to_text(report))
-    summary = [f"lip_psi={psi.lip:.6g}", "fine:"] \
+    return [f"lip_psi={psi.lip:.6g}", "fine:"] \
         + report_to_text(report).splitlines() \
         + ["coarse:"] + report_to_text(report_c).splitlines()
-    write_atomic(os.path.join(out, "regularity_summary.txt"),
-                 "\n".join(summary) + "\n")
-    return summary
 
 
 _COMMANDS = {
@@ -232,7 +224,10 @@ def main(argv=None) -> int:
         print(f"--out error: {exc}", file=sys.stderr)
         return 2
     try:
-        for line in _COMMANDS[args.command](cfg, args.out):
+        summary = _COMMANDS[args.command](cfg, args.out)
+        write_atomic(os.path.join(args.out, f"{args.command}_summary.txt"),
+                     "\n".join(summary) + "\n")
+        for line in summary:
             print(line)
     except (ConfigError, LawBuildError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -73,11 +73,15 @@ class ExperimentConfig:
                 raise ConfigError(name, "must be positive")
         if not (0.0 < self.h < 1.0):
             raise ConfigError("h", "must lie in (0, 1)")
-        if self.nx < 5:
-            raise ConfigError("nx", f"{self.nx} is below 5")
-        if self.x_min >= self.x_max:
-            raise ConfigError("x_max", f"{self.x_max} is not above x_min = "
-                              f"{self.x_min}")
+        if self.nx < 9:
+            raise ConfigError("nx", f"{self.nx} is below 9, so the "
+                              "half-resolution grid has under 5 nodes")
+        # every command evaluates its surfaces at x = 0
+        if not self.x_max > max(self.x_min, 0.0):
+            raise ConfigError("x_max", f"{self.x_max} is not above both "
+                              f"x_min = {self.x_min} and x = 0")
+        if not self.x_min < 0.0:
+            raise ConfigError("x_min", f"{self.x_min} is not below x = 0")
         if self.nx % 2 == 0:
             raise ConfigError("nx", f"{self.nx} is even; the half-resolution "
                               "grid is nested only for odd nx")

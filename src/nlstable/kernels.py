@@ -49,6 +49,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import irfft, rfft
 
+NQ_BAND = 128   # the generator's log-spaced bins per side on [r_cut, z_max]
+
 
 class KernelDomainError(ValueError):
     """Raised when an evaluation point or parameter is outside the domain."""
@@ -99,8 +101,8 @@ class Grid:
 
     ``r_cut`` is the small-jump radius below which the Taylor replacement
     is used; ``z_max`` the radius beyond which one far node carries the
-    tail; ``nq_band`` the number of log-spaced quadrature bins per side
-    on [r_cut, z_max].
+    tail, with NQ_BAND log-spaced quadrature bins per side on
+    [r_cut, z_max] between them.
     """
 
     x_min: float
@@ -110,7 +112,6 @@ class Grid:
     nt: int
     r_cut: float
     z_max: float
-    nq_band: int = 128
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.nx >= 3 and self.nt >= 1):
@@ -365,7 +366,7 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
     grid puts its mass on the edge values.  The negative of the centre
     tap is the diagonal magnitude used by the stability bound.
     """
-    w, z = tail_nodes(grid.r_cut, grid.z_max, grid.nq_band, alpha)
+    w, z = tail_nodes(grid.r_cut, grid.z_max, NQ_BAND, alpha)
     sigma2 = small_jump_second_moment(k, alpha, grid.r_cut)
     kern = jump_kernel(np.concatenate([z, -z]),
                        np.concatenate([k.k_plus * w, k.k_minus * w]),

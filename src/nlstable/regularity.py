@@ -45,6 +45,17 @@ def lipschitz_x(surface: Surface) -> float:
     return float(np.max(np.abs(diff))) / surface.grid.dx
 
 
+def middle_bounds(rows: np.ndarray, dx: float) -> tuple[float, float, float]:
+    """Largest |v|, |v_x| and |v_xx| over the middle half of rows (the
+    last axis), with centred differences read one node further out."""
+    mid = middle_half(rows.shape[-1])
+    w = rows[..., mid.start - 1:mid.stop + 1]
+    return (float(np.max(np.abs(w[..., 1:-1]))),
+            float(np.max(np.abs(w[..., 2:] - w[..., :-2]))) / (2.0 * dx),
+            float(np.max(np.abs(w[..., 2:] - 2.0 * w[..., 1:-1]
+                                + w[..., :-2]))) / dx**2)
+
+
 def probe(surface: Surface, h: float,
           singleton: bool = True) -> RegularityReport:
     """Measure the six regularity surrogates on the middle half.
@@ -56,32 +67,26 @@ def probe(surface: Surface, h: float,
     spatial Hölder exponent of the time derivative there.
     """
     g = surface.grid
-    vals = surface.values
-    mid = middle_half(g.nx)
-    times = surface.times
+    vals = surface.values[:, middle_half(g.nx)]    # a view
 
     # 1/2-Hölder constant in t over dyadic row separations
     holder = 0.0
     sep = 1
     while sep <= g.nt:
-        diff = np.abs(vals[sep:, mid] - vals[:-sep, mid])
+        diff = np.abs(vals[sep:] - vals[:-sep])
         holder = max(holder, float(np.max(diff)) / np.sqrt(sep * g.dt))
         sep *= 2
 
-    inner = (times >= h - 1e-12)
-    if not np.any(inner[1:]):
+    # the rows with t >= h, a suffix
+    first = int(np.searchsorted(surface.times, h - 1e-12))
+    if first > g.nt:
         raise ValueError("surface horizon too short for the interior window")
-    dt_rows = np.abs(np.diff(vals, axis=0)) / g.dt
-    dt_u = float(np.max(dt_rows[inner[1:]][:, mid]))
-    dx_rows = np.abs(vals[:, 2:] - vals[:, :-2]) / (2.0 * g.dx)
-    dx_u = float(np.max(dx_rows[inner][:, middle_half(g.nx - 2)]))
-
-    dxx = np.abs(vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / g.dx**2
-    dxx_u = float(np.max(dxx[inner][:, middle_half(g.nx - 2)])) if singleton \
-        else 0.0
+    # |v_t| over the steps that end at t >= h
+    w = np.abs(np.diff(vals[max(first, 1) - 1:], axis=0)) / g.dt
+    dt_u = float(np.max(w))
+    _, dx_u, dxx_u = middle_bounds(surface.values[first:], g.dx)
 
     # Hölder exponent of the time derivative in x, dyadic increments
-    w = dt_rows[inner[1:]][:, mid]
     scales, moduli = [], []
     step = 1
     while step * 8 <= w.shape[1]:
@@ -98,7 +103,7 @@ def probe(surface: Surface, h: float,
     return RegularityReport(lip_x=lipschitz_x(surface), holder_t_half=holder,
                             dt_u_bound=dt_u, dx_u_bound=dx_u,
                             holder_gamma_fit=gamma,
-                            dxx_bound_singleton=dxx_u)
+                            dxx_bound_singleton=dxx_u if singleton else 0.0)
 
 
 def compare_reports(fine: RegularityReport, other: RegularityReport):

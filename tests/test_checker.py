@@ -16,6 +16,7 @@ from nlstable.checker import (
     check_condition_iii,
     classical_term_bounds,
     example_41_check,
+    fit_rate,
     _condition_iii_residual,
     _m1_bound,
     _reversed,
@@ -362,6 +363,25 @@ class TestClassicalBounds:
         pieces = residual_pieces(law, v_surface, n, 0.5, 0.7)
         for piece, group in zip(pieces, groups):
             assert piece <= group + 1e-12
+
+
+class TestFitRate:
+    def test_keeps_values_above_three_floors(self):
+        # 0.375 is exactly 3 x 0.125, so it is dropped
+        kept, rate = fit_rate((4, 8, 16), (1.0, 0.375, 0.25),
+                              (0.3, 0.125, 0.0))
+        assert kept == (True, False, True)
+        assert rate == pytest.approx(-1.0, rel=1e-12)
+
+    def test_fewer_than_two_kept_is_nan(self):
+        kept, rate = fit_rate((4, 8), (1.0, 0.1), (0.0, 0.1))
+        assert kept == (True, False)
+        assert np.isnan(rate)
+
+    def test_zero_floors_keep_every_positive_value(self):
+        kept, rate = fit_rate((4, 8, 16), (1.0, 0.0, 0.25), (0.0,) * 3)
+        assert kept == (True, False, True)
+        assert rate == pytest.approx(-1.0, rel=1e-12)
 
 
 class TestExample41:

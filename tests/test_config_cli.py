@@ -131,6 +131,15 @@ def setting(**fields):
     pytest.param(setting(nx=3), "pide_solver.nx", id="nx-3"),
     pytest.param(setting(x_min=20.0), "pide_solver.x_max",
                  id="x_max-not-above-x_min"),
+    # every command evaluates at x = 0, which must lie inside the grid
+    pytest.param(setting(x_min=1.0, x_max=41.0), "[pide_solver.x_min]",
+                 id="x_min-not-below-0"),
+    pytest.param(setting(x_min=-41.0, x_max=-1.0), "[pide_solver.x_max]",
+                 id="x_max-not-above-0"),
+    # the half-resolution grid of nx 7 has 4 nodes, too few for a
+    # middle-half window with centred differences (r_cut is set, so the
+    # default-r_cut check does not catch it first)
+    pytest.param(setting(nx=7, r_cut=0.5), "pide_solver.nx", id="nx-7"),
     pytest.param(setting(t_max=0.0), "pide_solver.t_max", id="t_max-0"),
     pytest.param(setting(safety=1.5), "pide_solver.safety", id="safety-1.5"),
     pytest.param(setting(dp_half_width=0.0), "sublinear_engine.dp_half_width",
@@ -404,6 +413,23 @@ class TestCli:
         for g, c in marched:
             assert g.r_cut == 0.3
             assert g.dt * c <= 0.25 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("command,over", [
+        ("solve", {}),
+        ("clt", dict(lam=0.05, Lam=0.15, pairs=((0.1, 0.1),),
+                     psi=({"name": "constant", "value": 1.5},),
+                     n_values=(2, 4), dp_half_width=240.0, dp_dx=0.1)),
+        ("hypothesis", dict(t_max=1.25, n_values=(4, 8), mode="example_41")),
+        ("regularity", dict(t_max=1.25,
+                            psi=({"name": "abs_clip", "clip": 3.0},))),
+    ])
+    def test_summary_file_is_stdout(self, tmp_path, capsys, command, over):
+        out = tmp_path / "o"
+        assert cli.main([command, "--config",
+                         write_config(tmp_path, base_config(**over)),
+                         "--out", str(out)]) == 0
+        assert (out / f"{command}_summary.txt").read_text() \
+            == capsys.readouterr().out
 
     def test_regularity_runs(self, tmp_path):
         cfg = base_config(nx=201, t_max=1.25,

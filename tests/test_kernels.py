@@ -14,6 +14,7 @@ from nlstable.kernels import (
     Grid,
     KernelDomainError,
     KernelPair,
+    NQ_BAND,
     UncertaintySet,
     apply_max,
     apply_sup_generator_row,
@@ -254,7 +255,7 @@ class TestGenerator:
     def test_cos_against_analytic(self):
         # dx = 0.01, wide window: the quadrature split reproduces the
         # closed form to a few parts in 1e4
-        g = Grid(-80.0, 80.0, 16001, 1.0, 1, 0.2, 320.0, nq_band=512)
+        g = Grid(-80.0, 80.0, 16001, 1.0, 1, 0.2, 320.0)
         u = np.cos(g.x)
         val = generator_row(u, g, KernelPair(1.0, 1.0), 1.5)[g.nx // 2]
         ref = cos_generator_exact(1.5)
@@ -336,7 +337,7 @@ class TestSupGenerator:
     def test_homogeneous_family_picks_larger_intensity(self):
         # at the cosine minimum of the generator both candidate values are
         # negative, so the sup is the (1,1) value, not twice it
-        g = Grid(-80.0, 80.0, 16001, 1.0, 1, 0.2, 320.0, nq_band=512)
+        g = Grid(-80.0, 80.0, 16001, 1.0, 1, 0.2, 320.0)
         u = np.cos(g.x)
         j = g.nx // 2
         uset = UncertaintySet(1.5, (KernelPair(1.0, 1.0), KernelPair(2.0, 2.0)),
@@ -358,7 +359,7 @@ def hand_assembled_generator(grid, k, alpha):
     values.  Returns (core taps over -(nx-1)..(nx-1), edge_lo, edge_hi,
     whether the drift was upwinded)."""
     dx, c, nx = grid.dx, grid.nx, grid.nx
-    w0, zc = band_bins(grid.r_cut, grid.z_max, grid.nq_band, alpha)
+    w0, zc = band_bins(grid.r_cut, grid.z_max, NQ_BAND, alpha)
     w_plus, w_minus = k.k_plus * w0, k.k_minus * w0
     taps = interp_taps(np.concatenate([zc, -zc]) / dx,
                        np.concatenate([w_plus, w_minus]), nx)

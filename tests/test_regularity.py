@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nlstable.basket import abs_clip
+from nlstable.checker import _m1_bound
+from nlstable.kernels import Grid, Surface
 from nlstable.solver import TerminalProblem, make_grid, solve_forward
 from nlstable.regularity import (
     RegularityError,
@@ -94,3 +96,16 @@ def test_compare_reports_flags_instability(probe_run):
 def test_nonfinite_report_rejected():
     with pytest.raises(RegularityError, match="holder_t_half"):
         RegularityReport(1.0, np.inf, 1.0, 1.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("node", [50, 152])
+def test_derivative_bounds_cover_the_middle_half(node):
+    """At nx = 203 (3 mod 4) the middle half is nodes 50 to 152.  A unit
+    spike on either end node has second difference 2/dx^2 there, and the
+    probe and the checker's m1 both see it."""
+    g = Grid(-20.0, 20.0, 203, 1.0 + H, 5, 0.5, 160.0)
+    vals = np.zeros((g.nt + 1, g.nx))
+    vals[:, node] = 1.0
+    want = 2.0 / g.dx ** 2
+    assert probe(Surface(g, vals), H).dxx_bound_singleton == want
+    assert _m1_bound(list(vals), g) == want
