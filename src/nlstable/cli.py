@@ -122,9 +122,14 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _law_family(cfg: ExperimentConfig) -> LawFamily:
+    """One attracted law per kernel pair; a law that cannot be built is
+    a config error in z0."""
     uset = cfg.uncertainty_set()
-    laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
-                 for p in uset.pairs)
+    try:
+        laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+                     for p in uset.pairs)
+    except LawBuildError as exc:
+        raise ConfigError("z0", str(exc)) from exc
     return LawFamily(laws, uset)
 
 
@@ -150,11 +155,11 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
 def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
     psi = _one_psi(cfg)
     horizon = 1.0 + cfg.h
+    family = _law_family(cfg) if cfg.mode == "condition_iii" else None
     u = _surface(cfg, psi, horizon)
-    if cfg.mode == "condition_iii":
+    if family is not None:
         u_coarse = _surface(cfg, psi, horizon, cfg.coarse_nx)
-        table = check_condition_iii(_law_family(cfg), u, u_coarse,
-                                    cfg.n_values)
+        table = check_condition_iii(family, u, u_coarse, cfg.n_values)
     else:
         table = example_41_check(u, cfg.n_values)
     write_atomic(os.path.join(out, "residuals.csv"), table_to_csv(
@@ -229,7 +234,7 @@ def main(argv=None) -> int:
                      "\n".join(summary) + "\n")
         for line in summary:
             print(line)
-    except (ConfigError, LawBuildError) as exc:
+    except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, NarrowGridError, NegativeTapError, NonFiniteError,

@@ -101,7 +101,6 @@ class _DensityTable:
     tail_hi: float  # mass above x[-1]
 
 
-@lru_cache(maxsize=32)
 def _inverted_table(ce: CharExponent, t_time: float,
                     cut: float) -> _DensityTable:
     n = int(np.ceil(cut / TABLE_DX))
@@ -114,7 +113,6 @@ def _inverted_table(ce: CharExponent, t_time: float,
                           "threshold; widen the frequency window")
     side = t_time / ce.alpha * cut ** (-ce.alpha)
     tail_lo, tail_hi = ce.pair.k_minus * side, ce.pair.k_plus * side
-    # checked once per cached table; lru_cache keeps no raised error
     mass = float(np.trapezoid(f, x)) + tail_lo + tail_hi
     if abs(mass - 1.0) > MASS_TOL:
         raise OracleError(

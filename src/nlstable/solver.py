@@ -173,9 +173,9 @@ def dpp_check(psi: Callable, s: float, t: float, grid: Grid,
 # format_g17 gives the bytes of b"%.17g" % v for a block of float64 at
 # once.  Each |v| in [_G17_MIN, _G17_MAX] is scaled to the 17-digit
 # integer D = |v| * 10**(16 - k) as a Dekker double-double product,
-# accurate to about 1e-13; the rare values it cannot round beyond doubt
-# (a fraction within _G17_DOUBT of one half that is not an exact tie)
-# and those outside that range go through Python's own conversion.
+# accurate to about 1e-13; Python's own conversion takes the rare values
+# outside that range, with D outside [10**16, 10**17) before or after
+# rounding, or with a fraction within _G17_DOUBT of one half (ties too).
 
 _G17_MIN, _G17_MAX = 1e-280, 1e280
 _G17_DOUBT = 2.0 ** -20
@@ -230,21 +230,17 @@ def _split(a):
 
 
 def _scaled(a, k):
-    """Floor and fraction of a * 10**(16 - k), and whether they are
-    exact (10**(16 - k) is a double and the sum lost no bit)."""
+    """Floor and fraction of a * 10**(16 - k)."""
     hi, lo = _g17_tables()[:2]
     h, low = hi[16 - k - _P10_MIN], lo[16 - k - _P10_MIN]
     p = a * h
     ah, al = _split(a)
     hh, hl = _split(h)
     err = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # a*h = p + err
-    x = p - np.floor(p)
-    s = err + a * low
-    r = x + s
-    lost = (x - (r - (r - x))) + (s - (r - x))           # two-sum: x + s - r
+    top = np.floor(p)
+    r = (p - top) + (err + a * low)
     f = np.floor(r)
-    d = np.floor(p).astype(np.int64) + f.astype(np.int64)
-    return d, r - f, (low == 0.0) & (lost == 0.0)
+    return top.astype(np.int64) + f.astype(np.int64), r - f
 
 
 def _digits(d):
@@ -267,27 +263,23 @@ def format_g17(values: np.ndarray) -> np.ndarray:
     """``b"%.17g" % v`` for each float64, as one row of a NUL-padded
     uint8 matrix; ``row[row != 0]`` is the text.
 
-    The decimal exponent k comes from log10 and is corrected where the
-    scaled value |v| * 10**(16 - k) falls outside [10**16, 10**17); it
-    then rounds half to even to the 17 digits.  The %g layout is fixed notation for -4 <= k < 17, otherwise
-    d.ddde+XX, with trailing zeros and a bare dot left as NULs.
+    The decimal exponent k comes from log10 and the digits from
+    |v| * 10**(16 - k) rounded to an integer; every value this cannot
+    settle goes through ``%.17g`` itself.  The %g layout is fixed
+    notation for -4 <= k < 17, otherwise d.ddde+XX, with trailing zeros
+    and a bare dot left as NULs.
     """
     v = np.ravel(np.asarray(values, dtype=float))
     a = np.abs(v)
-    fast = (a >= _G17_MIN) & (a <= _G17_MAX)
-    a = np.where(fast, a, 1.0)
+    zero = v == 0.0
+    slow = (a < _G17_MIN) | (a > _G17_MAX)
+    a = np.where(slow, 1.0, a)
     k = np.floor(np.log10(a)).astype(np.int64)
-    d, frac, exact = _scaled(a, k)
-    off = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
-    redo = np.flatnonzero(off)
-    if redo.size:   # log10 is off by one next to a power of ten
-        k[redo] += off[redo]
-        d[redo], frac[redo], exact[redo] = _scaled(a[redo], k[redo])
-    tie = exact & (frac == 0.5)
-    d += (frac > 0.5) | (tie & (d % 2 == 1))
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    k += carry
+    d, frac = _scaled(a, k)
+    slow |= (d < 10 ** 16) | (d >= 10 ** 17)
+    slow |= np.abs(frac - 0.5) < _G17_DOUBT
+    d += frac > 0.5
+    slow = (slow | (d == 10 ** 17)) & ~zero
 
     _, _, _, masks, lead = _g17_tables()
     digits = _digits(d)
@@ -311,11 +303,9 @@ def format_g17(values: np.ndarray) -> np.ndarray:
             np.full(e.size, ord("e")), np.where(k[sci] < 0, ord("-"), ord("+")),
             np.where(e >= 100, e // 100 + ord("0"), 0),
             e // 10 % 10 + ord("0"), e % 10 + ord("0")], axis=1)
-    zero = v == 0.0
     out[zero, 1:] = 0
     out[zero, 1] = ord("0")
-    doubt = (np.abs(frac - 0.5) < _G17_DOUBT) & ~tie
-    for i in np.flatnonzero(~fast & ~zero | doubt):
+    for i in np.flatnonzero(slow):
         text = b"%.17g" % v[i]
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)

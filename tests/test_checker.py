@@ -7,7 +7,8 @@ import pytest
 
 from nlstable import cli
 from nlstable import config as config_mod
-from nlstable.kernels import KernelPair, Surface, UncertaintySet, band_bins
+from nlstable.kernels import (KernelPair, Surface, UncertaintySet, band_bins,
+                              middle_half)
 from nlstable.laws import AttractedLaw, beta2_prime, build_law, tail_deviation
 from nlstable.engine import LawFamily, NormalizedSumSpec
 from nlstable.solver import TerminalProblem, make_grid, solve_forward
@@ -243,7 +244,7 @@ def reference_residual(family, uset, v, n, n_bins=192):
     z0 = family.laws[0].z0
     b_n = NormalizedSumSpec(n, family.b_scale, alpha).B_n
     r_split = b_n * z0
-    mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)
+    mid = middle_half(g.nx)
     xm = g.x[mid]
 
     z_big = 2.0 * (g.x_max - g.x_min)

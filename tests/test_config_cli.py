@@ -148,6 +148,10 @@ def setting(**fields):
     # the message names the JSON key, not the symbol
     pytest.param(setting(lam=3.0), "[stable_kernel.lam]",
                  id="lam-not-below-Lam"),
+    # at the default z0 = 2 the (2, 1) law's tail first moment cannot be
+    # cancelled by its interior density
+    pytest.param(setting(pairs=[[2.0, 1.0]]), "[attracted_laws.z0]",
+                 id="law-needs-wider-z0"),
 ])
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     d = json.loads(dumps(base_config()))
@@ -156,6 +160,20 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     assert cli.main(["hypothesis", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_bad_law_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
+    """A law that cannot be built is found before either grid is
+    marched."""
+    def no_march(*args, **kwargs):
+        raise AssertionError("_surface called")
+    monkeypatch.setattr(cli, "_surface", no_march)
+    d = {**json.loads(dumps(base_config())), "pairs": [[2.0, 1.0]]}
+    path = tmp_path / "bad_law.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["hypothesis", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "[attracted_laws.z0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,name,psi", [

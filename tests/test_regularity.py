@@ -5,7 +5,7 @@ import pytest
 
 from nlstable.basket import abs_clip
 from nlstable.checker import _m1_bound
-from nlstable.kernels import Grid, Surface
+from nlstable.kernels import Grid, Surface, middle_half
 from nlstable.solver import TerminalProblem, make_grid, solve_forward
 from nlstable.regularity import (
     RegularityError,
@@ -50,7 +50,7 @@ def test_clipped_linear_lipschitz(probe_run):
 def test_lip_non_increasing_in_time(probe_run):
     surface, _, _ = probe_run
     g = surface.grid
-    mid = slice(g.nx // 4, 3 * g.nx // 4)
+    mid = middle_half(g.nx)
     per_row = np.max(np.abs(np.diff(surface.values[:, mid], axis=1)),
                      axis=1) / g.dx
     # sup of contraction operators: no row exceeds the initial constant
@@ -62,7 +62,7 @@ def test_holder_uniform_in_h(probe_run):
     early-window one."""
     surface, _, _ = probe_run
     g = surface.grid
-    mid = slice(g.nx // 4, 3 * g.nx // 4 + 1)
+    mid = middle_half(g.nx)
     times = surface.times
 
     def holder_on(lo, hi):
