@@ -21,23 +21,18 @@ import numpy as np
 
 from . import config as config_mod
 from .config import ConfigError, ExperimentConfig
-from .kernels import Surface
-from .laws import build_law, LawBuildError
-from .engine import (LawFamily, NarrowGridError, NegativeTapError,
-                     convergence_table)
-from .solver import (CFLError, NonFiniteError, TerminalProblem, make_grid,
-                     solve_forward, evaluate, surface_to_csv)
-from .oracle import CharExponent, OracleError, classical_expectation
+from .kernels import NumericalError, Surface
+from .laws import build_law
+from .engine import LawFamily, convergence_table
+from .solver import (TerminalProblem, make_grid, solve_forward, evaluate,
+                     surface_to_csv)
+from .oracle import CharExponent, classical_expectation
 from .checker import check_condition_iii, example_41_check, fit_rate
-from .regularity import (RegularityError, lipschitz_x, probe,
-                         compare_reports, report_to_text)
+from .regularity import (lipschitz_x, probe, compare_reports,
+                         report_to_text)
 
 ORACLE_TOL = 2e-2
 LIP_SLACK = 1.05
-
-
-class ThresholdError(RuntimeError):
-    """A numerical check failed beyond its configured tolerance."""
 
 
 def write_atomic(path: str, data: str | Iterable[bytes]) -> None:
@@ -107,29 +102,26 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
         line = (f"{tag}: max_principle_residual={max(overshoot, 0.0):.3e} "
                 f"lip={lip:.6g} lip_bound={psi.lip * LIP_SLACK:.6g}")
         if overshoot > 1e-9 or lip > psi.lip * LIP_SLACK + 1e-12:
-            raise ThresholdError("solve checks failed: " + line)
+            raise NumericalError("nx", "solve checks failed: " + line)
         if len(uset.pairs) == 1:
             ce = CharExponent(uset.pairs[0], cfg.alpha)
             ref = classical_expectation(psi, ce, cfg.t_max, 0.0)
             gap = abs(evaluate(surface, cfg.t_max, 0.0) - ref)
             line += f" oracle_gap={gap:.3e}"
             if gap > ORACLE_TOL:
-                raise ThresholdError(
-                    f"solver disagrees with the classical oracle by "
+                raise NumericalError(
+                    "nx", f"solver disagrees with the classical oracle by "
                     f"{gap:.3e} > {ORACLE_TOL}")
         summary.append(line)
     return summary
 
 
 def _law_family(cfg: ExperimentConfig) -> LawFamily:
-    """One attracted law per kernel pair; a law that cannot be built is
-    a config error in z0."""
+    """One attracted law per kernel pair; a law that cannot be built
+    raises ConfigError naming z0."""
     uset = cfg.uncertainty_set()
-    try:
-        laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
-                     for p in uset.pairs)
-    except LawBuildError as exc:
-        raise ConfigError("z0", str(exc)) from exc
+    laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+                 for p in uset.pairs)
     return LawFamily(laws, uset)
 
 
@@ -186,8 +178,8 @@ def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
     compare_reports(report, report_c)
 
     if report.lip_x > psi.lip * LIP_SLACK:
-        raise ThresholdError(
-            f"measured Lipschitz constant {report.lip_x:.6g} exceeds "
+        raise NumericalError(
+            "nx", f"measured Lipschitz constant {report.lip_x:.6g} exceeds "
             f"{LIP_SLACK} x Lip(psi) = {psi.lip * LIP_SLACK:.6g}")
     write_atomic(os.path.join(out, "regularity.txt"),
                  report_to_text(report))
@@ -237,9 +229,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (CFLError, NarrowGridError, NegativeTapError, NonFiniteError,
-            OracleError, RegularityError, ThresholdError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except NumericalError as exc:
+        print(f"numerical failure: {config_mod.field_tag(exc.field)} {exc}",
+              file=sys.stderr)
         return 3
     return 0
 

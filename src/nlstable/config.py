@@ -26,13 +26,18 @@ _MODULES = {"alpha": "stable_kernel", "lam": "stable_kernel",
             "psi": "experiment_cli", "config": "experiment_cli"}
 
 
-class ConfigError(ValueError):
-    """Validation failure, prefixed ``[module.field]`` for the config's
+def field_tag(field: str) -> str:
+    """``[module.field]``, as every failure message names the config's
     JSON key ``field`` (``config`` for the file as a whole)."""
+    return f"[{_MODULES.get(field, 'pide_solver')}.{field}]"
+
+
+class ConfigError(ValueError):
+    """Validation failure (exit code 2), prefixed ``field_tag(field)``."""
 
     def __init__(self, field: str, message: str):
-        module = _MODULES.get(field, "pide_solver")
-        super().__init__(f"[{module}.{field}] {message}")
+        super().__init__(f"{field_tag(field)} {message}")
+        self.field = field
 
 
 @dataclass(frozen=True)

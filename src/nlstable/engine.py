@@ -24,21 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (Grid, ShiftKernel, UncertaintySet, apply_max,
-                      interp_taps, middle_half, shift_kernel)
+from .kernels import (Grid, NumericalError, ShiftKernel, UncertaintySet,
+                      apply_max, interp_taps, middle_half, shift_kernel)
 from .laws import AttractedLaw, law_nodes
 
 ESCAPE_TOL = 1e-4
 DP_REACH = 16.0  # cells within which the stage taps are second order
-
-
-class NarrowGridError(RuntimeError):
-    """Raised when too much quadrature mass falls off the grid."""
-
-
-class NegativeTapError(RuntimeError):
-    """Raised when a stage kernel has a negative tap, so the stage would
-    not be a positive (monotone) operator."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,8 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
                "cells" if cells < DP_REACH else
                f"its quadrature nodes within {DP_REACH:g} cells are sparser "
                "than the grid, so increase sublinear_engine.dp_dx")
-        raise NegativeTapError(
+        raise NumericalError(
+            "dp_dx",
             f"stage kernel for pair {law.pair} at B_n={b_n:.6g} has a tap "
             f"of {low:.3e} < 0, so the stage is not monotone; the law's "
             f"interior |z| < z0 spans {cells:.3g} cells of dx={grid.dx:.6g}; "
@@ -117,10 +109,10 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
                            grid: Grid) -> float:
     """Sublinear expectation of psi(B_n S_n) by backward value iteration.
 
-    Raises NarrowGridError when the accumulated worst-case quadrature
-    mass escaping the grid (watched from the middle half) exceeds
-    ESCAPE_TOL, since then the constant edge extension contaminates the
-    returned value at a comparable level.
+    Raises NumericalError naming dp_half_width when the accumulated
+    worst-case quadrature mass escaping the grid (watched from the middle
+    half) exceeds ESCAPE_TOL, since then the constant edge extension
+    contaminates the returned value at a comparable level.
     """
     w = np.asarray(psi(grid.x), dtype=float)
     if not np.all(np.isfinite(w)):
@@ -131,7 +123,8 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
     escaped = spec.n * max(esc for _, esc in built)
     if escaped > ESCAPE_TOL:
         need = grid.x_max * (escaped / ESCAPE_TOL) ** (1.0 / spec.alpha)
-        raise NarrowGridError(
+        raise NumericalError(
+            "dp_half_width",
             f"accumulated off-grid quadrature mass {escaped:.2e} exceeds "
             f"{ESCAPE_TOL:.0e}; widen the grid to roughly +-{need:.0f} "
             "(sublinear_engine.dp_half_width)")

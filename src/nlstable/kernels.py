@@ -52,8 +52,13 @@ from numpy.fft import irfft, rfft
 NQ_BAND = 128   # the generator's log-spaced bins per side on [r_cut, z_max]
 
 
-class KernelDomainError(ValueError):
-    """Raised when an evaluation point or parameter is outside the domain."""
+class NumericalError(RuntimeError):
+    """A run that cannot give a number it can trust (exit code 3);
+    ``field`` is the config's JSON key of the knob to turn."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -171,14 +176,14 @@ def middle_half(nx: int) -> slice:
 def drift_b(k: KernelPair, alpha: float) -> float:
     """First moment of the kernel over |z| >= 1, (k_minus - k_plus)/(alpha - 1)."""
     if not (1.0 < alpha < 2.0):
-        raise KernelDomainError("alpha must lie in (1, 2)")
+        raise ValueError("alpha must lie in (1, 2)")
     return (k.k_minus - k.k_plus) / (alpha - 1.0)
 
 
 def small_jump_second_moment(k: KernelPair, alpha: float, r: float) -> float:
     """Second moment of the kernel over |z| < r, analytic."""
     if r <= 0.0:
-        raise KernelDomainError("radius must be positive")
+        raise ValueError("radius must be positive")
     return (k.k_minus + k.k_plus) * r ** (2.0 - alpha) / (2.0 - alpha)
 
 
@@ -373,7 +378,8 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
                        0.5 * sigma2, 0.0, grid)
     off_centre = np.delete(kern.taps, kern.half)
     if np.any(off_centre < 0.0) or min(kern.edge_lo, kern.edge_hi) < 0.0:
-        raise ValueError(
+        raise NumericalError(
+            "r_cut",
             f"generator for pair {k} at alpha={alpha} on grid nx={grid.nx}, "
             f"dx={grid.dx:.6g}, r_cut={grid.r_cut:.6g} has a negative "
             f"off-centre weight, so the explicit scheme would not be "

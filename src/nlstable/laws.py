@@ -21,14 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .config import ConfigError
 from .kernels import KernelPair, tail_nodes
 
 _TAIL_FAR = 1e8     # outer edge of the explicit tail quadrature bins
 _TAIL_BINS = 2048
-
-
-class LawBuildError(ValueError):
-    """Raised when the requested tail parameters admit no valid density."""
 
 
 def _tail_scale(law: "AttractedLaw") -> float:
@@ -93,20 +90,20 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
     tilt, so the tilt that zeroes it is one division.
     """
     if not (1.0 < alpha < 2.0):
-        raise LawBuildError("alpha must lie in (1, 2)")
+        raise ValueError("alpha must lie in (1, 2)")
     if b_scale <= 0.0 or z0 <= 0.0:
-        raise LawBuildError("b_scale and z0 must be positive")
+        raise ValueError("b_scale and z0 must be positive")
     c = b_scale ** alpha
     k_m, k_p = pair.k_minus, pair.k_plus
     tail_mass = c * (k_m + k_p) / (alpha * z0 ** alpha)
     if tail_mass >= 1.0:
-        raise LawBuildError(
-            f"tail mass {tail_mass:.4f} >= 1 leaves no interior mass; "
+        raise ConfigError(
+            "z0", f"tail mass {tail_mass:.4f} >= 1 leaves no interior mass; "
             "increase z0 or decrease b_scale")
     tail_moment = c * (k_p - k_m) * z0 ** (1.0 - alpha) / (alpha - 1.0)
     if abs(tail_moment) >= z0 * (1.0 - tail_mass):
-        raise LawBuildError(
-            f"tail first moment {tail_moment:.4f} exceeds what any "
+        raise ConfigError(
+            "z0", f"tail first moment {tail_moment:.4f} exceeds what any "
             f"interior density on (-{z0}, {z0}) can cancel; increase z0")
 
     # value and slope of the tail density at the junctions
@@ -134,9 +131,9 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
     zz = np.linspace(-z0, z0, 4001)
     low = float(np.min(law._poly(zz)))
     if low < -1e-12:
-        raise LawBuildError(
-            f"interior density dips to {low:.3e} at z={zz[np.argmin(law._poly(zz))]:.3f}; "
-            "increase z0")
+        raise ConfigError(
+            "z0", f"interior density dips to {low:.3e} at "
+            f"z={zz[np.argmin(law._poly(zz))]:.3f}; increase z0")
     return law
 
 

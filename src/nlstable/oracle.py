@@ -26,13 +26,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import fft
 
-from .kernels import KernelPair, next_fast_len
+from .kernels import KernelPair, NumericalError, next_fast_len
 
 TABLE_DX = 0.05     # spacing of the inverted density table
 MASS_TOL = 1e-4     # allowed deviation of the table's mass from 1
-
-class OracleError(RuntimeError):
-    """Raised when an inversion or mass check fails its tolerance."""
 
 
 @lru_cache(maxsize=32)
@@ -86,10 +83,16 @@ def _invert(ce: CharExponent, t_time: float, n: int,
     period = max(8.0 * max(n * dx, 1.0), 100.0 * np.pi)
     n_fft = next_fast_len(int(np.ceil(period / dx)))
     d_xi = 2.0 * np.pi / (n_fft * dx)
-    xi = d_xi * np.arange(int(np.ceil(xi_max / d_xi)) + 1)
-    phi = np.exp(t_time * _log_phi_grid(ce, xi))
-    phi[[0, -1]] *= 0.5
-    folded = np.pad(phi, (0, -len(phi) % n_fft)).reshape(-1, n_fft).sum(0)
+    n_xi = int(np.ceil(xi_max / d_xi)) + 1
+    try:
+        xi = d_xi * np.arange(n_xi)
+        phi = np.exp(t_time * _log_phi_grid(ce, xi))
+        phi[[0, -1]] *= 0.5
+        folded = np.pad(phi, (0, -len(phi) % n_fft)).reshape(-1, n_fft).sum(0)
+    except (MemoryError, ValueError) as exc:  # ValueError: "too big"
+        raise NumericalError(
+            "t_max", f"the oracle's {n_xi} frequencies at t = {t_time:.3g} "
+            f"cannot be allocated ({exc}); raise pide_solver.t_max") from exc
     return fft(folded)[np.arange(-n, n + 1)].real * d_xi / np.pi
 
 
@@ -109,14 +112,15 @@ def _inverted_table(ce: CharExponent, t_time: float,
     clip_level = 1e-12 * max(1.0, float(np.max(f)))
     f = np.where(f < 0.0, np.where(f > -clip_level * 1e3, 0.0, f), f)
     if np.any(f < 0.0):
-        raise OracleError("inversion produced negative density beyond ripple "
-                          "threshold; widen the frequency window")
+        raise NumericalError("alpha", "inversion produced negative density "
+                             "beyond ripple threshold; widen the frequency "
+                             "window")
     side = t_time / ce.alpha * cut ** (-ce.alpha)
     tail_lo, tail_hi = ce.pair.k_minus * side, ce.pair.k_plus * side
     mass = float(np.trapezoid(f, x)) + tail_lo + tail_hi
     if abs(mass - 1.0) > MASS_TOL:
-        raise OracleError(
-            f"density mass {mass:.8f} deviates from 1 by more than "
+        raise NumericalError(
+            "alpha", f"density mass {mass:.8f} deviates from 1 by more than "
             f"{MASS_TOL}; use a wider spatial window")
     return _DensityTable(x=x, f=f, tail_lo=tail_lo, tail_hi=tail_hi)
 

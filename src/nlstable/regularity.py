@@ -11,14 +11,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import Surface, middle_half
+from .kernels import NumericalError, Surface, middle_half
 
 COMPARE_REL_TOL = 0.2
 COMPARE_SKIP = ("lip_x", "holder_gamma_fit")
-
-
-class RegularityError(RuntimeError):
-    """Raised when a probed quantity is unstable across resolutions."""
 
 
 @dataclass(frozen=True)
@@ -34,8 +30,8 @@ class RegularityReport:
         for f in fields(self):
             val = getattr(self, f.name)
             if not np.isfinite(val) or (val < 0 and f.name != "holder_gamma_fit"):
-                raise RegularityError(f"field {f.name} = {val} "
-                                      "is not a valid probe result")
+                raise NumericalError("nx", f"field {f.name} = {val} "
+                                     "is not a valid probe result")
 
 
 def lipschitz_x(surface: Surface) -> float:
@@ -109,9 +105,9 @@ def probe(surface: Surface, h: float,
 def compare_reports(fine: RegularityReport, other: RegularityReport):
     """Relative agreement of probe fields across two resolutions.
 
-    Raises RegularityError naming the first field whose values differ
-    by more than COMPARE_REL_TOL relative to the finer measurement;
-    fields in COMPARE_SKIP are not enforced.
+    Raises NumericalError (naming nx) for the first field whose values
+    differ by more than COMPARE_REL_TOL relative to the finer
+    measurement; fields in COMPARE_SKIP are not enforced.
     """
     for f in fields(RegularityReport):
         if f.name in COMPARE_SKIP:
@@ -119,8 +115,8 @@ def compare_reports(fine: RegularityReport, other: RegularityReport):
         a, b = getattr(fine, f.name), getattr(other, f.name)
         rel = abs(a - b) / max(abs(a), 1e-12)
         if rel > COMPARE_REL_TOL:
-            raise RegularityError(
-                f"field {f.name} unstable across resolutions: "
+            raise NumericalError(
+                "nx", f"field {f.name} unstable across resolutions: "
                 f"{a:.6g} vs {b:.6g} "
                 f"({100*rel:.1f}% > {100*COMPARE_REL_TOL:.0f}%)")
 

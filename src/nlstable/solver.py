@@ -23,6 +23,7 @@ import numpy as np
 
 from .kernels import (
     Grid,
+    NumericalError,
     Surface,
     UncertaintySet,
     apply_sup_generator_row,
@@ -30,14 +31,6 @@ from .kernels import (
     resolve_cutoffs,
     scheme_stability_constant,
 )
-
-
-class CFLError(RuntimeError):
-    """Raised when the requested time step violates the stability bound."""
-
-
-class NonFiniteError(RuntimeError):
-    """Raised when a march produces values that are not finite."""
 
 
 @dataclass(frozen=True)
@@ -76,11 +69,18 @@ def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
 def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
     c = scheme_stability_constant(grid, uset)
     if grid.dt * c > 1.0 + 1e-12:
-        raise CFLError(
+        raise NumericalError(
+            "safety",
             f"dt={grid.dt:.3e} violates the stability bound; scheme constant "
             f"c={c:.6g} requires dt <= {1.0 / c:.3e} (nt >= {int(np.ceil(grid.t_max * c))})"
         )
-    rows = np.empty((grid.nt + 1, grid.nx))
+    try:
+        rows = np.empty((grid.nt + 1, grid.nx))
+    except (MemoryError, ValueError) as exc:  # ValueError: "too big"
+        raise NumericalError(
+            "nx", f"the surface of {grid.nt + 1} x {grid.nx} values cannot "
+            f"be allocated ({exc}); lower pide_solver.nx or "
+            "pide_solver.t_max, or raise pide_solver.safety") from exc
     rows[0] = u0
     u = u0.copy()
     b_lo, b_hi = u0[0], u0[-1]
@@ -92,7 +92,8 @@ def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
     # surface-sized temporary, which would raise the peak memory
     if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
         step = int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise NonFiniteError(
+        raise NumericalError(
+            "safety",
             f"the march produced non-finite values at step {step} of "
             f"{grid.nt} (nx={grid.nx}, max |psi| = "
             f"{float(np.max(np.abs(u0))):.3e}); lower pide_solver.safety, "

@@ -398,3 +398,9 @@ class TestExample41:
         r = table.residuals
         assert r[1] < r[0] and r[2] < r[1]
         assert table.fitted_rate < 0.0
+
+    def test_requires_covering_horizon(self, uset):
+        """Rows up to t = 1 do not exist on a shorter surface."""
+        g = make_grid(-20.0, 20.0, 201, 0.5, uset)
+        with pytest.raises(ValueError, match="horizon"):
+            example_41_check(forward(gaussian, g, uset), (8, 16))

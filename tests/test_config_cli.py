@@ -213,9 +213,9 @@ def test_psi_sharing_a_file_tag_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# every module a config field belongs to, as ConfigError names it
+# every module a config field belongs to, as field_tag names it
 FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
-MODULES = {str(ConfigError(name, ""))[1:].split(".")[0] for name in FIELDS}
+MODULES = {config_mod.field_tag(name)[1:].split(".")[0] for name in FIELDS}
 FIELD_REF = re.compile(r"\b(" + "|".join(sorted(MODULES)) + r")\.(\w+)")
 
 
@@ -231,23 +231,45 @@ def misnamed(refs: list[re.Match]) -> list[str]:
     """The references whose field is no config field or belongs to
     another module."""
     return [ref.group(0) for ref in refs if ref.group(2) not in FIELDS
-            or f"[{ref.group(0)}]" not in str(ConfigError(ref.group(2), ""))]
+            or f"[{ref.group(0)}]" != config_mod.field_tag(ref.group(2))]
+
+
+def failure_fields(tree: ast.Module) -> list[str]:
+    """The literal first arguments of the ConfigError and NumericalError
+    calls in tree."""
+    return [node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("ConfigError", "NumericalError")]
+
+
+def unknown_fields(names: list[str]) -> list[str]:
+    return [name for name in names if name not in FIELDS + ["config"]]
 
 
 def test_messages_name_config_fields():
     """A message that tells the user which knob to turn names it as
-    ConfigError would."""
-    refs = [ref for p in sorted((REPO / "src" / "nlstable").glob("*.py"))
-            for ref in field_refs(ast.parse(p.read_text()))]
+    field_tag would, and every failure names a config field."""
+    trees = [ast.parse(p.read_text())
+             for p in sorted((REPO / "src" / "nlstable").glob("*.py"))]
+    refs = [ref for tree in trees for ref in field_refs(tree)]
     assert refs
     assert misnamed(refs) == []
+    names = [name for tree in trees for name in failure_fields(tree)]
+    assert {"config", "nx", "safety", "z0"} <= set(names)
+    assert unknown_fields(names) == []
 
 
 def test_detects_a_misnamed_field():
     tree = ast.parse('x = "lower pide_solver.safety or stable_kernel.lambda"\n'
-                     'y = f"{x}: raise sublinear_engine.nx or pide_solver.dx"\n')
+                     'y = f"{x}: raise sublinear_engine.nx or pide_solver.dx"\n'
+                     'raise ConfigError("nxx", "must be odd")\n'
+                     'raise kernels.NumericalError("dx", f"{x}")\n'
+                     'raise NumericalError("safety", "lower it")\n')
     assert misnamed(field_refs(tree)) == [
         "stable_kernel.lambda", "sublinear_engine.nx", "pide_solver.dx"]
+    assert unknown_fields(failure_fields(tree)) == ["nxx", "dx"]
 
 
 def test_default_r_cut_accepted_at_nx_83():
@@ -314,7 +336,8 @@ class TestCli:
                              "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "non-finite" in err and "pide_solver.safety" in err
+        assert err.startswith("numerical failure: [pide_solver.safety] ")
+        assert "non-finite" in err
 
     def test_negative_dp_tap_exits_3(self, tmp_path, capsys):
         """At n = 512 the law's interior spans under one cell of a
@@ -323,7 +346,9 @@ class TestCli:
         assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert "not monotone" in err and "sublinear_engine.dp_dx" in err
+        assert err.startswith("numerical failure: [sublinear_engine.dp_dx] ")
+        assert "not monotone" in err
+        assert "decrease sublinear_engine.dp_dx" in err
 
     def test_write_atomic_round_trip_across_slices(self, tmp_path):
         n = 1 << 20
@@ -385,8 +410,26 @@ class TestCli:
         assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: [sublinear_engine.dp_half_width] ")
         assert "widen the grid" in err
-        assert "sublinear_engine.dp_half_width" in err
+
+    @pytest.mark.parametrize("over,tag", [
+        # an 852 PiB march surface, then one past numpy's size limit
+        ({"safety": 1e-13}, "[pide_solver.nx]"),
+        ({"safety": 1e-15}, "[pide_solver.nx]"),
+        # a 1.45 EiB oracle frequency grid, then one past the limit
+        ({"t_max": 1e-21}, "[pide_solver.t_max]"),
+        ({"t_max": 1e-24}, "[pide_solver.t_max]"),
+    ])
+    def test_unallocatable_array_exits_3(self, tmp_path, capsys, over, tag):
+        """Sizes no machine can map, so the refusal commits no memory."""
+        cfg = base_config(**over)
+        assert cli.main(["solve", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {tag} ")
+        assert "cannot be allocated" in err
 
     def test_clt_constant_psi_zero_errors(self, tmp_path):
         cfg = base_config(lam=0.05, Lam=0.15, pairs=((0.1, 0.1),), nx=201,

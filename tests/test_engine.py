@@ -6,13 +6,11 @@ from scipy.signal import fftconvolve
 
 from nlstable import cli, engine
 from nlstable.config import ExperimentConfig
-from nlstable.kernels import Grid, KernelPair, UncertaintySet
+from nlstable.kernels import Grid, KernelPair, NumericalError, UncertaintySet
 from nlstable.laws import build_law, law_nodes
 from nlstable.engine import (
     DP_REACH,
     LawFamily,
-    NarrowGridError,
-    NegativeTapError,
     NormalizedSumSpec,
     convergence_table,
     nested_sum_expectation,
@@ -88,8 +86,9 @@ class TestNestedSum:
 
     def test_narrow_grid_rejected(self, fam_sym):
         spec = NormalizedSumSpec(16, 1.0, ALPHA)
-        with pytest.raises(NarrowGridError, match="widen the grid"):
+        with pytest.raises(NumericalError, match="widen the grid") as exc:
             nested_sum_expectation(gaussian, fam_sym, spec, dp_grid(half=40.0))
+        assert exc.value.field == "dp_half_width"
 
     def test_two_stages_match_direct_sum(self, fam_small):
         """The FFT stages against a dense direct sum of the interpolated
@@ -152,10 +151,11 @@ class TestNestedSum:
         """A grid too coarse for B_n z0, or too fine for the law's
         quadrature nodes, leaves a negative corrected tap."""
         spec = NormalizedSumSpec(n, 1.0, ALPHA)
-        with pytest.raises(NegativeTapError,
-                           match=f"{advice} sublinear_engine.dp_dx"):
+        with pytest.raises(NumericalError,
+                           match=f"{advice} sublinear_engine.dp_dx") as exc:
             nested_sum_expectation(gaussian, fam_small, spec,
                                    dp_grid(half=40.0, dx=dx))
+        assert exc.value.field == "dp_dx"
 
 
 class TestAxiomsSmall:

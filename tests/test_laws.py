@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nlstable.kernels import KernelPair
-from nlstable.laws import LawBuildError, build_law, tail_deviation
+from nlstable.config import ConfigError
+from nlstable.laws import build_law, tail_deviation
 
 from conftest import law_expectation
 
@@ -46,8 +47,9 @@ class TestBuild:
     def test_infeasible_asymmetric_tails_at_default_z0(self):
         # the (2,1) pair at z0=2 carries more net tail first moment than
         # any interior density on (-2, 2) can cancel
-        with pytest.raises(LawBuildError, match="increase z0"):
+        with pytest.raises(ConfigError, match="increase z0") as exc:
             build_law(KernelPair(2.0, 1.0), ALPHA, 1.0, 2.0)
+        assert exc.value.field == "z0"
 
     def test_asymmetric_mean_zero_at_wide_z0(self):
         law = build_law(KernelPair(2.0, 1.0), ALPHA, 1.0, 6.0)
@@ -55,8 +57,9 @@ class TestBuild:
         assert abs(law_expectation(lambda z: z, law)) < 1e-10
 
     def test_tail_mass_over_one_rejected(self):
-        with pytest.raises(LawBuildError, match="tail mass"):
+        with pytest.raises(ConfigError, match="tail mass") as exc:
             build_law(KernelPair(3.0, 3.0), ALPHA, 1.0, 0.5)
+        assert exc.value.field == "z0"
 
     def test_c1_junction(self, law_sym):
         eps = 1e-6

@@ -8,7 +8,7 @@ from scipy.signal import fftconvolve
 from scipy.special import gamma
 
 from nlstable import oracle
-from nlstable.kernels import KernelPair, next_fast_len
+from nlstable.kernels import KernelPair, NumericalError, next_fast_len
 from nlstable.oracle import (
     CharExponent,
     classical_expectation,
@@ -216,5 +216,6 @@ class TestExpectation:
         """The mass check runs where the table is built."""
         monkeypatch.setattr(oracle, "MASS_TOL", -1.0)
         for _ in range(2):
-            with pytest.raises(oracle.OracleError, match="density mass"):
+            with pytest.raises(NumericalError, match="density mass") as exc:
                 classical_expectation(gaussian, ce_sym, 1.0)
+            assert exc.value.field == "alpha"

@@ -5,10 +5,9 @@ import pytest
 
 from nlstable.basket import abs_clip
 from nlstable.checker import _m1_bound
-from nlstable.kernels import Grid, Surface, middle_half
+from nlstable.kernels import Grid, NumericalError, Surface, middle_half
 from nlstable.solver import TerminalProblem, make_grid, solve_forward
 from nlstable.regularity import (
-    RegularityError,
     RegularityReport,
     compare_reports,
     probe,
@@ -87,15 +86,17 @@ def test_compare_reports_flags_instability(probe_run):
         "holder_gamma_fit", "dxx_bound_singleton")}
     fields["dt_u_bound"] *= 1.5
     bad = RegularityReport(**fields)
-    with pytest.raises(RegularityError, match="dt_u_bound"):
+    with pytest.raises(NumericalError, match="dt_u_bound") as exc:
         compare_reports(rep, bad)
+    assert exc.value.field == "nx"
     # an unchanged copy passes
     compare_reports(rep, rep)
 
 
 def test_nonfinite_report_rejected():
-    with pytest.raises(RegularityError, match="holder_t_half"):
+    with pytest.raises(NumericalError, match="holder_t_half") as exc:
         RegularityReport(1.0, np.inf, 1.0, 1.0, 0.5, 1.0)
+    assert exc.value.field == "nx"
 
 
 @pytest.mark.parametrize("node", [50, 152])

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from nlstable import checker
 from nlstable import solver as solver_mod
-from nlstable.kernels import (Grid, Surface, middle_half,
+from nlstable.kernels import (Grid, NumericalError, Surface, middle_half,
                               scheme_stability_constant)
 from nlstable.solver import (
-    CFLError,
-    NonFiniteError,
     TerminalProblem,
     dpp_check,
     evaluate,
@@ -39,8 +37,9 @@ def test_constant_preserved_exactly(small_grid, uset_sym):
 
 def test_cfl_violation_refused(uset_sym):
     g = Grid(-20.0, 20.0, 401, 1.0, 2, 0.1, 160.0)  # nt=2 is far too coarse
-    with pytest.raises(CFLError, match="nt >="):
+    with pytest.raises(NumericalError, match="nt >=") as exc:
         solve(gaussian, g, uset_sym)
+    assert exc.value.field == "safety"
 
 
 def test_non_finite_march_refused(small_grid, uset_sym):
@@ -50,8 +49,9 @@ def test_non_finite_march_refused(small_grid, uset_sym):
         return np.where(np.arange(np.size(x)) % 2 == 0, 1e308, -1e308)
 
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NonFiniteError, match="pide_solver.safety"):
+            pytest.raises(NumericalError, match="pide_solver.safety") as exc:
         solve(psi, small_grid, uset_sym)
+    assert exc.value.field == "safety"
 
 
 def test_cfl_report_consistent(small_grid, uset_sym):
