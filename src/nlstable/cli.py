@@ -24,8 +24,8 @@ from .config import ConfigError, ExperimentConfig
 from .kernels import NumericalError, Surface
 from .laws import build_law
 from .engine import LawFamily, convergence_table
-from .solver import (TerminalProblem, make_grid, solve_forward, evaluate,
-                     surface_to_csv)
+from .solver import (TerminalProblem, make_grid, solve_forward, final_value,
+                     evaluate, surface_to_csv)
 from .oracle import CharExponent, classical_expectation
 from .checker import check_condition_iii, example_41_check, fit_rate
 from .regularity import (lipschitz_x, probe, compare_reports,
@@ -68,15 +68,20 @@ def table_to_csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _surface(cfg: ExperimentConfig, psi, horizon: float,
-             nx: int | None = None) -> Surface:
-    """psi marched forward to ``horizon`` on the config's grid (``nx``
-    nodes if given): the one march of every command."""
+def _march_inputs(cfg: ExperimentConfig, psi, horizon: float,
+                  nx: int | None = None):
+    """The problem, grid and uncertainty set of psi marched forward to
+    ``horizon`` (on ``nx`` nodes if given): the one grid rule."""
     uset = cfg.uncertainty_set()
     grid = make_grid(cfg.x_min, cfg.x_max, nx or cfg.nx, horizon, uset,
                      r_cut=cfg.r_cut, z_max=cfg.z_max, safety=cfg.safety)
-    return solve_forward(TerminalProblem(psi, psi.lip, psi.sup, horizon),
-                         grid, uset)
+    return TerminalProblem(psi, psi.lip, psi.sup, horizon), grid, uset
+
+
+def _surface(cfg: ExperimentConfig, psi, horizon: float,
+             nx: int | None = None) -> Surface:
+    """The whole march, for the commands that read rows across time."""
+    return solve_forward(*_march_inputs(cfg, psi, horizon, nx))
 
 
 def _one_psi(cfg: ExperimentConfig):
@@ -129,7 +134,7 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
     family = _law_family(cfg)
     summary = []
     for psi in cfg.psi_functions():
-        pide_value = evaluate(_surface(cfg, psi, 1.0), 1.0, 0.0)
+        pide_value = final_value(*_march_inputs(cfg, psi, 1.0), 0.0)
         rows = convergence_table(psi, family, cfg.n_values,
                                  cfg.dp_grid(), pide_value)
         tag = psi.tag

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -66,7 +67,9 @@ def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
     return Grid(x_min, x_max, nx, t_max, nt, r_cut, z_max)
 
 
-def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
+def _march_rows(u0: np.ndarray, grid: Grid,
+                uset: UncertaintySet) -> Iterator[np.ndarray]:
+    """u^0, ..., u^nt of the march, each a new array, after the CFL check."""
     c = scheme_stability_constant(grid, uset)
     if grid.dt * c > 1.0 + 1e-12:
         raise NumericalError(
@@ -74,6 +77,23 @@ def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
             f"dt={grid.dt:.3e} violates the stability bound; scheme constant "
             f"c={c:.6g} requires dt <= {1.0 / c:.3e} (nt >= {int(np.ceil(grid.t_max * c))})"
         )
+    u = u0
+    yield u
+    b_lo, b_hi = u0[0], u0[-1]
+    for _ in range(grid.nt):
+        u = u + grid.dt * apply_sup_generator_row(u, grid, uset)
+        u[0], u[-1] = b_lo, b_hi
+        yield u
+
+
+def _non_finite(step: int, grid: Grid, u0: np.ndarray) -> NumericalError:
+    return NumericalError(
+        "safety", f"the march produced non-finite values at step {step} of "
+        f"{grid.nt} (nx={grid.nx}, max |psi| = {np.max(np.abs(u0)):.3e}); "
+        "lower pide_solver.safety, change pide_solver.nx or rescale psi")
+
+
+def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
     try:
         rows = np.empty((grid.nt + 1, grid.nx))
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
@@ -81,23 +101,13 @@ def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
             "nx", f"the surface of {grid.nt + 1} x {grid.nx} values cannot "
             f"be allocated ({exc}); lower pide_solver.nx or "
             "pide_solver.t_max, or raise pide_solver.safety") from exc
-    rows[0] = u0
-    u = u0.copy()
-    b_lo, b_hi = u0[0], u0[-1]
-    for m in range(grid.nt):
-        u = u + grid.dt * apply_sup_generator_row(u, grid, uset)
-        u[0], u[-1] = b_lo, b_hi
-        rows[m + 1] = u
+    for m, u in enumerate(_march_rows(u0, grid, uset)):
+        rows[m] = u
     # min and max propagate nan and expose +-inf without allocating a
     # surface-sized temporary, which would raise the peak memory
     if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
-        step = int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise NumericalError(
-            "safety",
-            f"the march produced non-finite values at step {step} of "
-            f"{grid.nt} (nx={grid.nx}, max |psi| = "
-            f"{float(np.max(np.abs(u0))):.3e}); lower pide_solver.safety, "
-            f"change pide_solver.nx or rescale psi")
+        raise _non_finite(int(np.argmin(np.isfinite(rows).all(axis=1))),
+                          grid, u0)
     return rows
 
 
@@ -107,6 +117,20 @@ def solve_forward(prob: TerminalProblem, grid: Grid,
     u0 = prob.samples(grid)
     rows = _march(u0, grid, uset)
     return Surface(grid=grid, values=rows)
+
+
+def final_value(prob: TerminalProblem, grid: Grid, uset: UncertaintySet,
+                x: float) -> float:
+    """``evaluate(solve_forward(prob, grid, uset), grid.t_max, x)`` bit for
+    bit, keeping only the last two rows, each checked as it arrives."""
+    u0 = prob.samples(grid)
+    last = {}
+    for step, u in enumerate(_march_rows(u0, grid, uset)):
+        if not np.isfinite(u).all():
+            raise _non_finite(step, grid, u0)
+        last = {step - 1: last.get(step - 1), step: u}
+    # evaluate reads only .grid and .values[step], here at nt - 1 and nt
+    return evaluate(SimpleNamespace(grid=grid, values=last), grid.t_max, x)
 
 
 def evaluate(surface: Surface, t: float, x: float) -> float:

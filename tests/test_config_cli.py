@@ -163,17 +163,19 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
 
 
 def test_bad_law_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
-    """A law that cannot be built is found before either grid is
-    marched."""
+    """A law that cannot be built is found before any grid is marched,
+    with a surface (hypothesis) or without one (clt)."""
     def no_march(*args, **kwargs):
-        raise AssertionError("_surface called")
+        raise AssertionError("marched")
     monkeypatch.setattr(cli, "_surface", no_march)
+    monkeypatch.setattr(cli, "final_value", no_march)
     d = {**json.loads(dumps(base_config())), "pairs": [[2.0, 1.0]]}
     path = tmp_path / "bad_law.json"
     path.write_text(json.dumps(d))
-    assert cli.main(["hypothesis", "--config", str(path),
-                     "--out", str(tmp_path / "o")]) == 2
-    assert "[attracted_laws.z0]" in capsys.readouterr().err
+    for command in ("hypothesis", "clt"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "[attracted_laws.z0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,name,psi", [
@@ -322,6 +324,7 @@ class TestCli:
         assert "pide_solver.nx" in capsys.readouterr().err
 
     def test_non_finite_march_exits_3(self, tmp_path, capsys, monkeypatch):
+        """Both marches, with a surface (solve) and without (clt)."""
         def oscillating():
             def fn(x):
                 return np.where(np.arange(np.size(x)) % 2 == 0,
@@ -330,14 +333,16 @@ class TestCli:
                                        sup=1e308)
 
         monkeypatch.setitem(basket._BUILDERS, "oscillating", oscillating)
-        cfg = base_config(psi=({"name": "oscillating"},))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["solve", "--config", write_config(tmp_path, cfg),
-                             "--out", str(tmp_path / "o")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: [pide_solver.safety] ")
-        assert "non-finite" in err
+        path = write_config(tmp_path,
+                            base_config(psi=({"name": "oscillating"},)))
+        for command in ("solve", "clt"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = cli.main([command, "--config", path,
+                                 "--out", str(tmp_path / "o")])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: [pide_solver.safety] ")
+            assert "non-finite values at step 1 of" in err
 
     def test_negative_dp_tap_exits_3(self, tmp_path, capsys):
         """At n = 512 the law's interior spans under one cell of a
@@ -442,6 +447,33 @@ class TestCli:
         errs = [float(line.split(",")[4])
                 for line in csv.strip().split("\n")[1:]]
         assert max(errs) < 1e-9
+
+    def test_clt_marches_without_a_surface(self, tmp_path, monkeypatch):
+        """clt reads u(1, 0) from the march's last two rows, and writes
+        the table that the whole surface gives."""
+        cfg = base_config(lam=0.05, Lam=0.15,
+                          pairs=((0.1, 0.1), (0.12, 0.12)), n_values=(2, 4),
+                          dp_half_width=240.0, dp_dx=0.1)
+        path = write_config(tmp_path, cfg)
+
+        def from_surface(prob, grid, uset, x):
+            surface = solver.solve_forward(prob, grid, uset)
+            return solver.evaluate(surface, grid.t_max, x)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "final_value", from_surface)
+            assert cli.main(["clt", "--config", path,
+                             "--out", str(tmp_path / "surface")]) == 0
+
+        def no_surface(*args, **kwargs):
+            raise AssertionError("surface marched")
+        monkeypatch.setattr(cli, "solve_forward", no_surface)
+        monkeypatch.setattr(solver, "_march", no_surface)
+        assert cli.main(["clt", "--config", path,
+                         "--out", str(tmp_path / "rows")]) == 0
+        name = "convergence_gaussian_bump_0_1.csv"
+        assert (tmp_path / "rows" / name).read_bytes() \
+            == (tmp_path / "surface" / name).read_bytes()
 
     def test_hypothesis_example_41(self, tmp_path, capsys):
         cfg = base_config(nx=201, t_max=1.25, n_values=(4, 8),

@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from nlstable import checker
 from nlstable import solver as solver_mod
-from nlstable.kernels import (Grid, NumericalError, Surface, middle_half,
+from nlstable.kernels import (Grid, KernelPair, NumericalError, Surface,
+                              UncertaintySet, middle_half,
                               scheme_stability_constant)
 from nlstable.solver import (
     TerminalProblem,
     dpp_check,
     evaluate,
     evaluate_row,
+    final_value,
     format_g17,
     make_grid,
     scaling_check,
@@ -35,23 +37,38 @@ def test_constant_preserved_exactly(small_grid, uset_sym):
     assert np.max(np.abs(u.values - 5.0)) < 1e-12
 
 
+def both_marches(prob, grid, uset):
+    """The march with a surface, then the one that keeps two rows."""
+    return (lambda: solve_forward(prob, grid, uset),
+            lambda: final_value(prob, grid, uset, 0.0))
+
+
 def test_cfl_violation_refused(uset_sym):
     g = Grid(-20.0, 20.0, 401, 1.0, 2, 0.1, 160.0)  # nt=2 is far too coarse
-    with pytest.raises(NumericalError, match="nt >=") as exc:
-        solve(gaussian, g, uset_sym)
-    assert exc.value.field == "safety"
+    for march in both_marches(TerminalProblem(gaussian, 1.0, 1.0, 1.0), g,
+                              uset_sym):
+        with pytest.raises(NumericalError, match="nt >=") as exc:
+            march()
+        assert exc.value.field == "safety"
 
 
 def test_non_finite_march_refused(small_grid, uset_sym):
-    """Finite +-1e308 samples overflow in the first step; the march
-    refuses the surface and names the knobs."""
+    """Finite +-1e308 samples overflow in the first step; both marches
+    refuse them at that step and name the knobs."""
     def psi(x):
         return np.where(np.arange(np.size(x)) % 2 == 0, 1e308, -1e308)
 
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError, match="pide_solver.safety") as exc:
-        solve(psi, small_grid, uset_sym)
-    assert exc.value.field == "safety"
+    messages = []
+    for march in both_marches(TerminalProblem(psi, 1.0, 1e308, 1.0),
+                              small_grid, uset_sym):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError,
+                              match="pide_solver.safety") as exc:
+            march()
+        assert exc.value.field == "safety"
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "non-finite values at step 1 of" in messages[0]
 
 
 def test_cfl_report_consistent(small_grid, uset_sym):
@@ -152,6 +169,41 @@ class TestEvaluate:
             evaluate(u, 2.0, 0.0)
         with pytest.raises(ValueError):
             evaluate(u, 0.5, 100.0)
+
+
+TWO_PAIRS = UncertaintySet(1.5, (KernelPair(1.0, 1.0), KernelPair(2.0, 0.5)),
+                           0.05, 4.0)
+
+# a grid whose t_max / dt is 92.99999999999999 < nt, so the value at
+# t_max blends the rows nt - 1 and nt
+BLEND_GRID = Grid(-20.0, 20.0, 201, 1.0, 93, 0.2, 160.0)
+
+
+class TestFinalValue:
+    """``final_value`` keeps two rows of the march; it must give what the
+    whole surface gives, bit for bit."""
+
+    @pytest.mark.parametrize("uset", [
+        pytest.param(None, id="singleton"),
+        pytest.param(TWO_PAIRS, id="two-pair"),
+    ])
+    @pytest.mark.parametrize("grid", [
+        pytest.param(None, id="make_grid"),
+        pytest.param(BLEND_GRID, id="nt93-blend"),
+    ])
+    def test_matches_the_surface(self, small_grid, uset_sym, uset, grid):
+        uset = uset or uset_sym
+        grid = grid or small_grid
+        prob = TerminalProblem(lambda x: np.exp(-(x - 0.3) ** 2), 1.0, 1.0,
+                               grid.t_max)
+        surface = solve_forward(prob, grid, uset)
+        for x in (0.0, -3.217, grid.x[57], grid.x_max):
+            assert final_value(prob, grid, uset, x) \
+                == evaluate(surface, grid.t_max, x)
+
+    def test_blend_grid_reads_both_rows(self):
+        g = BLEND_GRID
+        assert g.t_max / g.dt == 92.99999999999999 < g.nt
 
 
 class TestIdentityChecks:
