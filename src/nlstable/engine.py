@@ -114,7 +114,13 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
     half) exceeds ESCAPE_TOL, since then the constant edge extension
     contaminates the returned value at a comparable level.
     """
-    w = np.asarray(psi(grid.x), dtype=float)
+    try:
+        w = np.asarray(psi(grid.x), dtype=float)
+    except (MemoryError, ValueError) as exc:  # ValueError: "too big"
+        raise NumericalError(
+            "dp_dx", f"the dynamic-program grid of {grid.nx} nodes cannot be "
+            f"allocated ({exc}); raise sublinear_engine.dp_dx or lower "
+            "sublinear_engine.dp_half_width") from exc
     if not np.all(np.isfinite(w)):
         raise ValueError("psi produced non-finite samples")
     b_n = spec.B_n

@@ -373,9 +373,14 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
     """
     w, z = tail_nodes(grid.r_cut, grid.z_max, NQ_BAND, alpha)
     sigma2 = small_jump_second_moment(k, alpha, grid.r_cut)
-    kern = jump_kernel(np.concatenate([z, -z]),
-                       np.concatenate([k.k_plus * w, k.k_minus * w]),
-                       0.5 * sigma2, 0.0, grid)
+    try:
+        kern = jump_kernel(np.concatenate([z, -z]),
+                           np.concatenate([k.k_plus * w, k.k_minus * w]),
+                           0.5 * sigma2, 0.0, grid)
+    except (MemoryError, ValueError) as exc:  # ValueError: "too big"
+        raise NumericalError(
+            "nx", f"the generator stencil of {2 * grid.nx + 2} taps cannot "
+            f"be allocated ({exc}); lower pide_solver.nx") from exc
     off_centre = np.delete(kern.taps, kern.half)
     if np.any(off_centre < 0.0) or min(kern.edge_lo, kern.edge_hi) < 0.0:
         raise NumericalError(

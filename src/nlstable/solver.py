@@ -15,6 +15,7 @@ is how the checker reads it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import SimpleNamespace
@@ -69,7 +70,8 @@ def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
 
 def _march_rows(u0: np.ndarray, grid: Grid,
                 uset: UncertaintySet) -> Iterator[np.ndarray]:
-    """u^0, ..., u^nt of the march, each a new array, after the CFL check."""
+    """u^0, ..., u^nt of the march, each a new array, after the CFL
+    check; a non-finite row raises at the step that produced it."""
     c = scheme_stability_constant(grid, uset)
     if grid.dt * c > 1.0 + 1e-12:
         raise NumericalError(
@@ -80,20 +82,22 @@ def _march_rows(u0: np.ndarray, grid: Grid,
     u = u0
     yield u
     b_lo, b_hi = u0[0], u0[-1]
-    for _ in range(grid.nt):
+    for step in range(1, grid.nt + 1):
         u = u + grid.dt * apply_sup_generator_row(u, grid, uset)
         u[0], u[-1] = b_lo, b_hi
+        if not np.isfinite(u).all():
+            raise NumericalError(
+                "safety", f"the march produced non-finite values at step "
+                f"{step} of {grid.nt} (nx={grid.nx}, max |psi| = "
+                f"{np.max(np.abs(u0)):.3e}); lower pide_solver.safety, "
+                "change pide_solver.nx or rescale psi")
         yield u
 
 
-def _non_finite(step: int, grid: Grid, u0: np.ndarray) -> NumericalError:
-    return NumericalError(
-        "safety", f"the march produced non-finite values at step {step} of "
-        f"{grid.nt} (nx={grid.nx}, max |psi| = {np.max(np.abs(u0)):.3e}); "
-        "lower pide_solver.safety, change pide_solver.nx or rescale psi")
-
-
-def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
+def solve_forward(prob: TerminalProblem, grid: Grid,
+                  uset: UncertaintySet) -> Surface:
+    """Solve the forward equation from the initial data up to t_max."""
+    u0 = prob.samples(grid)
     try:
         rows = np.empty((grid.nt + 1, grid.nx))
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
@@ -103,34 +107,17 @@ def _march(u0: np.ndarray, grid: Grid, uset: UncertaintySet) -> np.ndarray:
             "pide_solver.t_max, or raise pide_solver.safety") from exc
     for m, u in enumerate(_march_rows(u0, grid, uset)):
         rows[m] = u
-    # min and max propagate nan and expose +-inf without allocating a
-    # surface-sized temporary, which would raise the peak memory
-    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
-        raise _non_finite(int(np.argmin(np.isfinite(rows).all(axis=1))),
-                          grid, u0)
-    return rows
-
-
-def solve_forward(prob: TerminalProblem, grid: Grid,
-                  uset: UncertaintySet) -> Surface:
-    """Solve the forward equation from the initial data up to t_max."""
-    u0 = prob.samples(grid)
-    rows = _march(u0, grid, uset)
     return Surface(grid=grid, values=rows)
 
 
 def final_value(prob: TerminalProblem, grid: Grid, uset: UncertaintySet,
                 x: float) -> float:
     """``evaluate(solve_forward(prob, grid, uset), grid.t_max, x)`` bit for
-    bit, keeping only the last two rows, each checked as it arrives."""
-    u0 = prob.samples(grid)
-    last = {}
-    for step, u in enumerate(_march_rows(u0, grid, uset)):
-        if not np.isfinite(u).all():
-            raise _non_finite(step, grid, u0)
-        last = {step - 1: last.get(step - 1), step: u}
+    bit, keeping only the last two rows."""
+    last = deque(_march_rows(prob.samples(grid), grid, uset), maxlen=2)
     # evaluate reads only .grid and .values[step], here at nt - 1 and nt
-    return evaluate(SimpleNamespace(grid=grid, values=last), grid.t_max, x)
+    values = dict(zip((grid.nt - 1, grid.nt), last))
+    return evaluate(SimpleNamespace(grid=grid, values=values), grid.t_max, x)
 
 
 def evaluate(surface: Surface, t: float, x: float) -> float:
@@ -190,8 +177,9 @@ def dpp_check(psi: Callable, s: float, t: float, grid: Grid,
     i_s = int(round(s / grid.dt))
     mid = middle_half(grid.nx)
     restart_grid = replace(grid, t_max=i_s * grid.dt, nt=i_s)
-    w = _march(u.values[i_t - i_s], restart_grid, uset)
-    return float(np.max(np.abs(u.values[i_t, mid] - w[i_s, mid])))
+    w = deque(_march_rows(u.values[i_t - i_s], restart_grid, uset),
+              maxlen=1).pop()
+    return float(np.max(np.abs(u.values[i_t, mid] - w[mid])))
 
 
 # -- CSV export -----------------------------------------------------------

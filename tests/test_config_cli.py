@@ -426,6 +426,8 @@ class TestCli:
         # a 1.45 EiB oracle frequency grid, then one past the limit
         ({"t_max": 1e-21}, "[pide_solver.t_max]"),
         ({"t_max": 1e-24}, "[pide_solver.t_max]"),
+        # a 146 TiB generator stencil, built before the surface
+        ({"nx": 10 ** 13 + 1}, "[pide_solver.nx]"),
     ])
     def test_unallocatable_array_exits_3(self, tmp_path, capsys, over, tag):
         """Sizes no machine can map, so the refusal commits no memory."""
@@ -435,6 +437,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {tag} ")
         assert "cannot be allocated" in err
+
+    @pytest.mark.parametrize("over", [
+        pytest.param({"dp_dx": 1e-10}, id="186TiB-dp_dx"),
+        pytest.param({"dp_half_width": 1e15}, id="284PiB-dp_half_width"),
+    ])
+    def test_unallocatable_dp_grid_exits_3(self, tmp_path, capsys, over):
+        """A dynamic-program grid past any address space, so the refusal
+        commits no memory; the message names both DP grid fields."""
+        cfg = base_config(**over)
+        assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: [sublinear_engine.dp_dx] ")
+        assert "cannot be allocated" in err
+        assert "sublinear_engine.dp_half_width" in err
 
     def test_clt_constant_psi_zero_errors(self, tmp_path):
         cfg = base_config(lam=0.05, Lam=0.15, pairs=((0.1, 0.1),), nx=201,
@@ -467,10 +484,19 @@ class TestCli:
 
         def no_surface(*args, **kwargs):
             raise AssertionError("surface marched")
+        marched = []
+        march_rows = solver._march_rows
+
+        def spy(u0, grid, uset):
+            marched.append(grid)
+            return march_rows(u0, grid, uset)
+
         monkeypatch.setattr(cli, "solve_forward", no_surface)
-        monkeypatch.setattr(solver, "_march", no_surface)
+        monkeypatch.setattr(solver, "solve_forward", no_surface)
+        monkeypatch.setattr(solver, "_march_rows", spy)
         assert cli.main(["clt", "--config", path,
                          "--out", str(tmp_path / "rows")]) == 0
+        assert len(marched) == 1
         name = "convergence_gaussian_bump_0_1.csv"
         assert (tmp_path / "rows" / name).read_bytes() \
             == (tmp_path / "surface" / name).read_bytes()
@@ -491,13 +517,13 @@ class TestCli:
         """The fine grid and its half-resolution copy both use the
         config's r_cut and safety."""
         marched = []
-        march = solver._march
+        march_rows = solver._march_rows
 
         def spy(u0, grid, uset):
             marched.append((grid, scheme_stability_constant(grid, uset)))
-            return march(u0, grid, uset)
+            return march_rows(u0, grid, uset)
 
-        monkeypatch.setattr(solver, "_march", spy)
+        monkeypatch.setattr(solver, "_march_rows", spy)
         cfg = base_config(nx=201, t_max=1.25, n_values=(4, 8), safety=0.25,
                           r_cut=0.3, psi=({"name": "abs_clip", "clip": 3.0},))
         assert cli.main([command, "--config", write_config(tmp_path, cfg),

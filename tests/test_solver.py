@@ -71,6 +71,33 @@ def test_non_finite_march_refused(small_grid, uset_sym):
     assert "non-finite values at step 1 of" in messages[0]
 
 
+def test_non_finite_row_stops_the_march(small_grid, uset_sym, monkeypatch):
+    """Each row is checked as the march makes it: a generator that turns
+    NaN on its third call stops every march there, at step 3."""
+    calls = []
+    apply = solver_mod.apply_sup_generator_row
+
+    def nan_from_third_call(u, grid, uset):
+        calls.append(grid)
+        out = apply(u, grid, uset)
+        return out if len(calls) < 3 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(solver_mod, "apply_sup_generator_row",
+                        nan_from_third_call)
+    marches = (*both_marches(TerminalProblem(gaussian, 1.0, 1.0, 1.0),
+                             small_grid, uset_sym),
+               lambda: dpp_check(gaussian, 0.25, 0.5, small_grid, uset_sym))
+    for march in marches:
+        calls.clear()
+        with pytest.raises(NumericalError,
+                           match="pide_solver.safety") as exc:
+            march()
+        assert exc.value.field == "safety"
+        assert f"non-finite values at step 3 of {small_grid.nt} " \
+            in str(exc.value)
+        assert len(calls) == 3
+
+
 def test_cfl_report_consistent(small_grid, uset_sym):
     """make_grid takes the fewest steps whose dt meets the stability
     bound with its default safety factor 0.5."""
