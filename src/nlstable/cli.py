@@ -20,8 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from . import config as config_mod
-from .config import ConfigError, ExperimentConfig
-from .kernels import NumericalError, Surface
+from .config import ExperimentConfig, field_tag
+from .kernels import ConfigError, NumericalError, Surface
 from .laws import build_law
 from .engine import LawFamily, convergence_table
 from .solver import (TerminalProblem, make_grid, solve_forward, final_value,
@@ -132,11 +132,14 @@ def _law_family(cfg: ExperimentConfig) -> LawFamily:
 
 def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
     family = _law_family(cfg)
+    dp_grid = cfg.dp_grid()
     summary = []
     for psi in cfg.psi_functions():
-        pide_value = final_value(*_march_inputs(cfg, psi, 1.0), 0.0)
-        rows = convergence_table(psi, family, cfg.n_values,
-                                 cfg.dp_grid(), pide_value)
+        # march grid, DP, march: a too-large grid is refused before any work
+        march = _march_inputs(cfg, psi, 1.0)
+        dp_rows = convergence_table(psi, family, cfg.n_values, dp_grid)
+        pide_value = final_value(*march, 0.0)
+        rows = [(*r, pide_value, abs(r[2] - pide_value)) for r in dp_rows]
         tag = psi.tag
         write_atomic(os.path.join(out, f"convergence_{tag}.csv"),
                      table_to_csv("n,B_n,nested_value,pide_value,abs_error",
@@ -217,7 +220,10 @@ def main(argv=None) -> int:
         cfg = config_mod.load(args.config)
         if args.command in ("hypothesis", "regularity"):
             _one_psi(cfg)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
+        print(f"config error: {field_tag(exc.field)} {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -232,10 +238,11 @@ def main(argv=None) -> int:
         for line in summary:
             print(line)
     except ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        print(f"validation error: {field_tag(exc.field)} {exc}",
+              file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {config_mod.field_tag(exc.field)} {exc}",
+        print(f"numerical failure: {field_tag(exc.field)} {exc}",
               file=sys.stderr)
         return 3
     return 0

@@ -12,7 +12,8 @@ from dataclasses import MISSING, dataclass, fields as dc_fields
 
 import numpy as np
 
-from .kernels import Grid, KernelPair, UncertaintySet, resolve_cutoffs
+from .kernels import (ConfigError, Grid, KernelPair, UncertaintySet,
+                      resolve_cutoffs)
 from . import basket
 
 
@@ -27,17 +28,9 @@ _MODULES = {"alpha": "stable_kernel", "lam": "stable_kernel",
 
 
 def field_tag(field: str) -> str:
-    """``[module.field]``, as every failure message names the config's
-    JSON key ``field`` (``config`` for the file as a whole)."""
+    """``[module.field]``, as the CLI names the config's JSON key
+    ``field`` (``config`` for the file as a whole) in every failure."""
     return f"[{_MODULES.get(field, 'pide_solver')}.{field}]"
-
-
-class ConfigError(ValueError):
-    """Validation failure (exit code 2), prefixed ``field_tag(field)``."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field_tag(field)} {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -63,16 +56,7 @@ class ExperimentConfig:
     mode: str = "condition_iii"
 
     def validate(self) -> None:
-        if not (1.0 < self.alpha < 2.0):
-            raise ConfigError("alpha", f"{self.alpha} outside (1, 2)")
-        if not (0.0 < self.lam < self.Lam):
-            raise ConfigError("lam", "need 0 < lambda < Lambda_cap")
-        if not self.pairs:
-            raise ConfigError("pairs", "empty pair list")
-        for km, kp in self.pairs:
-            if not (self.lam < km < self.Lam and self.lam < kp < self.Lam):
-                raise ConfigError("pairs", f"pair ({km}, {kp}) outside "
-                                  f"({self.lam}, {self.Lam})")
+        self.uncertainty_set()  # alpha, lam, Lam and pairs
         for name in ("b_scale", "z0"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(name, "must be positive")
@@ -87,6 +71,8 @@ class ExperimentConfig:
                               f"x_min = {self.x_min} and x = 0")
         if not self.x_min < 0.0:
             raise ConfigError("x_min", f"{self.x_min} is not below x = 0")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ConfigError("x_max", "x_max - x_min overflows")
         if self.nx % 2 == 0:
             raise ConfigError("nx", f"{self.nx} is even; the half-resolution "
                               "grid is nested only for odd nx")
@@ -104,6 +90,8 @@ class ExperimentConfig:
         if z_max <= 1.0:
             raise ConfigError("z_max", f"{z_max:g} is not above 1 (the "
                               "default is four grid widths)")
+        if z_max ** -self.alpha == 0.0:  # the far tail node's mass
+            raise ConfigError("z_max", f"{z_max:g}^-alpha underflows to 0")
         if self.t_max <= 0.0:
             raise ConfigError("t_max", "must be positive")
         if not (0.0 < self.safety <= 1.0):
@@ -111,10 +99,15 @@ class ExperimentConfig:
         for name in ("dp_half_width", "dp_dx"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(name, "must be positive")
+        if not self.dp_half_width / self.dp_dx < 2.0 ** 62:  # numpy's indices
+            raise ConfigError("dp_dx", "dp_half_width / dp_dx is not below "
+                              "2^62; raise sublinear_engine.dp_dx")
         if not self.n_values or any(n < 1 for n in self.n_values) \
                 or list(self.n_values) != sorted(set(self.n_values)):
             raise ConfigError("n_values", "need a nonempty, strictly "
                               "increasing list of positive n")
+        if self.n_values[-1] >= 2 ** 63:  # numpy's integers
+            raise ConfigError("n_values", f"{self.n_values[-1]} >= 2^63")
         if self.mode not in ("condition_iii", "example_41"):
             raise ConfigError("mode", f"unknown mode {self.mode!r}")
         if not self.psi:
@@ -209,7 +202,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def load(path: str) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8
         try:
             data = json.load(fh)
         except ValueError as exc:  # also a file that is not UTF-8

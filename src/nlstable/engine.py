@@ -141,16 +141,12 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
                            w[mid - 1: mid + 2]))
 
 
-def convergence_table(psi, family: LawFamily, n_values, dp_grid: Grid,
-                      pide_value: float) -> list[tuple]:
-    """Rows (n, B_n, nested_value, pide_value, abs_error), every n on
-    ``dp_grid``."""
-    rows = []
-    for n in sorted(n_values):
-        spec = NormalizedSumSpec(int(n), family.b_scale,
-                                 family.source_set.alpha)
-        val = nested_sum_expectation(psi, family, spec, dp_grid)
-        rows.append((int(n), spec.B_n, val, pide_value,
-                     abs(val - pide_value)))
-    return rows
+def convergence_table(psi, family: LawFamily, n_values,
+                      dp_grid: Grid) -> list[tuple]:
+    """Rows (n, B_n, nested_value), every n on ``dp_grid``."""
+    specs = [NormalizedSumSpec(int(n), family.b_scale,
+                               family.source_set.alpha)
+             for n in sorted(n_values)]
+    return [(s.n, s.B_n, nested_sum_expectation(psi, family, s, dp_grid))
+            for s in specs]
 

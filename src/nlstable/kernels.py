@@ -52,13 +52,21 @@ from numpy.fft import irfft, rfft
 NQ_BAND = 128   # the generator's log-spaced bins per side on [r_cut, z_max]
 
 
-class NumericalError(RuntimeError):
-    """A run that cannot give a number it can trust (exit code 3);
-    ``field`` is the config's JSON key of the knob to turn."""
+class _Failure(Exception):
+    """``field`` is the config's JSON key of the knob to turn (``config``
+    for the file as a whole); the CLI tags the message with it."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+class ConfigError(_Failure, ValueError):
+    """A config the lab cannot run (exit code 2)."""
+
+
+class NumericalError(_Failure, RuntimeError):
+    """A run that cannot give a number it can trust (exit code 3)."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class KernelPair:
 
     def __post_init__(self):
         if not (self.k_minus > 0.0 and self.k_plus > 0.0):
-            raise ValueError("kernel intensities must be positive")
+            raise ConfigError("pairs", "kernel intensities must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,8 @@ class UncertaintySet:
     """Finite family of kernel pairs with shared stability exponent.
 
     ``lam`` and ``Lam`` are the ellipticity bounds: every intensity of
-    every pair must lie strictly between them.
+    every pair must lie strictly between them.  The config check runs
+    these rules by building the set.
     """
 
     alpha: float
@@ -88,16 +97,16 @@ class UncertaintySet:
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
-            raise ValueError("alpha must lie strictly in (1, 2)")
+            raise ConfigError("alpha", f"{self.alpha} outside (1, 2)")
         if not (0.0 < self.lam < self.Lam):
-            raise ValueError("require 0 < lam < Lam")
-        if len(self.pairs) == 0:
-            raise ValueError("pairs must be nonempty")
+            raise ConfigError("lam", "need 0 < lambda < Lambda_cap")
+        if not self.pairs:
+            raise ConfigError("pairs", "empty pair list")
         for p in self.pairs:
-            if not (self.lam < p.k_minus < self.Lam and self.lam < p.k_plus < self.Lam):
-                raise ValueError(
-                    f"pair {p} violates the ellipticity bounds ({self.lam}, {self.Lam})"
-                )
+            if not (self.lam < p.k_minus < self.Lam
+                    and self.lam < p.k_plus < self.Lam):
+                raise ConfigError("pairs", f"pair ({p.k_minus}, {p.k_plus}) "
+                                  f"outside ({self.lam}, {self.Lam})")
 
 
 @dataclass(frozen=True)

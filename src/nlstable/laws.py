@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .config import ConfigError
-from .kernels import KernelPair, tail_nodes
+from .kernels import ConfigError, KernelPair, tail_nodes
 
 _TAIL_FAR = 1e8     # outer edge of the explicit tail quadrature bins
 _TAIL_BINS = 2048
+_LOG_NORMAL = -np.log(np.finfo(float).tiny)  # |log| of the normal floats
 
 
 def _tail_scale(law: "AttractedLaw") -> float:
@@ -93,6 +93,13 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
         raise ValueError("alpha must lie in (1, 2)")
     if b_scale <= 0.0 or z0 <= 0.0:
         raise ValueError("b_scale and z0 must be positive")
+    if not z0 < _TAIL_FAR:
+        raise ConfigError("z0", f"{z0:g} is not below {_TAIL_FAR:g}, where "
+                          "the tail quadrature ends")
+    log_c = alpha * np.log(b_scale)  # c = b^alpha scales the tails
+    if not abs(log_c) < _LOG_NORMAL:  # and n B_n^alpha = 1/c
+        raise ConfigError("b_scale", f"b_scale^alpha = exp({log_c:.4g}) or "
+                          "its reciprocal is not a normal float")
     c = b_scale ** alpha
     k_m, k_p = pair.k_minus, pair.k_plus
     tail_mass = c * (k_m + k_p) / (alpha * z0 ** alpha)

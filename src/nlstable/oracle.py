@@ -83,7 +83,7 @@ def _invert(ce: CharExponent, t_time: float, n: int,
     period = max(8.0 * max(n * dx, 1.0), 100.0 * np.pi)
     n_fft = next_fast_len(int(np.ceil(period / dx)))
     d_xi = 2.0 * np.pi / (n_fft * dx)
-    n_xi = int(np.ceil(xi_max / d_xi)) + 1
+    n_xi = np.ceil(xi_max / d_xi) + 1.0  # a float, inf for tiny t_time
     try:
         xi = d_xi * np.arange(n_xi)
         phi = np.exp(t_time * _log_phi_grid(ce, xi))
@@ -91,8 +91,9 @@ def _invert(ce: CharExponent, t_time: float, n: int,
         folded = np.pad(phi, (0, -len(phi) % n_fft)).reshape(-1, n_fft).sum(0)
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
         raise NumericalError(
-            "t_max", f"the oracle's {n_xi} frequencies at t = {t_time:.3g} "
-            f"cannot be allocated ({exc}); raise pide_solver.t_max") from exc
+            "t_max", f"the oracle's {n_xi:.0f} frequencies at t = "
+            f"{t_time:.3g} cannot be allocated ({exc}); raise "
+            "pide_solver.t_max") from exc
     return fft(folded)[np.arange(-n, n + 1)].real * d_xi / np.pi
 
 

@@ -64,7 +64,12 @@ def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
     r_cut, z_max = resolve_cutoffs(x_min, x_max, nx, r_cut, z_max)
     probe = Grid(x_min, x_max, nx, t_max, 1, r_cut, z_max)
     c = scheme_stability_constant(probe, uset)
-    nt = max(1, int(np.ceil(t_max * c / safety)))
+    steps = t_max * c / safety
+    if not np.isfinite(steps):
+        raise NumericalError("safety", f"t_max * {c:.6g} / safety steps "
+                             "overflow; raise pide_solver.safety or lower "
+                             "pide_solver.t_max")
+    nt = max(1, int(np.ceil(steps)))
     return Grid(x_min, x_max, nx, t_max, nt, r_cut, z_max)
 
 

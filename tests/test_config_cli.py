@@ -8,15 +8,17 @@ import os
 import pathlib
 import re
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from nlstable import basket
 from nlstable import config as config_mod
-from nlstable.config import ConfigError, ExperimentConfig
-from nlstable import cli, solver
-from nlstable.kernels import scheme_stability_constant
+from nlstable.config import ExperimentConfig
+from nlstable import cli, engine, solver
+from nlstable.kernels import ConfigError, scheme_stability_constant
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -59,8 +61,12 @@ class TestConfig:
         (dict(psi=({"name": "nope"},)), "experiment_cli.psi"),
     ])
     def test_validation_names_module_and_field(self, over, needle):
-        with pytest.raises(ConfigError, match=needle):
+        """The failure carries its field, which the CLI tags; the
+        message itself carries no tag."""
+        with pytest.raises(ConfigError) as exc:
             base_config(**over).validate()
+        assert config_mod.field_tag(exc.value.field) == f"[{needle}]"
+        assert needle not in str(exc.value)
 
     def test_unknown_field_rejected(self):
         d = json.loads(dumps(base_config()))
@@ -152,6 +158,25 @@ def setting(**fields):
     # cancelled by its interior density
     pytest.param(setting(pairs=[[2.0, 1.0]]), "[attracted_laws.z0]",
                  id="law-needs-wider-z0"),
+    # finite values whose counts or magnitudes overflow or underflow
+    pytest.param(setting(dp_dx=1e-310), "[sublinear_engine.dp_dx]",
+                 id="dp_dx-1e-310"),
+    pytest.param(setting(dp_half_width=1e308, dp_dx=1e-10),
+                 "[sublinear_engine.dp_dx]", id="dp_half_width-1e308"),
+    pytest.param(setting(n_values=[8, 10 ** 30]),
+                 "[hypothesis_checker.n_values]", id="n-past-int64"),
+    pytest.param(setting(x_min=-1e308, x_max=1e308, r_cut=0.5, z_max=100.0),
+                 "[pide_solver.x_max]", id="x-span-overflows"),
+    # the far tail node's mass z_max^-alpha/alpha underflows to 0
+    pytest.param(setting(z_max=1e308), "[pide_solver.z_max]",
+                 id="z_max-1e308"),
+    pytest.param(setting(x_min=-1e300, x_max=1e300, r_cut=0.5),
+                 "[pide_solver.z_max]", id="default-z_max-8e300"),
+    pytest.param(setting(z0=1e308), "[attracted_laws.z0]", id="z0-1e308"),
+    pytest.param(setting(b_scale=1e308), "[attracted_laws.b_scale]",
+                 id="b_scale-1e308"),
+    pytest.param(setting(b_scale=1e-308), "[attracted_laws.b_scale]",
+                 id="b_scale-1e-308"),
 ])
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     d = json.loads(dumps(base_config()))
@@ -162,6 +187,14 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     assert needle in capsys.readouterr().err
 
 
+LAWS_THAT_CANNOT_BE_BUILT = [
+    ({"pairs": [[2.0, 1.0]]}, "[attracted_laws.z0]"),
+    ({"z0": 1e308}, "[attracted_laws.z0]"),
+    ({"b_scale": 1e308}, "[attracted_laws.b_scale]"),
+    ({"b_scale": 1e-308}, "[attracted_laws.b_scale]"),
+]
+
+
 def test_bad_law_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
     """A law that cannot be built is found before any grid is marched,
     with a surface (hypothesis) or without one (clt)."""
@@ -169,13 +202,42 @@ def test_bad_law_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
         raise AssertionError("marched")
     monkeypatch.setattr(cli, "_surface", no_march)
     monkeypatch.setattr(cli, "final_value", no_march)
-    d = {**json.loads(dumps(base_config())), "pairs": [[2.0, 1.0]]}
-    path = tmp_path / "bad_law.json"
-    path.write_text(json.dumps(d))
-    for command in ("hypothesis", "clt"):
-        assert cli.main([command, "--config", str(path),
-                         "--out", str(tmp_path / "o")]) == 2
-        assert "[attracted_laws.z0]" in capsys.readouterr().err
+    for over, tag in LAWS_THAT_CANNOT_BE_BUILT:
+        d = {**json.loads(dumps(base_config())), **over}
+        path = tmp_path / "bad_law.json"
+        path.write_text(json.dumps(d))
+        for command in ("hypothesis", "clt"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / "o")]) == 2
+            assert tag in capsys.readouterr().err
+
+
+def test_solve_builds_no_law(tmp_path):
+    """solve reads neither z0 nor b_scale, so it runs with values no law
+    can be built from."""
+    cfg = base_config(z0=1e308, b_scale=1e-308)
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+def test_load_decodes_utf8_under_any_locale(tmp_path):
+    """JSON is UTF-8: under the C locale with UTF-8 mode off, a non-ASCII
+    psi name is read as written and refused as an unknown function."""
+    d = {**json.loads(dumps(base_config())),
+         "psi": [{"name": "gau\u00dfian_bump"}]}
+    path = tmp_path / "utf8.json"
+    path.write_text(json.dumps(d, ensure_ascii=False), encoding="utf-8")
+    src = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                        os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    env.pop("PYTHONIOENCODING", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "nlstable.cli", "solve", "--config",
+         str(path), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, errors="replace")
+    assert run.returncode == 2
+    assert "[experiment_cli.psi] unknown test function" in run.stderr
 
 
 @pytest.mark.parametrize("command,name,psi", [
@@ -285,6 +347,13 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
+@pytest.fixture
+def no_march(monkeypatch):
+    """Fail the test if any march step runs."""
+    monkeypatch.setattr(solver, "apply_sup_generator_row",
+                        lambda *args: pytest.fail("marched"))
+
+
 class TestCli:
     def test_solve_constant_psi(self, tmp_path, capsys):
         cfg = base_config(psi=({"name": "constant", "value": 2.0},))
@@ -344,7 +413,7 @@ class TestCli:
             assert err.startswith("numerical failure: [pide_solver.safety] ")
             assert "non-finite values at step 1 of" in err
 
-    def test_negative_dp_tap_exits_3(self, tmp_path, capsys):
+    def test_negative_dp_tap_exits_3(self, tmp_path, capsys, no_march):
         """At n = 512 the law's interior spans under one cell of a
         dp_dx = 0.2 grid, so the corrected stage taps go negative."""
         cfg = base_config(n_values=(512,), dp_dx=0.2)
@@ -408,7 +477,7 @@ class TestCli:
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
-    def test_narrow_dp_grid_exits_3(self, tmp_path, capsys):
+    def test_narrow_dp_grid_exits_3(self, tmp_path, capsys, no_march):
         cfg = base_config(lam=0.05, Lam=0.15,
                           pairs=((0.1, 0.1),), nx=201,
                           n_values=(16,), dp_half_width=20.0, dp_dx=0.1)
@@ -428,6 +497,8 @@ class TestCli:
         ({"t_max": 1e-24}, "[pide_solver.t_max]"),
         # a 146 TiB generator stencil, built before the surface
         ({"nx": 10 ** 13 + 1}, "[pide_solver.nx]"),
+        # the oracle's 27.7/(t c) overflows to an infinite frequency count
+        ({"t_max": 1e-320}, "[pide_solver.t_max]"),
     ])
     def test_unallocatable_array_exits_3(self, tmp_path, capsys, over, tag):
         """Sizes no machine can map, so the refusal commits no memory."""
@@ -439,10 +510,38 @@ class TestCli:
         assert "cannot be allocated" in err
 
     @pytest.mark.parametrize("over", [
+        pytest.param({"safety": 1e-310}, id="safety-1e-310"),
+        pytest.param({"t_max": 1e308}, id="t_max-1e308"),
+    ])
+    def test_overflowing_step_count_exits_3(self, tmp_path, capsys, over):
+        """t_max * c / safety overflows, so the march has no step count;
+        the message names both fields it is made of."""
+        assert cli.main(["solve", "--config",
+                         write_config(tmp_path, base_config(**over)),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: [pide_solver.safety] ")
+        assert "pide_solver.t_max" in err
+
+    def test_unallocatable_stencil_exits_3_before_the_dp(
+            self, tmp_path, capsys, monkeypatch):
+        """clt builds the march's stencils before its DP runs; the
+        stencil of 2 10^13 + 4 taps is past any address space."""
+        monkeypatch.setattr(engine, "nested_sum_expectation",
+                            lambda *args: pytest.fail("DP ran"))
+        cfg = base_config(nx=10 ** 13 + 1)
+        assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: [pide_solver.nx] ")
+        assert "cannot be allocated" in err
+
+    @pytest.mark.parametrize("over", [
         pytest.param({"dp_dx": 1e-10}, id="186TiB-dp_dx"),
         pytest.param({"dp_half_width": 1e15}, id="284PiB-dp_half_width"),
     ])
-    def test_unallocatable_dp_grid_exits_3(self, tmp_path, capsys, over):
+    def test_unallocatable_dp_grid_exits_3(self, tmp_path, capsys, over,
+                                           no_march):
         """A dynamic-program grid past any address space, so the refusal
         commits no memory; the message names both DP grid fields."""
         cfg = base_config(**over)

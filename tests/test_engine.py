@@ -190,10 +190,12 @@ class TestAxiomsSmall:
 
 
 class TestTables:
+    CFG = ExperimentConfig(alpha=ALPHA, lam=0.05, Lam=4.0,
+                           pairs=((0.1, 0.1), (0.12, 0.12)),
+                           n_values=(2, 4), dp_half_width=320.0, dp_dx=0.1)
+
     def test_every_n_uses_the_dp_dx_grid(self, fam_small, monkeypatch):
-        cfg = ExperimentConfig(alpha=ALPHA, lam=0.05, Lam=4.0,
-                               pairs=((0.1, 0.1), (0.12, 0.12)),
-                               dp_half_width=320.0, dp_dx=0.1)
+        cfg = self.CFG
         seen = []
         run = engine.nested_sum_expectation
 
@@ -202,22 +204,26 @@ class TestTables:
             return run(psi, family, spec, grid)
 
         monkeypatch.setattr(engine, "nested_sum_expectation", record)
-        convergence_table(gaussian, fam_small, (2, 8, 32), cfg.dp_grid(),
-                          0.7)
+        convergence_table(gaussian, fam_small, (2, 8, 32), cfg.dp_grid())
         assert [n for n, _ in seen] == [2, 8, 32]
         for _, grid in seen:
             assert grid == cfg.dp_grid()
             assert grid.dx == pytest.approx(cfg.dp_dx, rel=1e-12)
             assert grid.nx == 6401
 
-    def test_convergence_table_csv(self, fam_small):
-        rows = convergence_table(gaussian, fam_small, (2, 4), dp_grid(),
-                                 0.7)
+    def test_convergence_table_csv(self, fam_small, tmp_path, monkeypatch):
+        """The DP gives (n, B_n, nested_value); clt appends the PIDE
+        value and the absolute error to each row."""
+        rows = convergence_table(gaussian, fam_small, (2, 4),
+                                 self.CFG.dp_grid())
         assert [r[0] for r in rows] == [2, 4]
-        text = cli.table_to_csv("n,B_n,nested_value,pide_value,abs_error",
-                                rows)
+        assert [len(r) for r in rows] == [3, 3]
+        monkeypatch.setattr(cli, "final_value", lambda *args: 0.7)
+        cli.run_clt(self.CFG, str(tmp_path))
+        text = (tmp_path / "convergence_gaussian_bump_0_1.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "n,B_n,nested_value,pide_value,abs_error"
-        n, b_n, val, pide, err = lines[1].split(",")
-        assert float(pide) == 0.7
-        assert float(err) == abs(float(val) - 0.7)
+        assert len(lines) == 3
+        for line, (n, b_n, val) in zip(lines[1:], rows):
+            assert [float(v) for v in line.split(",")] \
+                == [n, b_n, val, 0.7, abs(val - 0.7)]

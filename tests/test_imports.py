@@ -1,7 +1,7 @@
 """Every imported name in the package and its tests is used, every
 public function and class of the package has a user outside the unit
 tests, the package imports nothing beyond the standard library and
-numpy, and only the CLI marches."""
+numpy, only the CLI marches, and only the CLI imports the config."""
 
 import ast
 import os
@@ -196,6 +196,44 @@ def test_detects_a_marching_import():
                      "s.check()\n")
     assert solver_names(user) & marching_functions(solver) \
         == {"final_value", "check"}
+
+
+def package_imports(tree: ast.Module, package: str) -> set[str]:
+    """The package's modules that tree imports by name: ``import
+    package.m``, ``from package import m``, ``from package.m import x``
+    and their relative forms."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith(package + "."))
+        elif from_package(node, package):
+            if node.module in (None, package):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[-1])
+    return found
+
+
+def test_only_the_cli_imports_the_config():
+    """The numerical modules take plain arguments and raise failures
+    that name a field; only the CLI reads the config and tags the
+    failures, and nothing imports the CLI."""
+    found = {p.stem: package_imports(ast.parse(p.read_text()), "nlstable")
+             & {"config", "cli"} for p in PACKAGE}
+    assert {name: mods for name, mods in found.items() if mods} \
+        == {"cli": {"config"}}
+
+
+def test_detects_a_config_import():
+    tree = ast.parse("from .config import ConfigError\n"
+                     "from . import cli as c, kernels\n"
+                     "import nlstable.solver, numpy\n"
+                     "from nlstable.engine import run\n"
+                     "from nlstable import oracle\n"
+                     "from numpy import config\n")
+    assert package_imports(tree, "nlstable") \
+        == {"config", "cli", "kernels", "solver", "engine", "oracle"}
 
 
 def foreign_imports(tree: ast.Module) -> list[str]:

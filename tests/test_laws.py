@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from nlstable.kernels import KernelPair
-from nlstable.config import ConfigError
+from nlstable.kernels import ConfigError, KernelPair
 from nlstable.laws import build_law, tail_deviation
 
 from conftest import law_expectation
