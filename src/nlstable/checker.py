@@ -21,6 +21,8 @@ one ``apply_max`` per side.
 
 The checker marches nothing: it reads v(t) = u(T - t) as the rows, in
 reverse, of forward surfaces u that the caller marched to T >= 1.
+``condition_iii_rows`` and ``example_41_rows`` name the forward rows
+each check reads, so the caller need store only those.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .kernels import (Grid, Surface, apply_max, band_bins, jump_kernel,
 from .laws import AttractedLaw, beta2_prime, law_nodes, tail_deviation
 from .engine import LawFamily, NormalizedSumSpec
 from .regularity import middle_bounds
-from .solver import evaluate_row
+from .solver import bracket, evaluate_row
 
 _T_SAMPLES = 33    # rows sampled from [0, 1] for the (t, x) maximum
 _TAIL_NB = 192
@@ -68,7 +70,30 @@ def _sampled_rows(g: Grid) -> list[int]:
 
 def _reversed(u: Surface) -> Surface:
     """v(t) = u(t_max - t), as a view of u's rows."""
-    return Surface(u.grid, u.values[::-1])
+    rows = None if u.rows is None \
+        else tuple(u.grid.nt - i for i in reversed(u.rows))
+    return Surface(u.grid, u.values[::-1], rows)
+
+
+def _forward_rows(g: Grid, reads) -> tuple[int, ...]:
+    """The forward rows nt - i of the reversed rows i read, each once."""
+    return tuple(sorted({g.nt - i for i in reads}))
+
+
+def _condition_iii_reads(g: Grid) -> list[tuple[int, float]]:
+    """(i, t) for each sampled row i of v: the residual reads row i of the
+    fine surface and the coarse surface at its time t."""
+    return [(i, i * g.dt) for i in _sampled_rows(g)]
+
+
+def condition_iii_rows(g: Grid, g_coarse: Grid
+                       ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The forward rows ``check_condition_iii`` reads of surfaces on g
+    and g_coarse."""
+    reads = _condition_iii_reads(g)
+    return (_forward_rows(g, [i for i, _ in reads]),
+            _forward_rows(g_coarse, [j for _, t in reads
+                                     for j in bracket(g_coarse, t)[0]]))
 
 
 def _condition_iii_residual(family: LawFamily, rows, g: Grid,
@@ -155,9 +180,9 @@ def check_condition_iii(family: LawFamily, u: Surface, u_coarse: Surface,
     above 3x their floor.
     """
     v, v2 = _reversed(u), _reversed(u_coarse)
-    idx = _sampled_rows(v.grid)
-    rows = [v.values[i] for i in idx]
-    rows2 = [evaluate_row(v2, i * v.grid.dt) for i in idx]
+    reads = _condition_iii_reads(v.grid)
+    rows = [v.row(i) for i, _ in reads]
+    rows2 = [evaluate_row(v2, t) for _, t in reads]
     m1 = _m1_bound(rows, v.grid)
 
     n_values = sorted(int(n) for n in n_values)
@@ -216,6 +241,21 @@ def classical_term_bounds(law: AttractedLaw, m1: float,
     return (g1, g2, g3, g4)
 
 
+def _example_41_reads(g: Grid, n: int) -> list[tuple[int, float]]:
+    """(i, t - 1/n) for each sampled row i, at time t >= 1/n, of the
+    residual at n: it reads rows i and i - 1 of v and v at t - 1/n."""
+    step = 1.0 / n
+    return [(i, i * g.dt - step) for i in _sampled_rows(g)
+            if i > 0 and i * g.dt - step >= -1e-12]
+
+
+def example_41_rows(g: Grid, n_values) -> tuple[int, ...]:
+    """The forward rows ``example_41_check`` reads of a surface on g."""
+    return _forward_rows(g, [j for n in n_values
+                             for i, t in _example_41_reads(g, int(n))
+                             for j in (i, i - 1, *bracket(g, t)[0])])
+
+
 def example_41_check(u: Surface, n_values) -> ResidualTable:
     """Self-attraction residual: how well one 1/n time step of the
     terminal-value surface matches its own time derivative,
@@ -233,13 +273,10 @@ def example_41_check(u: Surface, n_values) -> ResidualTable:
     for n in n_values:
         step = 1.0 / n
         worst = 0.0
-        for i in _sampled_rows(g):
-            t = i * g.dt
-            if t - step < -1e-12 or i == 0:
-                continue
-            row = v.values[i]
-            dv_dt = (row - v.values[i - 1]) / g.dt
-            back = evaluate_row(v, t - step)
+        for i, t_back in _example_41_reads(g, n):
+            row = v.row(i)
+            dv_dt = (row - v.row(i - 1)) / g.dt
+            back = evaluate_row(v, t_back)
             resid = n * np.abs(back[mid] - row[mid] + step * dv_dt[mid])
             worst = max(worst, float(np.max(resid)))
         residuals.append(worst)
@@ -248,4 +285,3 @@ def example_41_check(u: Surface, n_values) -> ResidualTable:
     zero4 = (0.0, 0.0, 0.0, 0.0)
     return ResidualTable(tuple(n_values), tuple(residuals), rate,
                          tuple(zero4 for _ in n_values), floors, kept)
-

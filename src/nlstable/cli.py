@@ -24,10 +24,11 @@ from .config import ExperimentConfig, field_tag
 from .kernels import ConfigError, NumericalError, Surface
 from .laws import build_law
 from .engine import LawFamily, convergence_table
-from .solver import (TerminalProblem, make_grid, solve_forward, final_value,
-                     evaluate, surface_to_csv)
+from .solver import (TerminalProblem, make_grid, solve_forward, evaluate,
+                     surface_to_csv)
 from .oracle import CharExponent, classical_expectation
-from .checker import check_condition_iii, example_41_check, fit_rate
+from .checker import (check_condition_iii, condition_iii_rows,
+                      example_41_check, example_41_rows, fit_rate)
 from .regularity import (lipschitz_x, probe, compare_reports,
                          report_to_text)
 
@@ -138,7 +139,9 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
         # march grid, DP, march: a too-large grid is refused before any work
         march = _march_inputs(cfg, psi, 1.0)
         dp_rows = convergence_table(psi, family, cfg.n_values, dp_grid)
-        pide_value = final_value(*march, 0.0)
+        nt = march[1].nt
+        pide_value = evaluate(solve_forward(*march, rows=(nt - 1, nt)),
+                              1.0, 0.0)
         rows = [(*r, pide_value, abs(r[2] - pide_value)) for r in dp_rows]
         tag = psi.tag
         write_atomic(os.path.join(out, f"convergence_{tag}.csv"),
@@ -156,12 +159,18 @@ def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
     psi = _one_psi(cfg)
     horizon = 1.0 + cfg.h
     family = _law_family(cfg) if cfg.mode == "condition_iii" else None
-    u = _surface(cfg, psi, horizon)
+    fine = _march_inputs(cfg, psi, horizon)
+    # each march stores only the rows its check names
     if family is not None:
-        u_coarse = _surface(cfg, psi, horizon, cfg.coarse_nx)
-        table = check_condition_iii(family, u, u_coarse, cfg.n_values)
+        coarse = _march_inputs(cfg, psi, horizon, cfg.coarse_nx)
+        rows, rows_c = condition_iii_rows(fine[1], coarse[1])
+        table = check_condition_iii(family, solve_forward(*fine, rows),
+                                    solve_forward(*coarse, rows_c),
+                                    cfg.n_values)
     else:
-        table = example_41_check(u, cfg.n_values)
+        table = example_41_check(
+            solve_forward(*fine, example_41_rows(fine[1], cfg.n_values)),
+            cfg.n_values)
     write_atomic(os.path.join(out, "residuals.csv"), table_to_csv(
         "n,residual,rate_fit,term1,term2,term3,term4",
         [(n, r, table.fitted_rate, *d) for n, r, d in

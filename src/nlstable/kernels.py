@@ -161,19 +161,39 @@ def resolve_cutoffs(x_min: float, x_max: float, nx: int, r_cut: float | None,
 
 @dataclass
 class Surface:
-    """Solution field u(t_i, x_j) on a grid; row i is time i*dt."""
+    """Solution field u(t_i, x_j) on a grid; row i is time i*dt.
+
+    ``rows`` None stores every row, row i at ``values[i]``; a strictly
+    increasing tuple of row indices stores those rows only, in order.
+    """
 
     grid: Grid
     values: np.ndarray
+    rows: tuple[int, ...] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.nt + 1, self.grid.nx):
+        if self.rows is not None:
+            bounds = (-1, *self.rows, self.grid.nt + 1)
+            if any(a >= b for a, b in zip(bounds, bounds[1:])):
+                raise ValueError("rows must be increasing indices in [0, nt]")
+        if self.values.shape != (len(self.stored), self.grid.nx):
             raise ValueError("values shape does not match grid")
 
     @property
+    def stored(self) -> Sequence[int]:
+        """The indices of the stored rows, in order."""
+        return range(self.grid.nt + 1) if self.rows is None else self.rows
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i, time i*dt; a row that is not stored raises."""
+        if i not in self.stored:
+            raise IndexError(f"row {i} of the surface is not stored")
+        return self.values[self.stored.index(i)]
+
+    @property
     def times(self) -> np.ndarray:
-        return self.grid.dt * np.arange(self.grid.nt + 1)
+        return self.grid.dt * np.array(self.stored)
 
 
 def middle_half(nx: int) -> slice:

@@ -79,7 +79,8 @@ def _invert(ce: CharExponent, t_time: float, n: int,
     at least 8 times the window and 100 pi (so d_xi <= 0.02).
     """
     c = t_time * ce.decay_rate
-    xi_max = (27.7 / c) ** (1.0 / ce.alpha)  # |phi| < 1e-12 beyond
+    # |phi| < 1e-12 beyond xi_max; c underflows to 0 for tiny t_time
+    xi_max = (27.7 / c) ** (1.0 / ce.alpha) if c > 0.0 else np.inf
     period = max(8.0 * max(n * dx, 1.0), 100.0 * np.pi)
     n_fft = next_fast_len(int(np.ceil(period / dx)))
     d_xi = 2.0 * np.pi / (n_fft * dx)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -99,30 +98,25 @@ def _march_rows(u0: np.ndarray, grid: Grid,
         yield u
 
 
-def solve_forward(prob: TerminalProblem, grid: Grid,
-                  uset: UncertaintySet) -> Surface:
-    """Solve the forward equation from the initial data up to t_max."""
+def solve_forward(prob: TerminalProblem, grid: Grid, uset: UncertaintySet,
+                  rows: tuple[int, ...] | None = None) -> Surface:
+    """Solve the forward equation from the initial data up to t_max,
+    storing every row, or only the given increasing row indices."""
     u0 = prob.samples(grid)
+    count = grid.nt + 1 if rows is None else len(rows)
     try:
-        rows = np.empty((grid.nt + 1, grid.nx))
+        values = np.empty((count, grid.nx))
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
         raise NumericalError(
-            "nx", f"the surface of {grid.nt + 1} x {grid.nx} values cannot "
+            "nx", f"the surface of {count} x {grid.nx} values cannot "
             f"be allocated ({exc}); lower pide_solver.nx or "
             "pide_solver.t_max, or raise pide_solver.safety") from exc
+    surface = Surface(grid, values, rows)
+    slot = {m: k for k, m in enumerate(surface.stored)}
     for m, u in enumerate(_march_rows(u0, grid, uset)):
-        rows[m] = u
-    return Surface(grid=grid, values=rows)
-
-
-def final_value(prob: TerminalProblem, grid: Grid, uset: UncertaintySet,
-                x: float) -> float:
-    """``evaluate(solve_forward(prob, grid, uset), grid.t_max, x)`` bit for
-    bit, keeping only the last two rows."""
-    last = deque(_march_rows(prob.samples(grid), grid, uset), maxlen=2)
-    # evaluate reads only .grid and .values[step], here at nt - 1 and nt
-    values = dict(zip((grid.nt - 1, grid.nt), last))
-    return evaluate(SimpleNamespace(grid=grid, values=values), grid.t_max, x)
+        if m in slot:
+            surface.values[slot[m]] = u
+    return surface
 
 
 def evaluate(surface: Surface, t: float, x: float) -> float:
@@ -135,16 +129,21 @@ def evaluate(surface: Surface, t: float, x: float) -> float:
     return float(np.interp(x, g.x, evaluate_row(surface, t)))
 
 
-def evaluate_row(surface: Surface, t: float) -> np.ndarray:
-    """Full spatial row at time t, linearly interpolated between rows."""
-    g = surface.grid
+def bracket(g: Grid, t: float) -> tuple[tuple[int, int], float]:
+    """((i, i + 1), f): the two rows ``evaluate_row`` reads at time t,
+    which lies a fraction f of the step past row i."""
     eps_t = 1e-12 * max(1.0, g.t_max)
     if not (-eps_t <= t <= g.t_max + eps_t):
         raise ValueError(f"t={t} outside surface range [0, {g.t_max}]")
     pt = np.clip(t / g.dt, 0.0, g.nt)
     it = min(int(pt), g.nt - 1)
-    ft = pt - it
-    return (1 - ft) * surface.values[it] + ft * surface.values[it + 1]
+    return (it, it + 1), pt - it
+
+
+def evaluate_row(surface: Surface, t: float) -> np.ndarray:
+    """Full spatial row at time t, linearly interpolated between rows."""
+    (lo, hi), ft = bracket(surface.grid, t)
+    return (1 - ft) * surface.row(lo) + ft * surface.row(hi)
 
 
 def scaling_check(psi: Callable, beta: float, t: float, grid: Grid,

@@ -16,7 +16,9 @@ from nlstable.checker import (
     ResidualTable,
     check_condition_iii,
     classical_term_bounds,
+    condition_iii_rows,
     example_41_check,
+    example_41_rows,
     fit_rate,
     _condition_iii_residual,
     _m1_bound,
@@ -207,15 +209,14 @@ class TestConditionIII:
         assert abs(table.fitted_rate - (1.0 - 2.0 / alpha)) <= 0.05
 
     @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
-    def test_sampled_rows_reach_t_one(self, coarse, monkeypatch):
+    def test_sampled_rows_reach_t_one(self, coarse):
         """Both grids of the bundled condition-(iii) config (1601 and 801
         nodes) sample their last row at or before t = 1, where the
         residual peaks."""
         cfg = config_mod.load(str(CONFIGS / "hypothesis_condition_iii.json"))
         # the grid the CLI marches on, without the march
-        monkeypatch.setattr(cli, "solve_forward", lambda prob, g, uset: g)
-        g = cli._surface(cfg, cfg.psi_functions()[0], 1.0 + cfg.h,
-                         cfg.coarse_nx if coarse else None)
+        _, g, _ = cli._march_inputs(cfg, cfg.psi_functions()[0], 1.0 + cfg.h,
+                                    cfg.coarse_nx if coarse else None)
         rows = _sampled_rows(g)
         assert g.nx == (801 if coarse else 1601)
         assert 1.0 - g.dt < rows[-1] * g.dt <= 1.0 + 1e-12
@@ -404,3 +405,78 @@ class TestExample41:
         g = make_grid(-20.0, 20.0, 201, 0.5, uset)
         with pytest.raises(ValueError, match="horizon"):
             example_41_check(forward(gaussian, g, uset), (8, 16))
+
+
+def stored(psi, grid, uset, rows):
+    """psi marched forward, storing only the given rows."""
+    return solve_forward(TerminalProblem(psi, 1.0, 1.0, grid.t_max), grid,
+                         uset, rows)
+
+
+@pytest.fixture(scope="module")
+def small_grids(uset):
+    """A fine grid whose dt (1/120) exceeds 1/n for n > 120, and its
+    half-resolution copy."""
+    return (make_grid(-20.0, 20.0, 201, 1.0 + H, uset),
+            make_grid(-20.0, 20.0, 101, 1.0 + H, uset))
+
+
+def rows_read(monkeypatch):
+    """Record, per grid, the forward row of every ``Surface.row`` read."""
+    read = {}
+    row = Surface.row
+
+    def spy(surface, i):
+        out = row(surface, i)    # a read that is not stored raises first
+        g = surface.grid
+        read.setdefault(g, set()).add(g.nt - i)   # v's row i is u's nt - i
+        return out
+
+    monkeypatch.setattr(Surface, "row", spy)
+    return read
+
+
+N_VALUES = [(4, 8), (2, 16, 64), (100, 128, 512, 2048)]
+
+
+class TestStoredRows:
+    """Each check reads exactly the forward rows its plan names, so
+    surfaces that store only those give the table of whole surfaces."""
+
+    @pytest.mark.parametrize("n_values", N_VALUES)
+    def test_condition_iii(self, family, uset, small_grids, n_values,
+                           monkeypatch):
+        g, gc = small_grids
+        rows, rows_c = condition_iii_rows(g, gc)
+        full = check_condition_iii(family, forward(gaussian, g, uset),
+                                   forward(gaussian, gc, uset), n_values)
+        read = rows_read(monkeypatch)
+        part = check_condition_iii(family, stored(gaussian, g, uset, rows),
+                                   stored(gaussian, gc, uset, rows_c),
+                                   n_values)
+        assert part == full
+        assert read == {g: set(rows), gc: set(rows_c)}
+
+    @pytest.mark.parametrize("n_values", N_VALUES)
+    def test_example_41(self, uset, small_grids, n_values, monkeypatch):
+        g, _ = small_grids
+        rows = example_41_rows(g, n_values)
+        full = example_41_check(forward(gaussian, g, uset), n_values)
+        read = rows_read(monkeypatch)
+        part = example_41_check(stored(gaussian, g, uset, rows), n_values)
+        assert part == full
+        assert read == {g: set(rows)}
+
+    def test_a_row_missing_from_the_plan_raises(self, family, uset,
+                                                small_grids):
+        """No check falls back to a neighbouring stored row."""
+        g, gc = small_grids
+        rows, rows_c = condition_iii_rows(g, gc)
+        with pytest.raises(IndexError, match="not stored"):
+            check_condition_iii(family, stored(gaussian, g, uset, rows),
+                                stored(gaussian, gc, uset, rows_c[1:]),
+                                (4, 8))
+        # the rows for n = 4 miss those that n = 512 reads near t = 0
+        with pytest.raises(IndexError, match="not stored"):
+            example_41_check(stored(gaussian, g, uset,
+                                    example_41_rows(g, (4,))), (4, 512))

@@ -197,11 +197,10 @@ LAWS_THAT_CANNOT_BE_BUILT = [
 
 def test_bad_law_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
     """A law that cannot be built is found before any grid is marched,
-    with a surface (hypothesis) or without one (clt)."""
+    by hypothesis or by clt."""
     def no_march(*args, **kwargs):
         raise AssertionError("marched")
-    monkeypatch.setattr(cli, "_surface", no_march)
-    monkeypatch.setattr(cli, "final_value", no_march)
+    monkeypatch.setattr(cli, "solve_forward", no_march)
     for over, tag in LAWS_THAT_CANNOT_BE_BUILT:
         d = {**json.loads(dumps(base_config())), **over}
         path = tmp_path / "bad_law.json"
@@ -499,6 +498,9 @@ class TestCli:
         ({"nx": 10 ** 13 + 1}, "[pide_solver.nx]"),
         # the oracle's 27.7/(t c) overflows to an infinite frequency count
         ({"t_max": 1e-320}, "[pide_solver.t_max]"),
+        # ... and t c underflows to 0, so the count is infinite too
+        ({"pairs": ((0.1, 0.1),), "lam": 0.05, "Lam": 0.15,
+          "t_max": 5e-324}, "[pide_solver.t_max]"),
     ])
     def test_unallocatable_array_exits_3(self, tmp_path, capsys, over, tag):
         """Sizes no machine can map, so the refusal commits no memory."""
@@ -565,40 +567,59 @@ class TestCli:
         assert max(errs) < 1e-9
 
     def test_clt_marches_without_a_surface(self, tmp_path, monkeypatch):
-        """clt reads u(1, 0) from the march's last two rows, and writes
-        the table that the whole surface gives."""
+        """clt stores only the march's last two rows to read u(1, 0), and
+        writes the table that the whole surface gives."""
         cfg = base_config(lam=0.05, Lam=0.15,
                           pairs=((0.1, 0.1), (0.12, 0.12)), n_values=(2, 4),
                           dp_half_width=240.0, dp_dx=0.1)
         path = write_config(tmp_path, cfg)
+        march = solver.solve_forward
 
-        def from_surface(prob, grid, uset, x):
-            surface = solver.solve_forward(prob, grid, uset)
-            return solver.evaluate(surface, grid.t_max, x)
+        def whole(prob, grid, uset, rows=None):
+            return march(prob, grid, uset)
 
         with monkeypatch.context() as m:
-            m.setattr(cli, "final_value", from_surface)
+            m.setattr(cli, "solve_forward", whole)
             assert cli.main(["clt", "--config", path,
                              "--out", str(tmp_path / "surface")]) == 0
 
-        def no_surface(*args, **kwargs):
-            raise AssertionError("surface marched")
-        marched = []
-        march_rows = solver._march_rows
+        stored = []
 
-        def spy(u0, grid, uset):
-            marched.append(grid)
-            return march_rows(u0, grid, uset)
+        def spy(prob, grid, uset, rows=None):
+            surface = march(prob, grid, uset, rows)
+            stored.append((grid, rows, surface.values.shape))
+            return surface
 
-        monkeypatch.setattr(cli, "solve_forward", no_surface)
-        monkeypatch.setattr(solver, "solve_forward", no_surface)
-        monkeypatch.setattr(solver, "_march_rows", spy)
+        monkeypatch.setattr(cli, "solve_forward", spy)
         assert cli.main(["clt", "--config", path,
                          "--out", str(tmp_path / "rows")]) == 0
-        assert len(marched) == 1
+        [(grid, rows, shape)] = stored
+        assert rows == (grid.nt - 1, grid.nt) and shape == (2, grid.nx)
         name = "convergence_gaussian_bump_0_1.csv"
         assert (tmp_path / "rows" / name).read_bytes() \
             == (tmp_path / "surface" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["hypothesis_condition_iii",
+                                      "hypothesis_example_41"])
+    def test_hypothesis_stores_only_the_rows_it_reads(self, tmp_path,
+                                                      monkeypatch, name):
+        """On the bundled configs each march stores at most 200 of its
+        thousands of rows."""
+        march = solver.solve_forward
+        stored = []
+
+        def spy(prob, grid, uset, rows=None):
+            surface = march(prob, grid, uset, rows)
+            stored.append((grid.nt + 1, surface.values.shape[0]))
+            return surface
+
+        monkeypatch.setattr(cli, "solve_forward", spy)
+        assert cli.main(["hypothesis", "--config",
+                         str(CONFIGS / f"{name}.json"),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert len(stored) == (2 if name == "hypothesis_condition_iii"
+                               else 1)
+        assert all(kept <= 200 < total for total, kept in stored)
 
     def test_hypothesis_example_41(self, tmp_path, capsys):
         cfg = base_config(nx=201, t_max=1.25, n_values=(4, 8),

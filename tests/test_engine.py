@@ -218,7 +218,9 @@ class TestTables:
                                  self.CFG.dp_grid())
         assert [r[0] for r in rows] == [2, 4]
         assert [len(r) for r in rows] == [3, 3]
-        monkeypatch.setattr(cli, "final_value", lambda *args: 0.7)
+        # the PIDE value u(1, 0) is 0.7, without a march
+        monkeypatch.setattr(cli, "solve_forward", lambda *args, **kw: None)
+        monkeypatch.setattr(cli, "evaluate", lambda *args: 0.7)
         cli.run_clt(self.CFG, str(tmp_path))
         text = (tmp_path / "convergence_gaussian_bump_0_1.csv").read_text()
         lines = text.strip().split("\n")

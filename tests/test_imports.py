@@ -176,7 +176,7 @@ def test_diagnostics_import_no_march():
     regularity probes take surfaces and import no marching function."""
     src = REPO / "src" / "nlstable"
     marching = marching_functions(ast.parse((src / "solver.py").read_text()))
-    assert {"_march_rows", "solve_forward", "final_value",
+    assert {"_march_rows", "solve_forward", "scaling_check",
             "dpp_check"} <= marching
     found = {name: solver_names(ast.parse((src / f"{name}.py").read_text()))
              & marching
@@ -186,16 +186,16 @@ def test_diagnostics_import_no_march():
 
 def test_detects_a_marching_import():
     solver = ast.parse("def _march_rows(): pass\n"
-                       "def final_value(): return max(_march_rows())\n"
+                       "def dpp_check(): return max(_march_rows())\n"
                        "def solve_forward(): return list(_march_rows())\n"
                        "def check(): return solve_forward()\n"
                        "def evaluate_row(): pass\n")
-    user = ast.parse("from .solver import evaluate_row, final_value\n"
+    user = ast.parse("from .solver import evaluate_row, dpp_check\n"
                      "from .kernels import check\n"
                      "from . import solver as s\n"
                      "s.check()\n")
     assert solver_names(user) & marching_functions(solver) \
-        == {"final_value", "check"}
+        == {"dpp_check", "check"}
 
 
 def package_imports(tree: ast.Module, package: str) -> set[str]:

@@ -16,7 +16,6 @@ from nlstable.solver import (
     dpp_check,
     evaluate,
     evaluate_row,
-    final_value,
     format_g17,
     make_grid,
     scaling_check,
@@ -37,10 +36,15 @@ def test_constant_preserved_exactly(small_grid, uset_sym):
     assert np.max(np.abs(u.values - 5.0)) < 1e-12
 
 
+def last_two(grid):
+    """The rows that the value at t_max reads."""
+    return (grid.nt - 1, grid.nt)
+
+
 def both_marches(prob, grid, uset):
-    """The march with a surface, then the one that keeps two rows."""
+    """The march that stores every row, then one that stores two."""
     return (lambda: solve_forward(prob, grid, uset),
-            lambda: final_value(prob, grid, uset, 0.0))
+            lambda: solve_forward(prob, grid, uset, rows=last_two(grid)))
 
 
 def test_cfl_violation_refused(uset_sym):
@@ -157,6 +161,13 @@ def test_backward_is_time_reversed_forward(uset_sym):
     # v(t, x) = u(1 + h - t, x), exact in floating arithmetic
     assert np.max(np.abs(v.values - u.values[::-1])) < 1e-14
     assert np.max(np.abs(evaluate_row(v, grid.dt) - u.values[-2])) < 1e-14
+    # stored rows i of u are rows nt - i of v
+    part = solve_forward(TerminalProblem(gaussian, 1.0, 1.0, grid.t_max),
+                         grid, uset_sym, rows=(0, grid.nt - 1, grid.nt))
+    vp = checker._reversed(part)
+    assert vp.rows == (0, 1, grid.nt)
+    for i in vp.rows:
+        assert np.array_equal(vp.row(i), v.row(i))
 
 
 def test_odd_data_symmetric_kernel_fixes_origin(uset_sym):
@@ -207,8 +218,8 @@ BLEND_GRID = Grid(-20.0, 20.0, 201, 1.0, 93, 0.2, 160.0)
 
 
 class TestFinalValue:
-    """``final_value`` keeps two rows of the march; it must give what the
-    whole surface gives, bit for bit."""
+    """The value at t_max read off a march that stores its last two rows
+    is the whole surface's, bit for bit."""
 
     @pytest.mark.parametrize("uset", [
         pytest.param(None, id="singleton"),
@@ -224,13 +235,56 @@ class TestFinalValue:
         prob = TerminalProblem(lambda x: np.exp(-(x - 0.3) ** 2), 1.0, 1.0,
                                grid.t_max)
         surface = solve_forward(prob, grid, uset)
+        two = solve_forward(prob, grid, uset, rows=last_two(grid))
+        assert two.values.shape == (2, grid.nx)
         for x in (0.0, -3.217, grid.x[57], grid.x_max):
-            assert final_value(prob, grid, uset, x) \
+            assert evaluate(two, grid.t_max, x) \
                 == evaluate(surface, grid.t_max, x)
 
     def test_blend_grid_reads_both_rows(self):
         g = BLEND_GRID
         assert g.t_max / g.dt == 92.99999999999999 < g.nt
+
+
+class TestStoredRows:
+    """A march that stores some rows stores them bit for bit as the whole
+    surface does, and refuses a read of any other row."""
+
+    def test_rows_are_indexed_not_positional(self, small_grid, uset_sym):
+        rows = (0, 3, 4, small_grid.nt)
+        u = solve(gaussian, small_grid, uset_sym)
+        part = solve_forward(TerminalProblem(gaussian, 1.0, 1.0,
+                                             small_grid.t_max),
+                             small_grid, uset_sym, rows=rows)
+        assert part.rows == rows and part.values.shape == (4, small_grid.nx)
+        for i in rows:
+            assert np.array_equal(part.row(i), u.values[i])
+        np.testing.assert_array_equal(part.times, u.times[list(rows)])
+        t = 3.5 * small_grid.dt
+        assert np.array_equal(evaluate_row(part, t), evaluate_row(u, t))
+
+    def test_unstored_row_raises(self, small_grid, uset_sym):
+        """No read falls back to a neighbouring stored row."""
+        part = solve_forward(TerminalProblem(gaussian, 1.0, 1.0,
+                                             small_grid.t_max),
+                             small_grid, uset_sym, rows=(0, 3, 4))
+        for i in (1, 2, 5, small_grid.nt, -1):
+            with pytest.raises(IndexError, match=f"row {i} "):
+                part.row(i)
+        with pytest.raises(IndexError, match="row 1 "):
+            evaluate_row(part, 0.5 * small_grid.dt)
+        with pytest.raises(IndexError, match="not stored"):
+            evaluate(part, small_grid.t_max, 0.0)
+        full = Surface(small_grid, np.zeros((small_grid.nt + 1,
+                                             small_grid.nx)))
+        for i in (-1, small_grid.nt + 1):
+            with pytest.raises(IndexError, match="not stored"):
+                full.row(i)
+
+    @pytest.mark.parametrize("rows", [(3, 2), (2, 2), (-1, 2), (0, 10 ** 6)])
+    def test_rows_must_increase_within_the_grid(self, small_grid, rows):
+        with pytest.raises(ValueError, match="rows must be increasing"):
+            Surface(small_grid, np.zeros((2, small_grid.nx)), rows)
 
 
 class TestIdentityChecks:
