@@ -24,8 +24,7 @@ from .config import ExperimentConfig, field_tag
 from .kernels import ConfigError, NumericalError, Surface
 from .laws import build_law
 from .engine import LawFamily, convergence_table
-from .solver import (TerminalProblem, make_grid, solve_forward, evaluate,
-                     surface_to_csv)
+from .solver import make_grid, solve_forward, evaluate, surface_to_csv
 from .oracle import CharExponent, classical_expectation
 from .checker import (check_condition_iii, condition_iii_rows,
                       example_41_check, example_41_rows, fit_rate)
@@ -71,12 +70,12 @@ def table_to_csv(header: str, rows) -> str:
 
 def _march_inputs(cfg: ExperimentConfig, psi, horizon: float,
                   nx: int | None = None):
-    """The problem, grid and uncertainty set of psi marched forward to
+    """psi, the grid and the uncertainty set of psi marched forward to
     ``horizon`` (on ``nx`` nodes if given): the one grid rule."""
     uset = cfg.uncertainty_set()
     grid = make_grid(cfg.x_min, cfg.x_max, nx or cfg.nx, horizon, uset,
                      r_cut=cfg.r_cut, z_max=cfg.z_max, safety=cfg.safety)
-    return TerminalProblem(psi, psi.lip, psi.sup, horizon), grid, uset
+    return psi, grid, uset
 
 
 def _surface(cfg: ExperimentConfig, psi, horizon: float,

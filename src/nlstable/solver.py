@@ -16,7 +16,7 @@ is how the checker reads it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -34,32 +34,11 @@ from .kernels import (
 )
 
 
-@dataclass(frozen=True)
-class TerminalProblem:
-    """Initial data for a march.
-
-    ``psi`` is a bounded Lipschitz function given as a vectorizable
-    callable.  The march reads nothing else; ``lip_psi``, ``sup_psi``
-    (its stated constants) and ``horizon`` stay because the acceptance
-    tests build the class positionally.
-    """
-
-    psi: Callable[[np.ndarray], np.ndarray]
-    lip_psi: float
-    sup_psi: float
-    horizon: float
-
-    def samples(self, grid: Grid) -> np.ndarray:
-        vals = np.asarray(self.psi(grid.x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("psi produced non-finite samples")
-        return vals
-
-
 def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
               uset: UncertaintySet, r_cut: float | None = None,
               z_max: float | None = None, safety: float = 0.5) -> Grid:
-    """Build a grid whose nt satisfies the CFL bound with a safety factor."""
+    """Build a grid whose nt satisfies the CFL bound with a safety factor
+    and whose whole surface fits in a 128 TiB user address space."""
     r_cut, z_max = resolve_cutoffs(x_min, x_max, nx, r_cut, z_max)
     probe = Grid(x_min, x_max, nx, t_max, 1, r_cut, z_max)
     c = scheme_stability_constant(probe, uset)
@@ -69,6 +48,11 @@ def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
                              "overflow; raise pide_solver.safety or lower "
                              "pide_solver.t_max")
     nt = max(1, int(np.ceil(steps)))
+    if (nt + 1) * nx * 8 > 1 << 47:  # float64 rows u^0 ... u^nt
+        raise NumericalError(
+            "nx", f"the surface of {nt + 1} x {nx} values cannot be "
+            "allocated in a 128 TiB address space; lower pide_solver.nx "
+            "or pide_solver.t_max, or raise pide_solver.safety")
     return Grid(x_min, x_max, nx, t_max, nt, r_cut, z_max)
 
 
@@ -98,11 +82,13 @@ def _march_rows(u0: np.ndarray, grid: Grid,
         yield u
 
 
-def solve_forward(prob: TerminalProblem, grid: Grid, uset: UncertaintySet,
+def solve_forward(psi: Callable, grid: Grid, uset: UncertaintySet,
                   rows: tuple[int, ...] | None = None) -> Surface:
-    """Solve the forward equation from the initial data up to t_max,
-    storing every row, or only the given increasing row indices."""
-    u0 = prob.samples(grid)
+    """March psi, sampled on grid.x, up to t_max, storing every row, or
+    only the given increasing row indices."""
+    u0 = np.asarray(psi(grid.x), dtype=float)
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("psi produced non-finite samples")
     count = grid.nt + 1 if rows is None else len(rows)
     try:
         values = np.empty((count, grid.nx))
@@ -158,10 +144,8 @@ def scaling_check(psi: Callable, beta: float, t: float, grid: Grid,
     if max(beta * t, t) > grid.t_max + 1e-12:
         raise ValueError("both t and beta*t must lie within the horizon")
     scale = beta ** (1.0 / uset.alpha)
-    prob_a = TerminalProblem(psi, 1.0, 1.0, grid.t_max)
-    prob_b = TerminalProblem(lambda x: psi(scale * x), 1.0, 1.0, grid.t_max)
-    ua = solve_forward(prob_a, grid, uset)
-    ub = solve_forward(prob_b, grid, uset)
+    ua = solve_forward(psi, grid, uset)
+    ub = solve_forward(lambda x: psi(scale * x), grid, uset)
     return abs(evaluate(ua, beta * t, 0.0) - evaluate(ub, t, 0.0))
 
 
@@ -175,8 +159,7 @@ def dpp_check(psi: Callable, s: float, t: float, grid: Grid,
     """
     if not (0.0 < s <= t <= grid.t_max + 1e-12):
         raise ValueError("require 0 < s <= t <= horizon")
-    prob = TerminalProblem(psi, 1.0, 1.0, grid.t_max)
-    u = solve_forward(prob, grid, uset)
+    u = solve_forward(psi, grid, uset)
     i_t = int(round(t / grid.dt))
     i_s = int(round(s / grid.dt))
     mid = middle_half(grid.nx)

@@ -24,8 +24,8 @@ from nlstable.laws import build_law
 from nlstable.engine import (LawFamily, NormalizedSumSpec,
                              nested_sum_expectation)
 from nlstable.oracle import CharExponent, classical_expectation
-from nlstable.solver import (TerminalProblem, dpp_check, evaluate,
-                             make_grid, scaling_check, solve_forward)
+from nlstable.solver import (dpp_check, evaluate, make_grid, scaling_check,
+                             solve_forward)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -51,8 +51,7 @@ def test_criterion_1_oracle_equivalence():
                 gaussian, CharExponent(uset.pairs[0], alpha), 1.0, 0.0)
             for nx, tol in ((801, 2e-2), (1601, 1e-2)):
                 grid = make_grid(-20.0, 20.0, nx, 1.0, uset)
-                u = solve_forward(TerminalProblem(gaussian, 1.0, 1.0, 1.0),
-                                  grid, uset)
+                u = solve_forward(gaussian, grid, uset)
                 gap = abs(evaluate(u, 1.0, 0.0) - ref)
                 gaps[(alpha, km, kp, nx)] = (gap, tol)
     ok = all(g <= tol for g, tol in gaps.values())

@@ -11,7 +11,7 @@ from nlstable.kernels import (KernelPair, Surface, UncertaintySet, band_bins,
                               middle_half)
 from nlstable.laws import AttractedLaw, beta2_prime, build_law, tail_deviation
 from nlstable.engine import LawFamily, NormalizedSumSpec
-from nlstable.solver import TerminalProblem, make_grid, solve_forward
+from nlstable.solver import make_grid, solve_forward
 from nlstable.checker import (
     ResidualTable,
     check_condition_iii,
@@ -98,16 +98,10 @@ def grid(uset):
     return make_grid(-20.0, 20.0, 401, 1.0 + H, uset)
 
 
-def forward(psi, grid, uset):
-    """psi marched forward over the whole grid."""
-    return solve_forward(TerminalProblem(psi, 1.0, 1.0, grid.t_max), grid,
-                         uset)
-
-
 def backward(psi, grid, uset):
     """The terminal-value solution v(t) = u(t_max - t), as the checker
     reads it."""
-    return _reversed(forward(psi, grid, uset))
+    return _reversed(solve_forward(psi, grid, uset))
 
 
 def sampled(v):
@@ -147,9 +141,8 @@ class TestDeltaIncrement:
 def fine_and_coarse(uset, psi, t_max=1.0 + H, nx=201):
     """Forward surfaces of psi on a grid and on its half-resolution
     copy, both with default settings."""
-    return (forward(psi, make_grid(-20.0, 20.0, nx, t_max, uset), uset),
-            forward(psi, make_grid(-20.0, 20.0, (nx - 1) // 2 + 1, t_max,
-                                   uset), uset))
+    return tuple(solve_forward(psi, make_grid(-20.0, 20.0, n, t_max, uset),
+                               uset) for n in (nx, (nx - 1) // 2 + 1))
 
 
 class TestConditionIII:
@@ -389,13 +382,14 @@ class TestFitRate:
 class TestExample41:
     def test_constant_psi(self, uset):
         g = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
-        table = example_41_check(forward(lambda x: np.full_like(x, 1.0), g,
-                                         uset), (4, 8))
+        table = example_41_check(
+            solve_forward(lambda x: np.full_like(x, 1.0), g, uset), (4, 8))
         assert max(table.residuals) < 1e-10
 
     def test_monotone_decay_and_negative_rate(self, uset):
         g = make_grid(-20.0, 20.0, 401, 1.0 + H, uset)
-        table = example_41_check(forward(gaussian, g, uset), (8, 16, 32))
+        table = example_41_check(solve_forward(gaussian, g, uset),
+                                 (8, 16, 32))
         r = table.residuals
         assert r[1] < r[0] and r[2] < r[1]
         assert table.fitted_rate < 0.0
@@ -404,13 +398,7 @@ class TestExample41:
         """Rows up to t = 1 do not exist on a shorter surface."""
         g = make_grid(-20.0, 20.0, 201, 0.5, uset)
         with pytest.raises(ValueError, match="horizon"):
-            example_41_check(forward(gaussian, g, uset), (8, 16))
-
-
-def stored(psi, grid, uset, rows):
-    """psi marched forward, storing only the given rows."""
-    return solve_forward(TerminalProblem(psi, 1.0, 1.0, grid.t_max), grid,
-                         uset, rows)
+            example_41_check(solve_forward(gaussian, g, uset), (8, 16))
 
 
 @pytest.fixture(scope="module")
@@ -448,11 +436,12 @@ class TestStoredRows:
                            monkeypatch):
         g, gc = small_grids
         rows, rows_c = condition_iii_rows(g, gc)
-        full = check_condition_iii(family, forward(gaussian, g, uset),
-                                   forward(gaussian, gc, uset), n_values)
+        full = check_condition_iii(family, solve_forward(gaussian, g, uset),
+                                   solve_forward(gaussian, gc, uset), n_values)
         read = rows_read(monkeypatch)
-        part = check_condition_iii(family, stored(gaussian, g, uset, rows),
-                                   stored(gaussian, gc, uset, rows_c),
+        part = check_condition_iii(family,
+                                   solve_forward(gaussian, g, uset, rows),
+                                   solve_forward(gaussian, gc, uset, rows_c),
                                    n_values)
         assert part == full
         assert read == {g: set(rows), gc: set(rows_c)}
@@ -461,9 +450,10 @@ class TestStoredRows:
     def test_example_41(self, uset, small_grids, n_values, monkeypatch):
         g, _ = small_grids
         rows = example_41_rows(g, n_values)
-        full = example_41_check(forward(gaussian, g, uset), n_values)
+        full = example_41_check(solve_forward(gaussian, g, uset), n_values)
         read = rows_read(monkeypatch)
-        part = example_41_check(stored(gaussian, g, uset, rows), n_values)
+        part = example_41_check(solve_forward(gaussian, g, uset, rows),
+                                n_values)
         assert part == full
         assert read == {g: set(rows)}
 
@@ -473,10 +463,11 @@ class TestStoredRows:
         g, gc = small_grids
         rows, rows_c = condition_iii_rows(g, gc)
         with pytest.raises(IndexError, match="not stored"):
-            check_condition_iii(family, stored(gaussian, g, uset, rows),
-                                stored(gaussian, gc, uset, rows_c[1:]),
+            check_condition_iii(family, solve_forward(gaussian, g, uset, rows),
+                                solve_forward(gaussian, gc, uset, rows_c[1:]),
                                 (4, 8))
         # the rows for n = 4 miss those that n = 512 reads near t = 0
         with pytest.raises(IndexError, match="not stored"):
-            example_41_check(stored(gaussian, g, uset,
-                                    example_41_rows(g, (4,))), (4, 512))
+            example_41_check(solve_forward(gaussian, g, uset,
+                                           example_41_rows(g, (4,))),
+                             (4, 512))

@@ -502,14 +502,28 @@ class TestCli:
         ({"pairs": ((0.1, 0.1),), "lam": 0.05, "Lam": 0.15,
           "t_max": 5e-324}, "[pide_solver.t_max]"),
     ])
-    def test_unallocatable_array_exits_3(self, tmp_path, capsys, over, tag):
-        """Sizes no machine can map, so the refusal commits no memory."""
-        cfg = base_config(**over)
-        assert cli.main(["solve", "--config", write_config(tmp_path, cfg),
-                         "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"numerical failure: {tag} ")
-        assert "cannot be allocated" in err
+    def test_unallocatable_array_exits_3(self, tmp_path, capsys,
+                                         monkeypatch, over, tag):
+        """Sizes no machine can map, so the refusal commits no memory.
+        clt and hypothesis store a few rows of the march, so no
+        allocation would stop them: the step count of a surface too large
+        to map is refused before any DP stage or march step."""
+        runs = [("solve", base_config(**over))]
+        if "safety" in over:
+            monkeypatch.setattr(solver, "_march_rows",
+                                lambda *args: pytest.fail("marched"))
+            monkeypatch.setattr(engine, "nested_sum_expectation",
+                                lambda *args: pytest.fail("DP ran"))
+            runs += [("clt", base_config(**over)),
+                     ("hypothesis", base_config(mode="condition_iii", **over)),
+                     ("hypothesis", base_config(mode="example_41", **over))]
+        for command, cfg in runs:
+            assert cli.main([command, "--config",
+                             write_config(tmp_path, cfg),
+                             "--out", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"numerical failure: {tag} ")
+            assert "cannot be allocated" in err
 
     @pytest.mark.parametrize("over", [
         pytest.param({"safety": 1e-310}, id="safety-1e-310"),

@@ -6,7 +6,7 @@ import pytest
 from nlstable.basket import abs_clip
 from nlstable.checker import _m1_bound
 from nlstable.kernels import Grid, NumericalError, Surface, middle_half
-from nlstable.solver import TerminalProblem, make_grid, solve_forward
+from nlstable.solver import make_grid, solve_forward
 from nlstable.regularity import (
     RegularityReport,
     compare_reports,
@@ -23,16 +23,14 @@ def probe_run():
     uset = singleton_set()
     grid = make_grid(-20.0, 20.0, 401, 1.0 + H, uset)
     psi = abs_clip(3.0)
-    prob = TerminalProblem(psi, psi.lip, psi.sup, 1.0 + H)
-    surface = solve_forward(prob, grid, uset)
-    return surface, prob, probe(surface, H, singleton=True)
+    surface = solve_forward(psi, grid, uset)
+    return surface, psi, probe(surface, H, singleton=True)
 
 
 def test_constant_data_all_zero():
     uset = singleton_set()
     grid = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
-    prob = TerminalProblem(lambda x: np.full_like(x, 2.0), 0.0, 2.0, 1.0 + H)
-    rep = probe(solve_forward(prob, grid, uset), H)
+    rep = probe(solve_forward(lambda x: np.full_like(x, 2.0), grid, uset), H)
     assert rep.lip_x < 1e-10
     assert rep.holder_t_half < 1e-10
     assert rep.dt_u_bound < 1e-10
@@ -40,8 +38,8 @@ def test_constant_data_all_zero():
 
 
 def test_clipped_linear_lipschitz(probe_run):
-    _, prob, rep = probe_run
-    assert rep.lip_x <= prob.lip_psi * 1.05
+    _, psi, rep = probe_run
+    assert rep.lip_x <= psi.lip * 1.05
     assert np.isfinite(rep.dxx_bound_singleton)
     assert rep.dxx_bound_singleton > 0.0
 

@@ -12,7 +12,6 @@ from nlstable.kernels import (Grid, KernelPair, NumericalError, Surface,
                               UncertaintySet, middle_half,
                               scheme_stability_constant)
 from nlstable.solver import (
-    TerminalProblem,
     dpp_check,
     evaluate,
     evaluate_row,
@@ -26,13 +25,8 @@ from nlstable.solver import (
 from conftest import gaussian
 
 
-def solve(psi, grid, uset):
-    prob = TerminalProblem(psi, 1.0, 1.0, grid.t_max)
-    return solve_forward(prob, grid, uset)
-
-
 def test_constant_preserved_exactly(small_grid, uset_sym):
-    u = solve(lambda x: np.full_like(x, 5.0), small_grid, uset_sym)
+    u = solve_forward(lambda x: np.full_like(x, 5.0), small_grid, uset_sym)
     assert np.max(np.abs(u.values - 5.0)) < 1e-12
 
 
@@ -41,16 +35,15 @@ def last_two(grid):
     return (grid.nt - 1, grid.nt)
 
 
-def both_marches(prob, grid, uset):
+def both_marches(psi, grid, uset):
     """The march that stores every row, then one that stores two."""
-    return (lambda: solve_forward(prob, grid, uset),
-            lambda: solve_forward(prob, grid, uset, rows=last_two(grid)))
+    return (lambda: solve_forward(psi, grid, uset),
+            lambda: solve_forward(psi, grid, uset, rows=last_two(grid)))
 
 
 def test_cfl_violation_refused(uset_sym):
     g = Grid(-20.0, 20.0, 401, 1.0, 2, 0.1, 160.0)  # nt=2 is far too coarse
-    for march in both_marches(TerminalProblem(gaussian, 1.0, 1.0, 1.0), g,
-                              uset_sym):
+    for march in both_marches(gaussian, g, uset_sym):
         with pytest.raises(NumericalError, match="nt >=") as exc:
             march()
         assert exc.value.field == "safety"
@@ -63,8 +56,7 @@ def test_non_finite_march_refused(small_grid, uset_sym):
         return np.where(np.arange(np.size(x)) % 2 == 0, 1e308, -1e308)
 
     messages = []
-    for march in both_marches(TerminalProblem(psi, 1.0, 1e308, 1.0),
-                              small_grid, uset_sym):
+    for march in both_marches(psi, small_grid, uset_sym):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError,
                               match="pide_solver.safety") as exc:
@@ -73,6 +65,19 @@ def test_non_finite_march_refused(small_grid, uset_sym):
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert "non-finite values at step 1 of" in messages[0]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_psi_refused(small_grid, uset_sym, bad):
+    """psi is sampled on the grid before the march; a non-finite sample
+    is refused by both marches."""
+    def psi(x):
+        return np.where(x > 1.0, bad, gaussian(x))
+
+    for march in both_marches(psi, small_grid, uset_sym):
+        with pytest.raises(ValueError,
+                           match="^psi produced non-finite samples$"):
+            march()
 
 
 def test_non_finite_row_stops_the_march(small_grid, uset_sym, monkeypatch):
@@ -88,8 +93,7 @@ def test_non_finite_row_stops_the_march(small_grid, uset_sym, monkeypatch):
 
     monkeypatch.setattr(solver_mod, "apply_sup_generator_row",
                         nan_from_third_call)
-    marches = (*both_marches(TerminalProblem(gaussian, 1.0, 1.0, 1.0),
-                             small_grid, uset_sym),
+    marches = (*both_marches(gaussian, small_grid, uset_sym),
                lambda: dpp_check(gaussian, 0.25, 0.5, small_grid, uset_sym))
     for march in marches:
         calls.clear()
@@ -113,20 +117,21 @@ def test_cfl_report_consistent(small_grid, uset_sym):
 
 
 def test_maximum_principle(small_grid, uset_sym):
-    u = solve(gaussian, small_grid, uset_sym)
+    u = solve_forward(gaussian, small_grid, uset_sym)
     assert np.max(np.abs(u.values)) <= 1.0 + 1e-12
 
 
 def test_comparison(small_grid, uset_sym):
-    u1 = solve(gaussian, small_grid, uset_sym)
-    u2 = solve(lambda x: gaussian(x) + 0.25 * np.cos(x), small_grid, uset_sym)
+    u1 = solve_forward(gaussian, small_grid, uset_sym)
+    u2 = solve_forward(lambda x: gaussian(x) + 0.25 * np.cos(x), small_grid,
+                       uset_sym)
     assert np.all(u1.values <= u2.values + 0.25 + 1e-12)
-    u3 = solve(lambda x: gaussian(x) + 0.1, small_grid, uset_sym)
+    u3 = solve_forward(lambda x: gaussian(x) + 0.1, small_grid, uset_sym)
     assert np.all(u3.values >= u1.values - 1e-12)
 
 
 def test_lipschitz_not_amplified(small_grid, uset_sym):
-    u = solve(gaussian, small_grid, uset_sym)
+    u = solve_forward(gaussian, small_grid, uset_sym)
     lip_psi = np.sqrt(2.0 / np.e)
     mid = middle_half(small_grid.nx)
     lip = np.max(np.abs(np.diff(u.values[:, mid], axis=1))) / small_grid.dx
@@ -135,18 +140,18 @@ def test_lipschitz_not_amplified(small_grid, uset_sym):
 
 def test_sublinearity_and_homogeneity(small_grid, uset_sym):
     psi1, psi2 = gaussian, lambda x: 1.0 / (1.0 + x ** 2)
-    u1 = solve(psi1, small_grid, uset_sym)
-    u2 = solve(psi2, small_grid, uset_sym)
-    u12 = solve(lambda x: psi1(x) + psi2(x), small_grid, uset_sym)
+    u1 = solve_forward(psi1, small_grid, uset_sym)
+    u2 = solve_forward(psi2, small_grid, uset_sym)
+    u12 = solve_forward(lambda x: psi1(x) + psi2(x), small_grid, uset_sym)
     assert np.all(u12.values <= u1.values + u2.values + 1e-10)
-    u3 = solve(lambda x: 3.0 * psi1(x), small_grid, uset_sym)
+    u3 = solve_forward(lambda x: 3.0 * psi1(x), small_grid, uset_sym)
     np.testing.assert_allclose(u3.values, 3.0 * u1.values,
                                rtol=1e-13, atol=1e-13)
 
 
 def test_minus_psi_sublinearity(small_grid, uset_sym):
-    u = solve(gaussian, small_grid, uset_sym)
-    um = solve(lambda x: -gaussian(x), small_grid, uset_sym)
+    u = solve_forward(gaussian, small_grid, uset_sym)
+    um = solve_forward(lambda x: -gaussian(x), small_grid, uset_sym)
     assert np.all(um.values >= -u.values - 1e-12)
 
 
@@ -155,15 +160,15 @@ def test_backward_is_time_reversed_forward(uset_sym):
     surface in reverse, as a view: no second surface is allocated."""
     h = 0.25
     grid = make_grid(-20.0, 20.0, 401, 1.0 + h, uset_sym)
-    u = solve(gaussian, grid, uset_sym)
+    u = solve_forward(gaussian, grid, uset_sym)
     v = checker._reversed(u)
     assert v.grid == grid and np.shares_memory(v.values, u.values)
     # v(t, x) = u(1 + h - t, x), exact in floating arithmetic
     assert np.max(np.abs(v.values - u.values[::-1])) < 1e-14
     assert np.max(np.abs(evaluate_row(v, grid.dt) - u.values[-2])) < 1e-14
     # stored rows i of u are rows nt - i of v
-    part = solve_forward(TerminalProblem(gaussian, 1.0, 1.0, grid.t_max),
-                         grid, uset_sym, rows=(0, grid.nt - 1, grid.nt))
+    part = solve_forward(gaussian, grid, uset_sym,
+                         rows=(0, grid.nt - 1, grid.nt))
     vp = checker._reversed(part)
     assert vp.rows == (0, 1, grid.nt)
     for i in vp.rows:
@@ -172,13 +177,13 @@ def test_backward_is_time_reversed_forward(uset_sym):
 
 def test_odd_data_symmetric_kernel_fixes_origin(uset_sym):
     grid = make_grid(-20.0, 20.0, 401, 0.5, uset_sym)
-    u = solve(lambda x: np.tanh(x), grid, uset_sym)
+    u = solve_forward(lambda x: np.tanh(x), grid, uset_sym)
     assert np.max(np.abs(u.values[:, grid.nx // 2])) < 1e-12
 
 
 class TestEvaluate:
     def test_exact_at_nodes(self, small_grid, uset_sym):
-        u = solve(gaussian, small_grid, uset_sym)
+        u = solve_forward(gaussian, small_grid, uset_sym)
         i, j = 3, 57
         t = i * small_grid.dt
         x = small_grid.x[j]
@@ -192,7 +197,7 @@ class TestEvaluate:
         assert evaluate(s, 0.0, xm) == pytest.approx(2.0 * xm + 1.0, rel=1e-14)
 
     def test_matches_reference_interpolator(self, small_grid, uset_sym):
-        u = solve(gaussian, small_grid, uset_sym)
+        u = solve_forward(gaussian, small_grid, uset_sym)
         t, x = 0.7341, -3.217
         it = int(t / small_grid.dt)
         ft = t / small_grid.dt - it
@@ -202,7 +207,7 @@ class TestEvaluate:
         np.testing.assert_allclose(evaluate_row(u, t), row, rtol=1e-13)
 
     def test_out_of_rectangle(self, small_grid, uset_sym):
-        u = solve(gaussian, small_grid, uset_sym)
+        u = solve_forward(gaussian, small_grid, uset_sym)
         with pytest.raises(ValueError):
             evaluate(u, 2.0, 0.0)
         with pytest.raises(ValueError):
@@ -232,10 +237,11 @@ class TestFinalValue:
     def test_matches_the_surface(self, small_grid, uset_sym, uset, grid):
         uset = uset or uset_sym
         grid = grid or small_grid
-        prob = TerminalProblem(lambda x: np.exp(-(x - 0.3) ** 2), 1.0, 1.0,
-                               grid.t_max)
-        surface = solve_forward(prob, grid, uset)
-        two = solve_forward(prob, grid, uset, rows=last_two(grid))
+        def psi(x):
+            return np.exp(-(x - 0.3) ** 2)
+
+        surface = solve_forward(psi, grid, uset)
+        two = solve_forward(psi, grid, uset, rows=last_two(grid))
         assert two.values.shape == (2, grid.nx)
         for x in (0.0, -3.217, grid.x[57], grid.x_max):
             assert evaluate(two, grid.t_max, x) \
@@ -252,10 +258,8 @@ class TestStoredRows:
 
     def test_rows_are_indexed_not_positional(self, small_grid, uset_sym):
         rows = (0, 3, 4, small_grid.nt)
-        u = solve(gaussian, small_grid, uset_sym)
-        part = solve_forward(TerminalProblem(gaussian, 1.0, 1.0,
-                                             small_grid.t_max),
-                             small_grid, uset_sym, rows=rows)
+        u = solve_forward(gaussian, small_grid, uset_sym)
+        part = solve_forward(gaussian, small_grid, uset_sym, rows=rows)
         assert part.rows == rows and part.values.shape == (4, small_grid.nx)
         for i in rows:
             assert np.array_equal(part.row(i), u.values[i])
@@ -265,9 +269,7 @@ class TestStoredRows:
 
     def test_unstored_row_raises(self, small_grid, uset_sym):
         """No read falls back to a neighbouring stored row."""
-        part = solve_forward(TerminalProblem(gaussian, 1.0, 1.0,
-                                             small_grid.t_max),
-                             small_grid, uset_sym, rows=(0, 3, 4))
+        part = solve_forward(gaussian, small_grid, uset_sym, rows=(0, 3, 4))
         for i in (1, 2, 5, small_grid.nt, -1):
             with pytest.raises(IndexError, match=f"row {i} "):
                 part.row(i)
@@ -310,7 +312,7 @@ def csv_text(surface):
 
 
 def test_csv_export_round_trip(small_grid, uset_sym):
-    u = solve(gaussian, small_grid, uset_sym)
+    u = solve_forward(gaussian, small_grid, uset_sym)
     text = csv_text(u)
     lines = text.strip().split("\n")
     assert lines[0] == "t,x,value"
@@ -345,7 +347,7 @@ def test_csv_export_matches_per_value_format(small_grid, uset_sym):
                        [123456789.0, 1.5, -2.5e-8, 0.7, 0.0]])
     special = Surface(grid=g, values=values)
     assert csv_text(special) == per_value_csv(special)
-    u = solve(gaussian, small_grid, uset_sym)
+    u = solve_forward(gaussian, small_grid, uset_sym)
     assert csv_text(u) == per_value_csv(u)
 
 
@@ -427,5 +429,5 @@ def test_g17_matches_percent_format(values):
 
 
 def test_row_zero_equals_psi_samples(small_grid, uset_sym):
-    u = solve(gaussian, small_grid, uset_sym)
+    u = solve_forward(gaussian, small_grid, uset_sym)
     assert np.all(u.values[0] == gaussian(small_grid.x))
