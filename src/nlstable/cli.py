@@ -22,8 +22,8 @@ import numpy as np
 from . import config as config_mod
 from .config import ExperimentConfig, field_tag
 from .kernels import ConfigError, NumericalError, Surface
-from .laws import build_law
-from .engine import LawFamily, convergence_table
+from .laws import AttractedLaw, build_law
+from .engine import convergence_table
 from .solver import make_grid, solve_forward, evaluate, surface_to_csv
 from .oracle import CharExponent, classical_expectation
 from .checker import (check_condition_iii, condition_iii_rows,
@@ -121,23 +121,21 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
     return summary
 
 
-def _law_family(cfg: ExperimentConfig) -> LawFamily:
+def _laws(cfg: ExperimentConfig) -> tuple[AttractedLaw, ...]:
     """One attracted law per kernel pair; a law that cannot be built
-    raises ConfigError naming z0."""
-    uset = cfg.uncertainty_set()
-    laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
-                 for p in uset.pairs)
-    return LawFamily(laws, uset)
+    raises ConfigError naming z0 or b_scale."""
+    return tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+                 for p in cfg.uncertainty_set().pairs)
 
 
 def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
-    family = _law_family(cfg)
+    laws = _laws(cfg)
     dp_grid = cfg.dp_grid()
     summary = []
     for psi in cfg.psi_functions():
         # march grid, DP, march: a too-large grid is refused before any work
         march = _march_inputs(cfg, psi, 1.0)
-        dp_rows = convergence_table(psi, family, cfg.n_values, dp_grid)
+        dp_rows = convergence_table(psi, laws, cfg.n_values, dp_grid)
         nt = march[1].nt
         pide_value = evaluate(solve_forward(*march, rows=(nt - 1, nt)),
                               1.0, 0.0)
@@ -157,13 +155,13 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
 def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
     psi = _one_psi(cfg)
     horizon = 1.0 + cfg.h
-    family = _law_family(cfg) if cfg.mode == "condition_iii" else None
+    laws = _laws(cfg) if cfg.mode == "condition_iii" else None
     fine = _march_inputs(cfg, psi, horizon)
     # each march stores only the rows its check names
-    if family is not None:
+    if laws is not None:
         coarse = _march_inputs(cfg, psi, horizon, cfg.coarse_nx)
         rows, rows_c = condition_iii_rows(fine[1], coarse[1])
-        table = check_condition_iii(family, solve_forward(*fine, rows),
+        table = check_condition_iii(laws, solve_forward(*fine, rows),
                                     solve_forward(*coarse, rows_c),
                                     cfg.n_values)
     else:

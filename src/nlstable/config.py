@@ -65,6 +65,10 @@ class ExperimentConfig:
         if self.nx < 9:
             raise ConfigError("nx", f"{self.nx} is below 9, so the "
                               "half-resolution grid has under 5 nodes")
+        if not 2 * self.nx + 2 < 2 ** 63:  # the generator's taps, int64
+            raise ConfigError("nx", f"{self.nx} is not below 2^62 - 1, so "
+                              "the generator's 2 nx + 2 taps overflow "
+                              "numpy's integers")
         # every command evaluates its surfaces at x = 0
         if not self.x_max > max(self.x_min, 0.0):
             raise ConfigError("x_max", f"{self.x_max} is not above both "

@@ -24,38 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (Grid, NumericalError, ShiftKernel, UncertaintySet,
-                      apply_max, interp_taps, middle_half, shift_kernel)
+from .kernels import (Grid, NumericalError, ShiftKernel, apply_max,
+                      interp_taps, middle_half, shift_kernel)
 from .laws import AttractedLaw, law_nodes
 
 ESCAPE_TOL = 1e-4
 DP_REACH = 16.0  # cells within which the stage taps are second order
-
-
-@dataclass(frozen=True)
-class LawFamily:
-    """One attracted law per kernel pair of the uncertainty set."""
-
-    laws: tuple[AttractedLaw, ...]
-    source_set: UncertaintySet
-
-    def __post_init__(self):
-        if len(self.laws) != len(self.source_set.pairs):
-            raise ValueError("need exactly one law per kernel pair")
-        for law, pair in zip(self.laws, self.source_set.pairs):
-            if law.pair != pair:
-                raise ValueError(f"law pair {law.pair} does not match "
-                                 f"set pair {pair}")
-            if law.alpha != self.source_set.alpha:
-                raise ValueError("laws must share the set's alpha")
-        ref = self.laws[0]
-        for law in self.laws[1:]:
-            if law.b_scale != ref.b_scale or law.z0 != ref.z0:
-                raise ValueError("laws must share b_scale and z0")
-
-    @property
-    def b_scale(self) -> float:
-        return self.laws[0].b_scale
 
 
 @dataclass(frozen=True)
@@ -65,12 +39,6 @@ class NormalizedSumSpec:
     n: int
     b_scale: float
     alpha: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.b_scale <= 0.0:
-            raise ValueError("b_scale must be positive")
 
     @property
     def B_n(self) -> float:
@@ -105,9 +73,10 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
     return kern, esc
 
 
-def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
-                           grid: Grid) -> float:
-    """Sublinear expectation of psi(B_n S_n) by backward value iteration.
+def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
+                           spec: NormalizedSumSpec, grid: Grid) -> float:
+    """Sublinear expectation of psi(B_n S_n) by backward value iteration,
+    the supremum taken over ``laws``, one per kernel pair.
 
     Raises NumericalError naming dp_half_width when the accumulated
     worst-case quadrature mass escaping the grid (watched from the middle
@@ -124,7 +93,7 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
     if not np.all(np.isfinite(w)):
         raise ValueError("psi produced non-finite samples")
     b_n = spec.B_n
-    built = [_stage_kernel(law, b_n, grid) for law in family.laws]
+    built = [_stage_kernel(law, b_n, grid) for law in laws]
     kernels = [kern for kern, _ in built]
     escaped = spec.n * max(esc for _, esc in built)
     if escaped > ESCAPE_TOL:
@@ -141,12 +110,10 @@ def nested_sum_expectation(psi, family: LawFamily, spec: NormalizedSumSpec,
                            w[mid - 1: mid + 2]))
 
 
-def convergence_table(psi, family: LawFamily, n_values,
+def convergence_table(psi, laws: tuple[AttractedLaw, ...], n_values,
                       dp_grid: Grid) -> list[tuple]:
     """Rows (n, B_n, nested_value), every n on ``dp_grid``."""
-    specs = [NormalizedSumSpec(int(n), family.b_scale,
-                               family.source_set.alpha)
-             for n in sorted(n_values)]
-    return [(s.n, s.B_n, nested_sum_expectation(psi, family, s, dp_grid))
+    law = laws[0]
+    specs = [NormalizedSumSpec(n, law.b_scale, law.alpha) for n in n_values]
+    return [(s.n, s.B_n, nested_sum_expectation(psi, laws, s, dp_grid))
             for s in specs]
-

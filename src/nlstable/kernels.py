@@ -76,18 +76,15 @@ class KernelPair:
     k_minus: float
     k_plus: float
 
-    def __post_init__(self):
-        if not (self.k_minus > 0.0 and self.k_plus > 0.0):
-            raise ConfigError("pairs", "kernel intensities must be positive")
-
 
 @dataclass(frozen=True)
 class UncertaintySet:
     """Finite family of kernel pairs with shared stability exponent.
 
     ``lam`` and ``Lam`` are the ellipticity bounds: every intensity of
-    every pair must lie strictly between them.  The config check runs
-    these rules by building the set.
+    every pair must lie strictly between them.  These are the only
+    checks of alpha and the intensities; the config check runs them by
+    building the set.
     """
 
     alpha: float
@@ -204,8 +201,6 @@ def middle_half(nx: int) -> slice:
 
 def drift_b(k: KernelPair, alpha: float) -> float:
     """First moment of the kernel over |z| >= 1, (k_minus - k_plus)/(alpha - 1)."""
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (1, 2)")
     return (k.k_minus - k.k_plus) / (alpha - 1.0)
 
 

@@ -89,10 +89,6 @@ def build_law(pair: KernelPair, alpha: float, b_scale: float = 1.0,
     bump amplitude restores unit mass, and the mean is affine in the
     tilt, so the tilt that zeroes it is one division.
     """
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (1, 2)")
-    if b_scale <= 0.0 or z0 <= 0.0:
-        raise ValueError("b_scale and z0 must be positive")
     if not z0 < _TAIL_FAR:
         raise ConfigError("z0", f"{z0:g} is not below {_TAIL_FAR:g}, where "
                           "the tail quadrature ends")

@@ -50,8 +50,6 @@ class CharExponent:
     constants: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        if not (1.0 < self.alpha < 2.0):
-            raise ValueError("alpha must lie in (1, 2)")
         object.__setattr__(self, "constants", _tail_constants(self.alpha))
 
     @property

@@ -21,8 +21,7 @@ from nlstable import config as config_mod
 from nlstable.kernels import (KernelPair, UncertaintySet, band_bins,
                               drift_b, small_jump_second_moment)
 from nlstable.laws import build_law
-from nlstable.engine import (LawFamily, NormalizedSumSpec,
-                             nested_sum_expectation)
+from nlstable.engine import NormalizedSumSpec, nested_sum_expectation
 from nlstable.oracle import CharExponent, classical_expectation
 from nlstable.solver import (dpp_check, evaluate, make_grid, scaling_check,
                              solve_forward)
@@ -172,8 +171,7 @@ def axiom_triples():
 def test_criterion_7_sublinear_axioms():
     uset = UncertaintySet(1.5, (KernelPair(0.1, 0.1), KernelPair(0.12, 0.12)),
                           0.05, 0.15)
-    family = LawFamily(tuple(build_law(p, 1.5, 1.0, 2.0)
-                             for p in uset.pairs), uset)
+    family = tuple(build_law(p, 1.5, 1.0, 2.0) for p in uset.pairs)
     spec = NormalizedSumSpec(8, 1.0, 1.5)
     grid = config_mod.ExperimentConfig(
         alpha=1.5, lam=0.05, Lam=0.15, pairs=((0.1, 0.1), (0.12, 0.12)),

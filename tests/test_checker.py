@@ -10,10 +10,9 @@ from nlstable import config as config_mod
 from nlstable.kernels import (KernelPair, Surface, UncertaintySet, band_bins,
                               middle_half)
 from nlstable.laws import AttractedLaw, beta2_prime, build_law, tail_deviation
-from nlstable.engine import LawFamily, NormalizedSumSpec
+from nlstable.engine import NormalizedSumSpec
 from nlstable.solver import make_grid, solve_forward
 from nlstable.checker import (
-    ResidualTable,
     check_condition_iii,
     classical_term_bounds,
     condition_iii_rows,
@@ -90,7 +89,7 @@ def uset():
 
 @pytest.fixture(scope="module")
 def family(uset):
-    return LawFamily((build_law(uset.pairs[0], ALPHA, 1.0, 2.0),), uset)
+    return (build_law(uset.pairs[0], ALPHA, 1.0, 2.0),)
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +193,7 @@ class TestConditionIII:
         bundled alpha = 1.5 (z0 = 4 keeps the alpha = 1.25 law's
         interior density positive)."""
         uset = singleton_set(alpha=alpha)
-        family = LawFamily((build_law(uset.pairs[0], alpha, 1.0, z0),), uset)
+        family = (build_law(uset.pairs[0], alpha, 1.0, z0),)
         table = check_condition_iii(family,
                                     *fine_and_coarse(uset, gaussian, nx=801),
                                     (16, 32, 64, 128, 256))
@@ -214,11 +213,6 @@ class TestConditionIII:
         assert g.nx == (801 if coarse else 1601)
         assert 1.0 - g.dt < rows[-1] * g.dt <= 1.0 + 1e-12
 
-    def test_table_validation(self):
-        with pytest.raises(ValueError, match="increasing"):
-            ResidualTable((8, 4), (0.1, 0.2), -0.5,
-                          ((0.0,) * 4,) * 2, (0.0, 0.0), (True, True))
-
     def test_csv_export(self):
         text = cli.table_to_csv("n,residual,rate_fit,term1,term2,term3,term4",
                             [(4, 0.2, -1.0, 1.0, 2.0, 3.0, 4.0)])
@@ -235,8 +229,8 @@ def reference_residual(family, uset, v, n, n_bins=192):
     interpolation call per quadrature node and sampled row."""
     g = v.grid
     alpha = uset.alpha
-    z0 = family.laws[0].z0
-    b_n = NormalizedSumSpec(n, family.b_scale, alpha).B_n
+    z0 = family[0].z0
+    b_n = NormalizedSumSpec(n, family[0].b_scale, alpha).B_n
     r_split = b_n * z0
     mid = middle_half(g.nx)
     xm = g.x[mid]
@@ -290,8 +284,8 @@ def reference_residual(family, uset, v, n, n_bins=192):
                 + vxxxm / 6.0 * (pair.k_plus - pair.k_minus) * sig3
             kern.append(small + pair.k_plus * (t_plus + in_plus)
                         + pair.k_minus * (t_minus + in_minus))
-        c_scale = family.b_scale ** alpha
-        for law, pair in zip(family.laws, uset.pairs):
+        c_scale = family[0].b_scale ** alpha
+        for law, pair in zip(family, uset.pairs):
             wp, wm = gw * law.density(gl), gw * law.density(-gl)
             acc = np.zeros_like(xm)
             for y_q, w_p, w_m in zip(gl, wp, wm):
@@ -315,8 +309,7 @@ def reference_residual(family, uset, v, n, n_bins=192):
 def asym_case():
     uset = UncertaintySet(ALPHA, (KernelPair(0.09, 0.13),
                                   KernelPair(0.12, 0.08)), 0.05, 0.15)
-    family = LawFamily(tuple(build_law(p, ALPHA, 1.0, 2.0)
-                             for p in uset.pairs), uset)
+    family = tuple(build_law(p, ALPHA, 1.0, 2.0) for p in uset.pairs)
     grid = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
     return family, uset, backward(gaussian, grid, uset)
 
@@ -336,13 +329,13 @@ class TestClassicalBounds:
     def test_group_one_vanishes_once_tails_align(self, family, m1):
         # B_n^{-1} = n^{2/3} >= z0 from n = 3 on: beta2 is identically
         # zero on the whole bound range, so the group is exactly 0
-        law = family.laws[0]
+        law = family[0]
         g1, g2, g3, g4 = classical_term_bounds(law, m1, 8)
         assert g1 == 0.0
         assert g2 > 0.0
 
     def test_group_two_exact_ratio(self, family, m1):
-        law = family.laws[0]
+        law = family[0]
         n = 8
         _, g2_n, _, _ = classical_term_bounds(law, m1, n)
         _, g2_4n, _, _ = classical_term_bounds(law, m1, 4 * n)
@@ -352,7 +345,7 @@ class TestClassicalBounds:
     def test_groups_bound_measured_pieces(self, family, v_surface, m1):
         """Direct quadrature of the four split residual pieces stays
         below the matching bound group at a sample (t, x)."""
-        law = family.laws[0]
+        law = family[0]
         n = 2  # B_n z0 > 1 so every piece has a nonempty range
         groups = classical_term_bounds(law, m1, n)
         pieces = residual_pieces(law, v_surface, n, 0.5, 0.7)

@@ -55,6 +55,9 @@ class TestConfig:
     @pytest.mark.parametrize("over,needle", [
         (dict(alpha=2.5), "stable_kernel.alpha"),
         (dict(pairs=((3.0, 1.0),)), "stable_kernel.pairs"),
+        # no intensity check but the set's: k <= 0 is not above lam > 0
+        (dict(pairs=((0.0, 1.0),)), "stable_kernel.pairs"),
+        (dict(pairs=((-1.0, 1.0),)), "stable_kernel.pairs"),
         (dict(h=1.5), "pide_solver.h"),
         (dict(n_values=(8, 4)), "hypothesis_checker.n_values"),
         (dict(mode="other"), "hypothesis_checker.mode"),
@@ -165,6 +168,11 @@ def setting(**fields):
                  "[sublinear_engine.dp_dx]", id="dp_half_width-1e308"),
     pytest.param(setting(n_values=[8, 10 ** 30]),
                  "[hypothesis_checker.n_values]", id="n-past-int64"),
+    # the generator's 2 nx + 2 taps are counted in int64
+    pytest.param(setting(nx=2 ** 62 - 1), "[pide_solver.nx]",
+                 id="nx-taps-reach-2^63"),
+    pytest.param(setting(nx=2 ** 63 + 1), "[pide_solver.nx]",
+                 id="nx-past-int64"),
     pytest.param(setting(x_min=-1e308, x_max=1e308, r_cut=0.5, z_max=100.0),
                  "[pide_solver.x_max]", id="x-span-overflows"),
     # the far tail node's mass z_max^-alpha/alpha underflows to 0
