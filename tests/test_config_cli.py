@@ -55,13 +55,13 @@ class TestConfig:
     @pytest.mark.parametrize("over,needle", [
         (dict(alpha=2.5), "stable_kernel.alpha"),
         (dict(pairs=((3.0, 1.0),)), "stable_kernel.pairs"),
-        # no intensity check but the set's: k <= 0 is not above lam > 0
-        (dict(pairs=((0.0, 1.0),)), "stable_kernel.pairs"),
-        (dict(pairs=((-1.0, 1.0),)), "stable_kernel.pairs"),
         (dict(h=1.5), "pide_solver.h"),
         (dict(n_values=(8, 4)), "hypothesis_checker.n_values"),
         (dict(mode="other"), "hypothesis_checker.mode"),
         (dict(psi=({"name": "nope"},)), "experiment_cli.psi"),
+        # no intensity check but the set's: k <= 0 is not above lam > 0
+        (dict(pairs=((0.0, 1.0),)), "stable_kernel.pairs"),
+        (dict(pairs=((-1.0, 1.0),)), "stable_kernel.pairs"),
     ])
     def test_validation_names_module_and_field(self, over, needle):
         """The failure carries its field, which the CLI tags; the
