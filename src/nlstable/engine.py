@@ -9,9 +9,12 @@ supremum over member laws is taken at every stage:
 so w_n(0) is the sublinear expectation of psi(B_n S_n).  Each stage is a
 translation-invariant positive kernel on a uniform grid: one
 ``ShiftKernel`` per law, built once per n from ``laws.law_nodes``
-scaled by B_n and ``kernels.interp_taps``, holds the interpolation taps
-and the mass that lands beyond the grid as edge coefficients.  A stage
-is one forward FFT of the row and one inverse FFT per law.
+scaled by B_n and ``kernels.interp_taps``, holds the spectrum of the
+interpolation taps and the mass that lands beyond the grid as edge
+coefficients.  The taps themselves are dropped once they are checked
+nonnegative: no stage reads them.  A stage is one forward FFT of the
+row and one inverse FFT per law, and every stage works in the same
+``kernels.max_work`` block.
 
 The taps carry the second-order correction of ``interp_taps`` for nodes
 within ``DP_REACH`` cells, so interpolation adds no spurious variance
@@ -20,12 +23,12 @@ per stage and every n runs on the same grid (spacing ``dp_dx``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernels import (Grid, NumericalError, ShiftKernel, apply_max,
-                      interp_taps, middle_half, shift_kernel)
+                      interp_taps, max_work, middle_half, shift_kernel)
 from .laws import AttractedLaw, law_nodes
 
 ESCAPE_TOL = 1e-4
@@ -47,8 +50,8 @@ class NormalizedSumSpec:
 
 def _stage_kernel(law: AttractedLaw, b_n: float,
                   grid: Grid) -> tuple[ShiftKernel, float]:
-    """Stage kernel of one law, and the worst-case off-grid mass seen
-    from the middle half of the grid."""
+    """Stage kernel of one law, without its taps, and the worst-case
+    off-grid mass seen from the middle half of the grid."""
     nodes, weights = law_nodes(law)
     kern = shift_kernel(interp_taps(b_n * nodes / grid.dx, weights, grid.nx,
                                     reach=DP_REACH))
@@ -70,7 +73,7 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
     mid = middle_half(grid.nx)
     esc = max(float(kern.lo[j] + kern.hi[j])
               for j in (mid.start, mid.stop - 1))
-    return kern, esc
+    return replace(kern, taps=None), esc
 
 
 def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
@@ -103,8 +106,9 @@ def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
             f"accumulated off-grid quadrature mass {escaped:.2e} exceeds "
             f"{ESCAPE_TOL:.0e}; widen the grid to roughly +-{need:.0f} "
             "(sublinear_engine.dp_half_width)")
+    work = max_work(kernels)
     for _ in range(spec.n):
-        w = apply_max(kernels, w)
+        w = apply_max(kernels, w, work)
     mid = grid.nx // 2
     return float(np.interp(0.0, grid.x[mid - 1: mid + 2],
                            w[mid - 1: mid + 2]))

@@ -36,7 +36,12 @@ the two edge values, with the rFFT of the reversed taps cached at
 length >= 2nx - 1.  The row is not padded: the taps that reach past
 either end of the grid are summed once per node into two vectors that
 multiply the edge values.  A family is applied by ``apply_max``: one
-forward FFT of the row and one inverse FFT per member.
+forward FFT of the row and one inverse FFT per member, in one
+``max_work`` block that every member reuses and that the dynamic
+program passes to each of its stages.  ``apply_max`` reads only a
+kernel's ``spectrum``, ``lo``, ``hi``, ``half`` and ``n_fft``, so a
+dynamic-program stage kernel keeps no taps once ``engine`` has checked
+them.
 """
 
 from __future__ import annotations
@@ -259,7 +264,9 @@ def interp_taps(shifts: np.ndarray, weights: np.ndarray, nx: int,
     s = np.clip(shifts, -nx, nx)
     base = np.floor(s)
     frac = s - base
-    idx = base.astype(np.int64) + nx
+    # past 2**53 the float -nx can round below the integer; the clip is
+    # a no-op at every nx whose taps can be allocated
+    idx = np.clip(base.astype(np.int64) + nx, 0, 2 * nx)
     size = 2 * nx + 2
     taps = (np.bincount(idx, weights * (1.0 - frac), size)
             + np.bincount(idx + 1, weights * frac, size))
@@ -310,9 +317,13 @@ class ShiftKernel:
     linear convolution of the unpadded row, and ``spectrum`` is the rFFT
     of the reversed taps at length ``n_fft`` >= 2nx - 1, the shortest
     length at which that convolution is alias-free on the nodes.
+
+    ``taps`` is None in a dynamic-program stage kernel: ``apply_max``
+    never reads them, and ``engine`` drops them after its checks.  A
+    generator stencil keeps them for its stability constant.
     """
 
-    taps: np.ndarray
+    taps: np.ndarray | None
     half: int
     edge_lo: float
     edge_hi: float
@@ -373,16 +384,40 @@ def jump_kernel(shifts: np.ndarray, weights: np.ndarray, d2: float,
     return shift_kernel(taps)
 
 
-def apply_max(kernels: Sequence[ShiftKernel], u: np.ndarray) -> np.ndarray:
-    """Nodewise max over ``kernels`` (all built for len(u) nodes) of K u."""
+def max_work(kernels: Sequence[ShiftKernel]) -> np.ndarray:
+    """A block ``apply_max`` can work in for ``kernels``: room for the
+    row's transform, the product and the inverse transform."""
+    n_fft = kernels[0].n_fft
+    return np.empty(4 * (n_fft // 2 + 1) + n_fft)
+
+
+def apply_max(kernels: Sequence[ShiftKernel], u: np.ndarray,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """Nodewise max over ``kernels`` (all built for len(u) nodes) of K u.
+
+    Every member works in one block, ``work`` or a new ``max_work``.
+    A caller that applies one family many times, as the dynamic
+    program's stages do, passes the same block to every call: buffers
+    of DP size allocated per call can go back to the system and be
+    faulted in afresh at every stage.
+    """
     half, n_fft = kernels[0].half, kernels[0].n_fft
-    u_hat = rfft(u, n_fft)
+    m = n_fft // 2 + 1
+    if work is None:
+        work = max_work(kernels)
+    u_hat = rfft(u, n_fft, out=work[:2 * m].view(np.complex128))
+    prod = work[2 * m: 4 * m].view(np.complex128)
+    full = work[4 * m:]
+    # the inverse transform has consumed the product by the time the
+    # edge terms are formed
+    edge = work[2 * m: 2 * m + half + 1]
     out = None
     for k in kernels:
-        v = irfft(u_hat * k.spectrum, n_fft)[half: 2 * half + 1]
-        v += k.lo * u[0]
-        v += k.hi * u[-1]
-        out = v if out is None else np.maximum(out, v, out=out)
+        np.multiply(u_hat, k.spectrum, out=prod)
+        v = irfft(prod, n_fft, out=full)[half: 2 * half + 1]
+        v += np.multiply(k.lo, u[0], out=edge)
+        v += np.multiply(k.hi, u[-1], out=edge)
+        out = v.copy() if out is None else np.maximum(out, v, out=out)
     return out
 
 

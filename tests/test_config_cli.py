@@ -509,6 +509,9 @@ class TestCli:
         # ... and t c underflows to 0, so the count is infinite too
         ({"pairs": ((0.1, 0.1),), "lam": 0.05, "Lam": 0.15,
           "t_max": 5e-324}, "[pide_solver.t_max]"),
+        # a stencil of 2^63 - 4 taps, where the float -nx rounds past
+        # the integer and a tap index went negative
+        ({"nx": 2 ** 62 - 3}, "[pide_solver.nx]"),
     ])
     def test_unallocatable_array_exits_3(self, tmp_path, capsys,
                                          monkeypatch, over, tag):
@@ -532,6 +535,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"numerical failure: {tag} ")
             assert "cannot be allocated" in err
+            assert "negative elements" not in err
 
     @pytest.mark.parametrize("over", [
         pytest.param({"safety": 1e-310}, id="safety-1e-310"),

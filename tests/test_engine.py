@@ -1,10 +1,13 @@
 """Nested-supremum dynamic program for normalized sums."""
 
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from nlstable import cli, engine
+from nlstable import cli, config, engine
 from nlstable.config import ExperimentConfig
 from nlstable.kernels import Grid, KernelPair, NumericalError, UncertaintySet
 from nlstable.laws import build_law, law_nodes
@@ -18,6 +21,7 @@ from nlstable.engine import (
 from conftest import dense_interp_sum, gaussian, law_expectation
 
 ALPHA = 1.5
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_family(pairs, alpha=ALPHA, z0=2.0, lam=0.05, big=4.0):
@@ -212,3 +216,26 @@ class TestTables:
         for line, (n, b_n, val) in zip(lines[1:], rows):
             assert [float(v) for v in line.split(",")] \
                 == [n, b_n, val, 0.7, abs(val - 0.7)]
+
+
+def test_dp_peak_memory_per_node():
+    """One DP call with ``clt_corner``'s two laws on its 51,201-node grid
+    holds under 20 float64 per node at its peak: two rows, each law's
+    spectrum and edge sums, and one block for the row's transform, the
+    product and the inverse transform (about 17).  Stage kernels that
+    kept their taps, and a fresh inverse transform per law, peaked at
+    23.2."""
+    cfg = config.load(str(CONFIGS / "clt_corner.json"))
+    laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+                 for p in cfg.uncertainty_set().pairs)
+    grid = cfg.dp_grid()
+    spec = NormalizedSumSpec(8, cfg.b_scale, cfg.alpha)
+    psi = cfg.psi_functions()[0]
+    tracemalloc.start()
+    try:
+        nested_sum_expectation(psi, laws, spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.nx == 51201
+    assert peak / (8 * grid.nx) < 20.0

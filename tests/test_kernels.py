@@ -21,6 +21,7 @@ from nlstable.kernels import (
     drift_b,
     generator_stencil,
     interp_taps,
+    max_work,
     next_fast_len,
     scheme_stability_constant,
     shift_kernel,
@@ -145,6 +146,48 @@ def test_next_fast_len_matches_scipy(real):
         == [scipy.fft.next_fast_len(m, real=real) for m in n]
 
 
+@pytest.mark.parametrize("members", [1, 2, 3])
+def test_apply_max_is_the_per_member_expression(members):
+    """Exactly the bytes of max_k(irfft(rfft(u)·S_k)[window] + lo_k u[0]
+    + hi_k u[-1]), each member with its own arrays, at a shipped
+    length, in a new block or a used one; neither the row nor the
+    kernels change."""
+    nx, n_fft = SHIPPED_ROWS[2]
+    rng = np.random.default_rng(members)
+    u = rng.normal(size=nx)
+    built = [shift_kernel(rng.normal(size=2 * nx + 2))
+             for _ in range(members)]
+    before = [(k.spectrum.copy(), k.lo.copy(), k.hi.copy()) for k in built]
+    u_before = u.copy()
+    half = nx - 1
+    refs = [np.fft.irfft(np.fft.rfft(u, n_fft) * k.spectrum, n_fft)
+            [half: 2 * half + 1] + k.lo * u[0] + k.hi * u[-1]
+            for k in built]
+    got = apply_max(built, u)
+    assert built[0].n_fft == n_fft
+    assert np.array_equal(got, np.max(refs, axis=0))
+    # a block that held anything before gives the same bytes
+    work = max_work(built)
+    work.fill(np.nan)
+    assert np.array_equal(apply_max(built, u, work), got)
+    assert np.array_equal(u, u_before)
+    for k, (spectrum, lo, hi) in zip(built, before):
+        assert np.array_equal(k.spectrum, spectrum)
+        assert np.array_equal(k.lo, lo) and np.array_equal(k.hi, hi)
+
+
+def writing_into(transform):
+    """A ``scipy.fft`` transform, which takes no ``out``, written into
+    ``out`` when one is given, as the ``numpy.fft`` transform of the
+    same name does."""
+    def into(a, n, out=None):
+        if out is None:
+            return transform(a, n)
+        out[...] = transform(a, n)
+        return out
+    return into
+
+
 @pytest.mark.parametrize("nx,n_fft", SHIPPED_ROWS)
 def test_apply_max_matches_scipy_fft(nx, n_fft, monkeypatch):
     """numpy.fft against the same kernels built and applied with
@@ -155,8 +198,8 @@ def test_apply_max_matches_scipy_fft(nx, n_fft, monkeypatch):
     built = [shift_kernel(t) for t in taps]
     assert built[0].n_fft == n_fft
     got = apply_max(built, u)
-    monkeypatch.setattr(kernels, "rfft", scipy.fft.rfft)
-    monkeypatch.setattr(kernels, "irfft", scipy.fft.irfft)
+    monkeypatch.setattr(kernels, "rfft", writing_into(scipy.fft.rfft))
+    monkeypatch.setattr(kernels, "irfft", writing_into(scipy.fft.irfft))
     monkeypatch.setattr(kernels, "next_fast_len",
                         partial(scipy.fft.next_fast_len, real=True))
     ref = apply_max([shift_kernel(t) for t in taps], u)
