@@ -182,7 +182,8 @@ _G17_DOUBT = 2.0 ** -20
 _P10_MIN, _P10_MAX = -270, 300   # 10**p for p = 16 - k, k = log10 |v|
 _SPLIT = 134217729.0             # 2**27 + 1, Veltkamp's splitter
 _G17_WIDTH = 46                  # sign, "0.000", 17 + dot + 17 digits, e+XXX
-_CSV_BLOCK = 1 << 14             # values per CSV block
+_CSV_BLOCK = 1 << 14             # values per CSV block, in whole rows
+_CSV_WORKERS = 2                 # threads that format CSV blocks
 
 
 @lru_cache(maxsize=None)
@@ -318,28 +319,52 @@ def _text_rows(values: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), -1)
 
 
+def _csv_rows(times: np.ndarray, xs: np.ndarray,
+              values: np.ndarray) -> bytes:
+    """The CSV records of whole surface rows: row i's t text, each x
+    text and the value, as one NUL-padded uint8 matrix with the NULs
+    dropped."""
+    n, nx = values.shape
+    wt, wx = times.shape[1], xs.shape[1]
+    rec = np.empty((n, nx, wt + wx + _G17_WIDTH + 3), dtype=np.uint8)
+    rec[:, :, :wt] = times[:, None]
+    rec[:, :, wt] = rec[:, :, wt + wx + 1] = ord(",")
+    rec[:, :, wt + 1:wt + wx + 1] = xs
+    rec[:, :, wt + wx + 2:-1] = format_g17(values).reshape(n, nx, -1)
+    rec[:, :, -1] = ord("\n")
+    return rec[rec != 0].tobytes()
+
+
 def surface_to_csv(surface: Surface) -> Iterator[bytes]:
     """CSV export with header t,x,value; one record per node, as ASCII
-    byte blocks of _CSV_BLOCK records each.
+    byte blocks of whole surface rows, max(1, _CSV_BLOCK // nx) each.
 
     Every number is ``%.17g``, so it reparses bit-exactly.  The t and x
-    fields are formatted once; each block's values are formatted by
-    format_g17, laid out with their t and x fields as NUL-padded rows of
-    one uint8 matrix, and the NULs dropped.  Nothing runs until the
-    first block is asked for.
+    fields are formatted once; _CSV_WORKERS threads format the blocks
+    (format_g17's numpy passes release the GIL), and the blocks come
+    out in order, with at most _CSV_WORKERS + 1 formatted and not yet
+    written.  A worker's exception comes out of the generator, and
+    closing it joins the workers.  Nothing runs until the first block
+    is asked for.
     """
     yield b"t,x,value\n"
+    # imported here: the thread pool costs the commands that export
+    # nothing a few milliseconds of set-up
+    from concurrent.futures import ThreadPoolExecutor
+
     times = _text_rows(surface.times)
     xs = _text_rows(surface.grid.x)
-    wt, wx = times.shape[1], xs.shape[1]
-    nx = surface.grid.nx
-    for lo in range(0, surface.values.size, _CSV_BLOCK):
-        row, col = np.divmod(np.arange(lo, min(lo + _CSV_BLOCK,
-                                               surface.values.size)), nx)
-        rec = np.empty((row.size, wt + wx + _G17_WIDTH + 3), dtype=np.uint8)
-        rec[:, :wt] = np.take(times, row, axis=0)
-        rec[:, wt] = rec[:, wt + wx + 1] = ord(",")
-        rec[:, wt + 1:wt + wx + 1] = np.take(xs, col, axis=0)
-        rec[:, wt + wx + 2:-1] = format_g17(surface.values[row, col])
-        rec[:, -1] = ord("\n")
-        yield rec[rec != 0].tobytes()
+    rows = max(1, _CSV_BLOCK // surface.grid.nx)
+    _g17_tables()                       # built once, before the workers
+    pool = ThreadPoolExecutor(_CSV_WORKERS)
+    pending = deque()
+    try:
+        for lo in range(0, len(times), rows):
+            pending.append(pool.submit(_csv_rows, times[lo:lo + rows], xs,
+                                       surface.values[lo:lo + rows]))
+            if len(pending) > _CSV_WORKERS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

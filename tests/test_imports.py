@@ -273,9 +273,11 @@ def fresh_cli_import(code: str) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
+    """Nor the export's thread pool, which only solve's export loads."""
     loaded = fresh_cli_import("print(*sys.modules)")
     assert "nlstable.cli" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded
+            if m.split(".")[0] in ("scipy", "concurrent")] == []
 
 
 def test_cli_import_builds_no_export_tables():

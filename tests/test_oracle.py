@@ -96,9 +96,9 @@ def dense_invert(ce, t_time, n, dx):
 
 @pytest.mark.parametrize("cut", [40.0, 120.0])
 @pytest.mark.parametrize("t_time", [0.5, 1.0, 2.0])
-def test_chirp_z_matches_dense_sum(ce_sym, ce_asym, cut, t_time):
-    """The one-FFT inversion (which replaced a chirp-z transform under
-    this test's name) against the dense sum on the same frequencies."""
+def test_fft_inversion_matches_dense_sum(ce_sym, ce_asym, cut, t_time):
+    """The one-FFT inversion against the dense sum on the same
+    frequencies."""
     dx = 0.05
     n = int(np.ceil(cut / dx))
     for ce in (ce_sym, ce_asym):

@@ -1,6 +1,7 @@
 """Forward marching, interpolation, and the consistency checks."""
 
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -352,9 +353,10 @@ def test_csv_export_matches_per_value_format(small_grid, uset_sym):
 
 
 def test_csv_export_spans_blocks(monkeypatch):
-    """Blocks that end inside a row, on a row boundary and past the last
-    value give the same text, and nothing runs before the first block
-    is asked for."""
+    """Blocks of whole rows give the same text whatever their size: one
+    row a block (a block size below nx, at nx, or not a multiple of
+    nx), every row in one block, and a block past the last row; and
+    nothing runs before the first block is asked for."""
     g = Grid(-1.0, 1.0, 5, 0.3, 3, 0.1, 8.0)
     u = Surface(grid=g, values=np.random.default_rng(5).normal(size=(4, 5)))
     monkeypatch.setattr(solver_mod, "format_g17", None)
@@ -366,6 +368,75 @@ def test_csv_export_spans_blocks(monkeypatch):
         assert csv_text(u) == whole
     monkeypatch.undo()
     assert b"".join(blocks).decode("ascii") == whole
+
+
+def random_surface(n_rows, nx):
+    """n_rows random rows; a one-row surface stores only row 2 of 4."""
+    g = Grid(-1.0, 1.0, nx, 0.7, n_rows - 1 if n_rows > 1 else 3, 0.1, 8.0)
+    return Surface(grid=g, rows=(2,) if n_rows == 1 else None,
+                   values=np.random.default_rng(3).normal(size=(n_rows, nx)))
+
+
+@pytest.mark.parametrize("n_rows,nx,block", [
+    (3, 37, 16),        # nx > _CSV_BLOCK: one row a block
+    (7, 11, 33),        # three rows a block, the last block one row
+    (1, 23, 8),         # a one-row surface, one row a block
+    (1, 23, 64),        # a one-row surface in one block
+])
+def test_csv_export_whole_row_blocks(monkeypatch, n_rows, nx, block):
+    monkeypatch.setattr(solver_mod, "_CSV_BLOCK", block)
+    u = random_surface(n_rows, nx)
+    blocks = list(surface_to_csv(u))
+    assert len(blocks) == 1 + -(-n_rows // max(1, block // nx))
+    assert all(b.count(b"\n") % nx == 0 for b in blocks[1:])
+    assert b"".join(blocks).decode("ascii") == per_value_csv(u)
+
+
+def count_format_calls(monkeypatch, fail_at=None):
+    """Wrap format_g17 to count its calls, raising on call fail_at."""
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise RuntimeError("format failed")
+        return format_g17(values)
+
+    monkeypatch.setattr(solver_mod, "format_g17", counted)
+    return calls
+
+
+def test_csv_export_close_joins_workers(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_CSV_BLOCK", 5)
+    start = threading.active_count()
+    blocks = surface_to_csv(random_surface(20, 5))
+    next(blocks)                        # the header
+    next(blocks)                        # the first block: workers running
+    assert threading.active_count() > start
+    blocks.close()
+    assert threading.active_count() == start
+
+
+def test_csv_export_worker_error_raises(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_CSV_BLOCK", 5)
+    count_format_calls(monkeypatch, fail_at=3)
+    start = threading.active_count()
+    with pytest.raises(RuntimeError, match="format failed"):
+        b"".join(surface_to_csv(random_surface(20, 5)))
+    assert threading.active_count() == start
+
+
+def test_csv_export_bounds_blocks_in_flight(monkeypatch):
+    """After k blocks are written, at most k + workers + 1 have been
+    formatted."""
+    monkeypatch.setattr(solver_mod, "_CSV_BLOCK", 5)
+    calls = count_format_calls(monkeypatch)
+    blocks = surface_to_csv(random_surface(20, 5))
+    next(blocks)                        # the header
+    for k in range(1, 21):
+        next(blocks)
+        assert len(calls) <= k + solver_mod._CSV_WORKERS + 1
+    assert next(blocks, None) is None and len(calls) == 20
 
 
 def g17_lines(values):
