@@ -7,6 +7,7 @@ Each member carries its exact Lipschitz constant and sup-norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,12 +34,15 @@ class TestFunction:
 def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
     if width <= 0.0:
         raise ValueError("width must be positive")
+    lip = math.sqrt(2.0 / math.e) / width   # a float: inf, not a warning
+    if not math.isfinite(lip):
+        raise ValueError(f"width {width:g} is so small that the Lipschitz "
+                         "constant sqrt(2/e)/width overflows")
 
     def fn(x):
         return np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2))
 
-    return TestFunction("gaussian_bump", (center, width), fn,
-                        lip=np.sqrt(2.0 / np.e) / width, sup=1.0)
+    return TestFunction("gaussian_bump", (center, width), fn, lip=lip, sup=1.0)
 
 
 def sigmoid(center: float = 0.0, slope: float = 1.0,

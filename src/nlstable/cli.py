@@ -110,7 +110,7 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
             raise NumericalError("nx", "solve checks failed: " + line)
         if len(uset.pairs) == 1:
             ce = CharExponent(uset.pairs[0], cfg.alpha)
-            ref = classical_expectation(psi, ce, cfg.t_max, 0.0)
+            ref = classical_expectation(psi, ce, cfg.t_max)
             gap = abs(evaluate(surface, cfg.t_max, 0.0) - ref)
             line += f" oracle_gap={gap:.3e}"
             if gap > ORACLE_TOL:

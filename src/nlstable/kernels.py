@@ -129,12 +129,6 @@ class Grid:
     r_cut: float
     z_max: float
 
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.nx >= 3 and self.nt >= 1):
-            raise ValueError("degenerate grid")
-        if not (0.0 < self.r_cut < 1.0 < self.z_max):
-            raise ValueError("require 0 < r_cut < 1 < z_max")
-
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)
@@ -165,37 +159,31 @@ def resolve_cutoffs(x_min: float, x_max: float, nx: int, r_cut: float | None,
 class Surface:
     """Solution field u(t_i, x_j) on a grid; row i is time i*dt.
 
-    ``rows`` None stores every row, row i at ``values[i]``; a strictly
-    increasing tuple of row indices stores those rows only, in order.
+    ``rows``, strictly increasing row indices, names the stored rows in
+    order: row ``rows[k]`` is ``values[k]``.
     """
 
     grid: Grid
     values: np.ndarray
-    rows: tuple[int, ...] | None = None
+    rows: Sequence[int]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.rows is not None:
-            bounds = (-1, *self.rows, self.grid.nt + 1)
-            if any(a >= b for a, b in zip(bounds, bounds[1:])):
-                raise ValueError("rows must be increasing indices in [0, nt]")
-        if self.values.shape != (len(self.stored), self.grid.nx):
+        bounds = (-1, *self.rows, self.grid.nt + 1)
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("rows must be increasing indices in [0, nt]")
+        if self.values.shape != (len(self.rows), self.grid.nx):
             raise ValueError("values shape does not match grid")
-
-    @property
-    def stored(self) -> Sequence[int]:
-        """The indices of the stored rows, in order."""
-        return range(self.grid.nt + 1) if self.rows is None else self.rows
 
     def row(self, i: int) -> np.ndarray:
         """Row i, time i*dt; a row that is not stored raises."""
-        if i not in self.stored:
+        if i not in self.rows:
             raise IndexError(f"row {i} of the surface is not stored")
-        return self.values[self.stored.index(i)]
+        return self.values[self.rows.index(i)]
 
     @property
     def times(self) -> np.ndarray:
-        return self.grid.dt * np.array(self.stored)
+        return self.grid.dt * np.array(self.rows)
 
 
 def middle_half(nx: int) -> slice:
@@ -211,8 +199,6 @@ def drift_b(k: KernelPair, alpha: float) -> float:
 
 def small_jump_second_moment(k: KernelPair, alpha: float, r: float) -> float:
     """Second moment of the kernel over |z| < r, analytic."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
     return (k.k_minus + k.k_plus) * r ** (2.0 - alpha) / (2.0 - alpha)
 
 
@@ -456,13 +442,10 @@ def apply_sup_generator_row(u_row: np.ndarray, grid: Grid,
     """Nodewise max of the generator over the uncertainty set, at every
     node of a row (boundary nodes included, using constant extension;
     callers supply their own boundary policy)."""
-    u = np.asarray(u_row, dtype=float)
-    if u.shape != (grid.nx,):
-        raise ValueError("row length does not match grid")
     kernels = [generator_stencil(grid, p, uset.alpha) for p in uset.pairs]
     # G annihilates constants; shifting by u[0] keeps them exactly fixed
     # under FFT roundoff.
-    return apply_max(kernels, u - u[0])
+    return apply_max(kernels, u_row - u_row[0])
 
 
 def scheme_stability_constant(grid: Grid, uset: UncertaintySet) -> float:

@@ -90,7 +90,7 @@ def _invert(ce: CharExponent, t_time: float, n: int,
         folded = np.pad(phi, (0, -len(phi) % n_fft)).reshape(-1, n_fft).sum(0)
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
         raise NumericalError(
-            "t_max", f"the oracle's {n_xi:.0f} frequencies at t = "
+            "t_max", f"the oracle's {n_xi:.3g} frequencies at t = "
             f"{t_time:.3g} cannot be allocated ({exc}); raise "
             "pide_solver.t_max") from exc
     return fft(folded)[np.arange(-n, n + 1)].real * d_xi / np.pi
@@ -125,17 +125,14 @@ def _inverted_table(ce: CharExponent, t_time: float,
     return _DensityTable(x=x, f=f, tail_lo=tail_lo, tail_hi=tail_hi)
 
 
-def classical_expectation(psi, ce: CharExponent, t_time: float,
-                          x_shift: float = 0.0) -> float:
-    """E[psi(x_shift + X_t)] for the classical single-pair process.
+def classical_expectation(psi, ce: CharExponent, t_time: float) -> float:
+    """E[psi(X_t)] for the classical single-pair process.
 
     psi must be bounded; the far tails contribute through the constant
     extension psi at the window edges times the analytic tail masses.
     """
-    if t_time <= 0.0:
-        raise ValueError("t_time must be positive")
-    tab = _inverted_table(ce, t_time, max(8.0 * (abs(x_shift) + 1.0), 400.0))
-    vals = np.asarray(psi(x_shift + tab.x), dtype=float)
+    tab = _inverted_table(ce, t_time, cut=400.0)
+    vals = np.asarray(psi(tab.x), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi produced non-finite values")
     core = float(np.trapezoid(vals * tab.f, tab.x))

@@ -75,8 +75,6 @@ def probe(surface: Surface, h: float,
 
     # the rows with t >= h, a suffix
     first = int(np.searchsorted(surface.times, h - 1e-12))
-    if first > g.nt:
-        raise ValueError("surface horizon too short for the interior window")
     # |v_t| over the steps that end at t >= h
     w = np.abs(np.diff(vals[max(first, 1) - 1:], axis=0)) / g.dt
     dt_u = float(np.max(w))

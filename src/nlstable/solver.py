@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,22 +83,23 @@ def _march_rows(u0: np.ndarray, grid: Grid,
 
 
 def solve_forward(psi: Callable, grid: Grid, uset: UncertaintySet,
-                  rows: tuple[int, ...] | None = None) -> Surface:
-    """March psi, sampled on grid.x, up to t_max, storing every row, or
-    only the given increasing row indices."""
+                  rows: Sequence[int] | None = None) -> Surface:
+    """March psi, sampled on grid.x, up to t_max, storing the given
+    increasing row indices, or every row when rows is None."""
     u0 = np.asarray(psi(grid.x), dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("psi produced non-finite samples")
-    count = grid.nt + 1 if rows is None else len(rows)
+    if rows is None:
+        rows = range(grid.nt + 1)
     try:
-        values = np.empty((count, grid.nx))
+        values = np.empty((len(rows), grid.nx))
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
         raise NumericalError(
-            "nx", f"the surface of {count} x {grid.nx} values cannot "
+            "nx", f"the surface of {len(rows)} x {grid.nx} values cannot "
             f"be allocated ({exc}); lower pide_solver.nx or "
             "pide_solver.t_max, or raise pide_solver.safety") from exc
     surface = Surface(grid, values, rows)
-    slot = {m: k for k, m in enumerate(surface.stored)}
+    slot = {m: k for k, m in enumerate(rows)}
     for m, u in enumerate(_march_rows(u0, grid, uset)):
         if m in slot:
             surface.values[slot[m]] = u

@@ -47,7 +47,7 @@ def test_criterion_1_oracle_equivalence():
         for km, kp in ((1.0, 1.0), (2.0, 1.0)):
             uset = UncertaintySet(alpha, (KernelPair(km, kp),), 0.05, 4.0)
             ref = classical_expectation(
-                gaussian, CharExponent(uset.pairs[0], alpha), 1.0, 0.0)
+                gaussian, CharExponent(uset.pairs[0], alpha), 1.0)
             for nx, tol in ((801, 2e-2), (1601, 1e-2)):
                 grid = make_grid(-20.0, 20.0, nx, 1.0, uset)
                 u = solve_forward(gaussian, grid, uset)

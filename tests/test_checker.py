@@ -11,6 +11,7 @@ from nlstable.kernels import (KernelPair, Surface, UncertaintySet, band_bins,
                               middle_half)
 from nlstable.laws import AttractedLaw, beta2_prime, build_law, tail_deviation
 from nlstable.engine import NormalizedSumSpec
+from nlstable.regularity import middle_bounds
 from nlstable.solver import make_grid, solve_forward
 from nlstable.checker import (
     check_condition_iii,
@@ -20,7 +21,6 @@ from nlstable.checker import (
     example_41_rows,
     fit_rate,
     _condition_iii_residual,
-    _m1_bound,
     _reversed,
     _sampled_rows,
 )
@@ -115,7 +115,8 @@ def v_surface(grid, uset):
 
 @pytest.fixture(scope="module")
 def m1(v_surface):
-    return _m1_bound(sampled(v_surface), v_surface.grid)
+    return max(middle_bounds(np.asarray(sampled(v_surface)),
+                             v_surface.grid.dx))
 
 
 class TestDeltaIncrement:
@@ -124,12 +125,12 @@ class TestDeltaIncrement:
 
     def test_affine_surface(self, grid):
         vals = np.tile(3.0 - 2.0 * grid.x, (grid.nt + 1, 1))
-        s = Surface(grid=grid, values=vals)
+        s = Surface(grid=grid, values=vals, rows=range(grid.nt + 1))
         assert abs(delta_increment(s, 0.0, 1.0, 2.5)) < 1e-12
 
     def test_quadratic_surface_second_order_identity(self, grid):
         vals = np.tile(grid.x ** 2, (grid.nt + 1, 1))
-        s = Surface(grid=grid, values=vals)
+        s = Surface(grid=grid, values=vals, rows=range(grid.nt + 1))
         y = 0.7
         # centered differences are exact on quadratics, so the
         # compensated increment is exactly y^2
@@ -162,7 +163,7 @@ class TestConditionIII:
 
     def test_requires_covering_horizon(self, family, uset):
         surfaces = fine_and_coarse(uset, gaussian, t_max=0.5)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(IndexError, match="not stored"):
             check_condition_iii(family, *surfaces, (4, 8))
 
     def test_floor_compares_matching_times(self, family, uset):
@@ -390,7 +391,7 @@ class TestExample41:
     def test_requires_covering_horizon(self, uset):
         """Rows up to t = 1 do not exist on a shorter surface."""
         g = make_grid(-20.0, 20.0, 201, 0.5, uset)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(IndexError, match="not stored"):
             example_41_check(solve_forward(gaussian, g, uset), (8, 16))
 
 

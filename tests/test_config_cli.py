@@ -185,6 +185,9 @@ def setting(**fields):
                  id="b_scale-1e308"),
     pytest.param(setting(b_scale=1e-308), "[attracted_laws.b_scale]",
                  id="b_scale-1e-308"),
+    # the Lipschitz constant sqrt(2/e)/width overflows to inf
+    pytest.param(setting(psi=[{"name": "gaussian_bump", "width": 1e-320}]),
+                 "[experiment_cli.psi]", id="psi-tiny-width"),
 ])
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
     d = json.loads(dumps(base_config()))
@@ -512,6 +515,8 @@ class TestCli:
         # a stencil of 2^63 - 4 taps, where the float -nx rounds past
         # the integer and a tap index went negative
         ({"nx": 2 ** 62 - 3}, "[pide_solver.nx]"),
+        # a count of about 1e137 frequencies, which the message rounds
+        ({"t_max": 1e-200}, "[pide_solver.t_max]"),
     ])
     def test_unallocatable_array_exits_3(self, tmp_path, capsys,
                                          monkeypatch, over, tag):
@@ -536,6 +541,7 @@ class TestCli:
             assert err.startswith(f"numerical failure: {tag} ")
             assert "cannot be allocated" in err
             assert "negative elements" not in err
+            assert not re.search(r"\d{20}", err)
 
     @pytest.mark.parametrize("over", [
         pytest.param({"safety": 1e-310}, id="safety-1e-310"),

@@ -86,10 +86,6 @@ class TestDensityAndMoments:
         assert val == pytest.approx(3.9685, abs=1e-2)
         assert val == pytest.approx(ref, rel=1e-6)
 
-    def test_second_moment_rejects_bad_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            small_jump_second_moment(KernelPair(1.0, 1.0), 1.5, -1.0)
-
 
 class TestBandBins:
     @given(alpha=st.floats(1.05, 1.95), r_lo=st.floats(0.01, 1.0),

@@ -197,19 +197,22 @@ class TestExpectation:
 
     def test_odd_clip_symmetric(self, ce_sym):
         val = classical_expectation(lambda x: np.clip(x, -1e6, 1e6),
-                                    ce_sym, 1.0, 0.0)
+                                    ce_sym, 1.0)
         assert abs(val) < 1e-3
 
     def test_frozen_targets(self, ce_sym, ce_asym):
         # regression pins established by a three-resolution refinement study
-        assert classical_expectation(gaussian, ce_sym, 1.0, 0.0) \
+        assert classical_expectation(gaussian, ce_sym, 1.0) \
             == pytest.approx(0.2199641006028331, abs=1e-10)
-        assert classical_expectation(gaussian, ce_asym, 1.0, 0.0) \
+        assert classical_expectation(gaussian, ce_asym, 1.0) \
             == pytest.approx(0.16139612805074688, abs=1e-10)
 
     def test_rejects_nonpositive_time(self, ce_sym):
-        with pytest.raises(ValueError):
+        """t = 0 asks for infinitely many frequencies, refused naming
+        t_max."""
+        with pytest.raises(NumericalError) as exc:
             classical_expectation(gaussian, ce_sym, 0.0)
+        assert exc.value.field == "t_max"
 
     def test_failed_mass_check_raises_on_every_call(self, ce_sym,
                                                     monkeypatch):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from nlstable.basket import abs_clip
-from nlstable.checker import _m1_bound
 from nlstable.kernels import Grid, NumericalError, Surface, middle_half
 from nlstable.solver import make_grid, solve_forward
 from nlstable.regularity import (
     RegularityReport,
     compare_reports,
+    middle_bounds,
     probe,
 )
 
@@ -106,5 +106,6 @@ def test_derivative_bounds_cover_the_middle_half(node):
     vals = np.zeros((g.nt + 1, g.nx))
     vals[:, node] = 1.0
     want = 2.0 / g.dx ** 2
-    assert probe(Surface(g, vals), H).dxx_bound_singleton == want
-    assert _m1_bound(list(vals), g) == want
+    assert probe(Surface(g, vals, range(g.nt + 1)),
+                 H).dxx_bound_singleton == want
+    assert max(middle_bounds(vals, g.dx)) == want

@@ -193,7 +193,8 @@ class TestEvaluate:
 
     def test_affine_midpoint(self, small_grid):
         vals = np.tile(2.0 * small_grid.x + 1.0, (small_grid.nt + 1, 1))
-        s = Surface(grid=small_grid, values=vals)
+        s = Surface(grid=small_grid, values=vals,
+                    rows=range(small_grid.nt + 1))
         xm = 0.5 * (small_grid.x[10] + small_grid.x[11])
         assert evaluate(s, 0.0, xm) == pytest.approx(2.0 * xm + 1.0, rel=1e-14)
 
@@ -268,6 +269,18 @@ class TestStoredRows:
         t = 3.5 * small_grid.dt
         assert np.array_equal(evaluate_row(part, t), evaluate_row(u, t))
 
+    def test_default_stores_every_row(self, small_grid, uset_sym):
+        """Without rows the march stores range(nt + 1), and each row reads
+        back as the march made it."""
+        g = small_grid
+        u = solve_forward(gaussian, g, uset_sym)
+        assert u.rows == range(g.nt + 1)
+        marched = list(solver_mod._march_rows(gaussian(g.x), g, uset_sym))
+        assert len(marched) == g.nt + 1
+        for i, row in enumerate(marched):
+            assert np.array_equal(u.row(i), row)
+        np.testing.assert_array_equal(u.times, g.dt * np.arange(g.nt + 1))
+
     def test_unstored_row_raises(self, small_grid, uset_sym):
         """No read falls back to a neighbouring stored row."""
         part = solve_forward(gaussian, small_grid, uset_sym, rows=(0, 3, 4))
@@ -279,7 +292,8 @@ class TestStoredRows:
         with pytest.raises(IndexError, match="not stored"):
             evaluate(part, small_grid.t_max, 0.0)
         full = Surface(small_grid, np.zeros((small_grid.nt + 1,
-                                             small_grid.nx)))
+                                             small_grid.nx)),
+                       range(small_grid.nt + 1))
         for i in (-1, small_grid.nt + 1):
             with pytest.raises(IndexError, match="not stored"):
                 full.row(i)
@@ -346,7 +360,7 @@ def test_csv_export_matches_per_value_format(small_grid, uset_sym):
                        [1.0 / 3.0, -1.0 / 3.0, 1e16 + 2.0, 2.0 ** -1074, 1.0],
                        [np.pi, -1e-300, 1e300, 0.1, -7.0],
                        [123456789.0, 1.5, -2.5e-8, 0.7, 0.0]])
-    special = Surface(grid=g, values=values)
+    special = Surface(grid=g, values=values, rows=range(4))
     assert csv_text(special) == per_value_csv(special)
     u = solve_forward(gaussian, small_grid, uset_sym)
     assert csv_text(u) == per_value_csv(u)
@@ -358,7 +372,8 @@ def test_csv_export_spans_blocks(monkeypatch):
     nx), every row in one block, and a block past the last row; and
     nothing runs before the first block is asked for."""
     g = Grid(-1.0, 1.0, 5, 0.3, 3, 0.1, 8.0)
-    u = Surface(grid=g, values=np.random.default_rng(5).normal(size=(4, 5)))
+    u = Surface(grid=g, values=np.random.default_rng(5).normal(size=(4, 5)),
+                rows=range(4))
     monkeypatch.setattr(solver_mod, "format_g17", None)
     blocks = surface_to_csv(u)          # not started: no format call yet
     monkeypatch.undo()
@@ -373,7 +388,7 @@ def test_csv_export_spans_blocks(monkeypatch):
 def random_surface(n_rows, nx):
     """n_rows random rows; a one-row surface stores only row 2 of 4."""
     g = Grid(-1.0, 1.0, nx, 0.7, n_rows - 1 if n_rows > 1 else 3, 0.1, 8.0)
-    return Surface(grid=g, rows=(2,) if n_rows == 1 else None,
+    return Surface(grid=g, rows=(2,) if n_rows == 1 else range(n_rows),
                    values=np.random.default_rng(3).normal(size=(n_rows, nx)))
 
 
