@@ -39,8 +39,10 @@ def gaussian_bump(center: float = 0.0, width: float = 1.0) -> TestFunction:
         raise ValueError(f"width {width:g} is so small that the Lipschitz "
                          "constant sqrt(2/e)/width overflows")
 
-    def fn(x):
-        return np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2))
+    def fn(x):  # a huge argument overflows to inf, and exp(-inf) is 0
+        with np.errstate(over="ignore"):
+            return np.exp(-(((np.asarray(x, dtype=float) - center) / width)
+                            ** 2))
 
     return TestFunction("gaussian_bump", (center, width), fn, lip=lip, sup=1.0)
 
@@ -52,9 +54,10 @@ def sigmoid(center: float = 0.0, slope: float = 1.0,
     if slope <= 0.0 or clip <= 0.0:
         raise ValueError("slope and clip must be positive")
 
-    def fn(x):
-        z = np.clip(slope * (np.asarray(x, dtype=float) - center),
-                    -clip, clip)
+    def fn(x):  # slope * (x - center) may overflow to +-inf: clipped
+        with np.errstate(over="ignore"):
+            z = np.clip(slope * (np.asarray(x, dtype=float) - center),
+                        -clip, clip)
         return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)),
                         np.exp(z) / (1.0 + np.exp(z)))
 

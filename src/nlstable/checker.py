@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (Grid, Surface, apply_max, band_bins, jump_kernel,
-                      middle_half, tail_nodes)
+from .kernels import (Grid, NumericalError, Surface, apply_max, band_bins,
+                      jump_kernel, middle_half, tail_nodes)
 from .laws import AttractedLaw, beta2_prime, law_nodes, tail_deviation
 from .engine import NormalizedSumSpec
 from .regularity import middle_bounds
@@ -233,7 +233,14 @@ def _example_41_reads(g: Grid, n: int) -> list[tuple[int, float]]:
 
 
 def example_41_rows(g: Grid, n_values) -> tuple[int, ...]:
-    """The forward rows ``example_41_check`` reads of a surface on g."""
+    """The forward rows ``example_41_check`` reads of a surface on g.  A
+    1/n within one time step, where v(t - 1/n) blends rows i - 1 and i
+    and the residual is only rounding, is refused."""
+    if max(n_values) * g.dt >= 1.0:
+        raise NumericalError(
+            "n_values", f"1/n = {1.0 / max(n_values):.3g} is within one time "
+            f"step dt = {g.dt:.3g}, where the residual is only rounding; "
+            "lower hypothesis_checker.n_values or raise pide_solver.nx")
     return _forward_rows(g, [j for n in n_values
                              for i, t in _example_41_reads(g, int(n))
                              for j in (i, i - 1, *bracket(g, t)[0])])

@@ -25,7 +25,7 @@ from .kernels import ConfigError, NumericalError, Surface
 from .laws import AttractedLaw, build_law
 from .engine import convergence_table
 from .solver import make_grid, solve_forward, evaluate, surface_to_csv
-from .oracle import CharExponent, classical_expectation
+from .oracle import classical_expectation
 from .checker import (check_condition_iii, condition_iii_rows,
                       example_41_check, example_41_rows, fit_rate)
 from .regularity import (lipschitz_x, probe, compare_reports,
@@ -109,8 +109,8 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
         if overshoot > 1e-9 or lip > psi.lip * LIP_SLACK + 1e-12:
             raise NumericalError("nx", "solve checks failed: " + line)
         if len(uset.pairs) == 1:
-            ce = CharExponent(uset.pairs[0], cfg.alpha)
-            ref = classical_expectation(psi, ce, cfg.t_max)
+            ref = classical_expectation(psi, uset.pairs[0], cfg.alpha,
+                                        cfg.t_max)
             gap = abs(evaluate(surface, cfg.t_max, 0.0) - ref)
             line += f" oracle_gap={gap:.3e}"
             if gap > ORACLE_TOL:

@@ -55,7 +55,7 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
     nodes, weights = law_nodes(law)
     kern = shift_kernel(interp_taps(b_n * nodes / grid.dx, weights, grid.nx,
                                     reach=DP_REACH))
-    low = min(float(np.min(kern.taps)), kern.edge_lo, kern.edge_hi)
+    low = min(float(np.min(kern.taps)), kern.lo[-1], kern.hi[0])
     if low < 0.0:
         cells = b_n * law.z0 / grid.dx
         fix = ("decrease sublinear_engine.dp_dx so that it spans several "

@@ -160,20 +160,13 @@ class Surface:
     """Solution field u(t_i, x_j) on a grid; row i is time i*dt.
 
     ``rows``, strictly increasing row indices, names the stored rows in
-    order: row ``rows[k]`` is ``values[k]``.
+    order: row ``rows[k]`` is ``values[k]``.  It checks nothing: every
+    surface is the march's or a reversed view of one.
     """
 
     grid: Grid
     values: np.ndarray
     rows: Sequence[int]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        bounds = (-1, *self.rows, self.grid.nt + 1)
-        if any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("rows must be increasing indices in [0, nt]")
-        if self.values.shape != (len(self.rows), self.grid.nx):
-            raise ValueError("values shape does not match grid")
 
     def row(self, i: int) -> np.ndarray:
         """Row i, time i*dt; a row that is not stored raises."""
@@ -293,13 +286,13 @@ class ShiftKernel:
     extension beyond the grid:
 
         (K u)_j = sum_m taps[m] u(x_j + (m - half) dx)
-                  + edge_lo * u[0] + edge_hi * u[-1],
+                  + lo[-1] * u[0] + hi[0] * u[-1],
 
-    with ``half = nx - 1``.  ``edge_lo`` and ``edge_hi`` are the folded
+    with ``half = nx - 1``.  ``lo[-1]`` and ``hi[0]`` are the folded
     taps past -(nx-1) and nx-1, which every node reads as u[0] and
     u[-1].  Node j also reads u[0] for every offset below -j and u[-1]
     for every offset above nx-1-j; ``lo[j]`` and ``hi[j]`` are those tap
-    sums plus ``edge_lo`` and ``edge_hi``.  The remaining taps form a
+    sums plus ``lo[-1]`` and ``hi[0]``.  The remaining taps form a
     linear convolution of the unpadded row, and ``spectrum`` is the rFFT
     of the reversed taps at length ``n_fft`` >= 2nx - 1, the shortest
     length at which that convolution is alias-free on the nodes.
@@ -311,8 +304,6 @@ class ShiftKernel:
 
     taps: np.ndarray | None
     half: int
-    edge_lo: float
-    edge_hi: float
     n_fft: int
     spectrum: np.ndarray
     lo: np.ndarray
@@ -324,21 +315,18 @@ def shift_kernel(taps: np.ndarray) -> ShiftKernel:
     on an nx-node grid, so nx = len(taps)/2 - 1.
 
     The taps at offsets -nx, nx and nx+1 reach past the grid from every
-    node, so they fold exactly into ``edge_lo`` and ``edge_hi``.
+    node, so they fold exactly into ``lo[-1]`` and ``hi[0]``.
     """
     nx = len(taps) // 2 - 1
     half = nx - 1
     core = taps[1: 2 * nx].copy()
-    edge_lo = float(taps[0])
-    edge_hi = float(np.sum(taps[2 * nx:]))
     # both cumulative sums start at the outermost tap
-    lo = np.full(nx, edge_lo)
+    lo = np.full(nx, taps[0])
     lo[:half] += np.cumsum(core[:half])[::-1]
-    hi = np.full(nx, edge_hi)
+    hi = np.full(nx, np.sum(taps[2 * nx:]))
     hi[1:] += np.cumsum(core[:half:-1])
     n_fft = next_fast_len(2 * half + 1)
-    return ShiftKernel(core, half, edge_lo, edge_hi, n_fft,
-                       rfft(core[::-1], n_fft), lo, hi)
+    return ShiftKernel(core, half, n_fft, rfft(core[::-1], n_fft), lo, hi)
 
 
 def jump_kernel(shifts: np.ndarray, weights: np.ndarray, d2: float,
@@ -427,7 +415,7 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
             "nx", f"the generator stencil of {2 * grid.nx + 2} taps cannot "
             f"be allocated ({exc}); lower pide_solver.nx") from exc
     off_centre = np.delete(kern.taps, kern.half)
-    if np.any(off_centre < 0.0) or min(kern.edge_lo, kern.edge_hi) < 0.0:
+    if np.any(off_centre < 0.0) or min(kern.lo[-1], kern.hi[0]) < 0.0:
         raise NumericalError(
             "r_cut",
             f"generator for pair {k} at alpha={alpha} on grid nx={grid.nx}, "

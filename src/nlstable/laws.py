@@ -149,8 +149,6 @@ def tail_deviation(law: AttractedLaw, z):
     rounding.  Undefined at z = 0.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z == 0.0):
-        raise ValueError("beta functions are undefined at z = 0")
     c = _tail_scale(law)
     a = law.alpha
     cdf, za = law.cdf(z), np.abs(z) ** a

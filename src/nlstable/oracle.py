@@ -20,7 +20,7 @@ that the trapezoid sum at every window node is one FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +29,7 @@ from numpy.fft import fft
 from .kernels import KernelPair, NumericalError, next_fast_len
 
 TABLE_DX = 0.05     # spacing of the inverted density table
+TABLE_CUT = 400.0   # half-width of the table; tails beyond are analytic
 MASS_TOL = 1e-4     # allowed deviation of the table's mass from 1
 
 
@@ -41,32 +42,16 @@ def _tail_constants(alpha: float) -> tuple[float, float]:
             -g * math.sin(0.5 * math.pi * alpha))
 
 
-@dataclass(frozen=True)
-class CharExponent:
-    """Log-characteristic function of the unit-time increment."""
-
-    pair: KernelPair
-    alpha: float
-    constants: tuple[float, float] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "constants", _tail_constants(self.alpha))
-
-    @property
-    def decay_rate(self) -> float:
-        """c in |phi(xi)| = exp(-c |xi|^alpha); positive."""
-        j_r, _ = self.constants
-        return -(self.pair.k_minus + self.pair.k_plus) * j_r
-
-
-def _log_phi_grid(ce: CharExponent, xi: np.ndarray) -> np.ndarray:
-    j_r, j_i = ce.constants
-    k_m, k_p = ce.pair.k_minus, ce.pair.k_plus
-    mag = np.abs(xi) ** ce.alpha
+def _log_phi_grid(pair: KernelPair, alpha: float,
+                  xi: np.ndarray) -> np.ndarray:
+    """Log-characteristic function of the unit-time increment at xi."""
+    j_r, j_i = _tail_constants(alpha)
+    k_m, k_p = pair.k_minus, pair.k_plus
+    mag = np.abs(xi) ** alpha
     return mag * ((k_m + k_p) * j_r + 1j * np.sign(xi) * (k_p - k_m) * j_i)
 
 
-def _invert(ce: CharExponent, t_time: float, n: int,
+def _invert(pair: KernelPair, alpha: float, t_time: float, n: int,
             dx: float) -> np.ndarray:
     """Density of the time-t increment at x_k = k*dx, |k| <= n, by
     trapezoidal inversion of the characteristic function over xi > 0.
@@ -76,16 +61,18 @@ def _invert(ce: CharExponent, t_time: float, n: int,
     folded modulo n_fft.  It aliases the density with period n_fft*dx,
     at least 8 times the window and 100 pi (so d_xi <= 0.02).
     """
-    c = t_time * ce.decay_rate
-    # |phi| < 1e-12 beyond xi_max; c underflows to 0 for tiny t_time
-    xi_max = (27.7 / c) ** (1.0 / ce.alpha) if c > 0.0 else np.inf
+    # c in |phi_t(xi)| = exp(-c |xi|^alpha), positive; |phi| < 1e-12
+    # beyond xi_max, and c underflows to 0 for tiny t_time
+    j_r, _ = _tail_constants(alpha)
+    c = t_time * (-(pair.k_minus + pair.k_plus) * j_r)
+    xi_max = (27.7 / c) ** (1.0 / alpha) if c > 0.0 else np.inf
     period = max(8.0 * max(n * dx, 1.0), 100.0 * np.pi)
     n_fft = next_fast_len(int(np.ceil(period / dx)))
     d_xi = 2.0 * np.pi / (n_fft * dx)
     n_xi = np.ceil(xi_max / d_xi) + 1.0  # a float, inf for tiny t_time
     try:
         xi = d_xi * np.arange(n_xi)
-        phi = np.exp(t_time * _log_phi_grid(ce, xi))
+        phi = np.exp(t_time * _log_phi_grid(pair, alpha, xi))
         phi[[0, -1]] *= 0.5
         folded = np.pad(phi, (0, -len(phi) % n_fft)).reshape(-1, n_fft).sum(0)
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
@@ -104,19 +91,19 @@ class _DensityTable:
     tail_hi: float  # mass above x[-1]
 
 
-def _inverted_table(ce: CharExponent, t_time: float,
-                    cut: float) -> _DensityTable:
-    n = int(np.ceil(cut / TABLE_DX))
+def _inverted_table(pair: KernelPair, alpha: float,
+                    t_time: float) -> _DensityTable:
+    n = int(np.ceil(TABLE_CUT / TABLE_DX))
     x = np.linspace(-n * TABLE_DX, n * TABLE_DX, 2 * n + 1)
-    f = _invert(ce, t_time, n, TABLE_DX)
+    f = _invert(pair, alpha, t_time, n, TABLE_DX)
     clip_level = 1e-12 * max(1.0, float(np.max(f)))
     f = np.where(f < 0.0, np.where(f > -clip_level * 1e3, 0.0, f), f)
     if np.any(f < 0.0):
         raise NumericalError("alpha", "inversion produced negative density "
                              "beyond ripple threshold; widen the frequency "
                              "window")
-    side = t_time / ce.alpha * cut ** (-ce.alpha)
-    tail_lo, tail_hi = ce.pair.k_minus * side, ce.pair.k_plus * side
+    side = t_time / alpha * TABLE_CUT ** (-alpha)
+    tail_lo, tail_hi = pair.k_minus * side, pair.k_plus * side
     mass = float(np.trapezoid(f, x)) + tail_lo + tail_hi
     if abs(mass - 1.0) > MASS_TOL:
         raise NumericalError(
@@ -125,13 +112,14 @@ def _inverted_table(ce: CharExponent, t_time: float,
     return _DensityTable(x=x, f=f, tail_lo=tail_lo, tail_hi=tail_hi)
 
 
-def classical_expectation(psi, ce: CharExponent, t_time: float) -> float:
+def classical_expectation(psi, pair: KernelPair, alpha: float,
+                          t_time: float) -> float:
     """E[psi(X_t)] for the classical single-pair process.
 
     psi must be bounded; the far tails contribute through the constant
     extension psi at the window edges times the analytic tail masses.
     """
-    tab = _inverted_table(ce, t_time, cut=400.0)
+    tab = _inverted_table(pair, alpha, t_time)
     vals = np.asarray(psi(tab.x), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi produced non-finite values")

@@ -1,5 +1,7 @@
 """The fixed test-function basket and its stated constants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,3 +62,30 @@ def test_bad_parameters_rejected():
 def test_from_spec_rejects_non_finite_parameters(spec):
     with pytest.raises(ValueError, match="not finite"):
         basket.from_spec(spec)
+
+
+def _step(x, below, at, above):
+    return np.where(x < 0.0, below, np.where(x > 0.0, above, at))
+
+
+_LOW = np.exp(-50.0) / (1.0 + np.exp(-50.0))  # sigmoid's saturated values
+_HIGH = 1.0 / (1.0 + np.exp(-50.0))
+
+
+@pytest.mark.parametrize("spec,expected", [
+    pytest.param({"name": "gaussian_bump", "center": 1.7e308},
+                 lambda x: np.zeros_like(x), id="far-center"),
+    pytest.param({"name": "sigmoid", "slope": 1e308},
+                 lambda x: _step(x, _LOW, 0.5, _HIGH), id="steep-sigmoid"),
+    pytest.param({"name": "gaussian_bump", "width": 1e-308},
+                 lambda x: _step(x, 0.0, 1.0, 0.0), id="narrow-bump"),
+])
+def test_overflowing_arguments_sample_without_warnings(spec, expected):
+    """An argument that overflows to +-inf gives exp(-inf) = 0 or the
+    clip, the values numpy gave with its overflow warning, bit for bit."""
+    x = np.linspace(-20.0, 20.0, 801)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = basket.from_spec(spec)(x)
+    assert np.all(np.isfinite(v))
+    assert np.array_equal(v, expected(x))

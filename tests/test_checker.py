@@ -7,8 +7,8 @@ import pytest
 
 from nlstable import cli
 from nlstable import config as config_mod
-from nlstable.kernels import (KernelPair, Surface, UncertaintySet, band_bins,
-                              middle_half)
+from nlstable.kernels import (KernelPair, NumericalError, Surface,
+                              UncertaintySet, band_bins, middle_half)
 from nlstable.laws import AttractedLaw, beta2_prime, build_law, tail_deviation
 from nlstable.engine import NormalizedSumSpec
 from nlstable.regularity import middle_bounds
@@ -419,6 +419,8 @@ def rows_read(monkeypatch):
 
 
 N_VALUES = [(4, 8), (2, 16, 64), (100, 128, 512, 2048)]
+# example_41 refuses an n with 1/n within one step (n >= 120 here)
+EXAMPLE_41_N_VALUES = [*N_VALUES[:2], (25, 50, 100)]
 
 
 class TestStoredRows:
@@ -440,7 +442,7 @@ class TestStoredRows:
         assert part == full
         assert read == {g: set(rows), gc: set(rows_c)}
 
-    @pytest.mark.parametrize("n_values", N_VALUES)
+    @pytest.mark.parametrize("n_values", EXAMPLE_41_N_VALUES)
     def test_example_41(self, uset, small_grids, n_values, monkeypatch):
         g, _ = small_grids
         rows = example_41_rows(g, n_values)
@@ -450,6 +452,14 @@ class TestStoredRows:
                                 n_values)
         assert part == full
         assert read == {g: set(rows)}
+
+    def test_example_41_refuses_n_within_one_step(self, small_grids):
+        """At n >= 1/dt, v(t - 1/n) blends rows i - 1 and i, and the
+        residual is only rounding: refused before any march."""
+        g, _ = small_grids
+        with pytest.raises(NumericalError) as exc:
+            example_41_rows(g, N_VALUES[2])
+        assert exc.value.field == "n_values"
 
     def test_a_row_missing_from_the_plan_raises(self, family, uset,
                                                 small_grids):

@@ -250,6 +250,20 @@ def test_load_decodes_utf8_under_any_locale(tmp_path):
     assert "[experiment_cli.psi] unknown test function" in run.stderr
 
 
+def test_steep_sigmoid_solves_without_warnings(tmp_path):
+    """A ramp whose slope * (x - center) overflows is a valid psi: solve
+    passes and prints nothing on stderr, numpy's warnings included."""
+    cfg = base_config(psi=({"name": "sigmoid", "slope": 1e308},))
+    src = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                        os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "nlstable.cli", "solve", "--config",
+         write_config(tmp_path, cfg), "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+
+
 @pytest.mark.parametrize("command,name,psi", [
     pytest.param("hypothesis", "hypothesis_example_41",
                  [{"name": "gaussian_bump"}, {"name": "sigmoid"}],
@@ -662,6 +676,20 @@ class TestCli:
                          "--out", str(out)]) == 0
         text = (out / "residuals.csv").read_text()
         assert text.startswith("n,residual,rate_fit")
+
+    def test_example_41_n_within_one_step_exits_3(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """1/n at or under one time step reads only rounding; refused
+        before the march."""
+        monkeypatch.setattr(solver, "_march_rows",
+                            lambda *args: pytest.fail("marched"))
+        cfg = base_config(mode="example_41", n_values=(8, 100000))
+        assert cli.main(["hypothesis", "--config",
+                         write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: [hypothesis_checker.n_values] ")
 
     @pytest.mark.parametrize("command", ["hypothesis", "regularity"])
     def test_both_resolutions_honour_config(self, tmp_path, monkeypatch,

@@ -442,8 +442,8 @@ class TestGeneratorAssembly:
         kern = generator_stencil(g, k, alpha)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(kern.taps - ref)) <= 1e-12 * scale
-        assert kern.edge_lo == pytest.approx(lo, rel=1e-12)
-        assert kern.edge_hi == pytest.approx(hi, rel=1e-12)
+        assert kern.lo[-1] == pytest.approx(lo, rel=1e-12)
+        assert kern.hi[0] == pytest.approx(hi, rel=1e-12)
         uset = UncertaintySet(alpha, (k,), 0.5, 2.5)
         assert scheme_stability_constant(g, uset) == pytest.approx(
             -ref[g.nx - 1], rel=1e-12)

@@ -108,10 +108,6 @@ class TestCdfAndBeta:
         b2 = tail_deviation(law_sym, z)
         assert b2 == pytest.approx(ref, abs=1e-10)
 
-    def test_beta_rejects_origin(self, law_sym):
-        with pytest.raises(ValueError):
-            tail_deviation(law_sym, [-1.0, 0.0, 1.0])
-
     def test_beta_mixed_signs_in_one_call(self):
         """One call over z of both signs, inside and beyond z0, returns
         beta1 on the left and beta2 on the right, as point by point."""

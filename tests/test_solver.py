@@ -208,13 +208,6 @@ class TestEvaluate:
         assert evaluate(u, t, x) == pytest.approx(ref, rel=1e-13)
         np.testing.assert_allclose(evaluate_row(u, t), row, rtol=1e-13)
 
-    def test_out_of_rectangle(self, small_grid, uset_sym):
-        u = solve_forward(gaussian, small_grid, uset_sym)
-        with pytest.raises(ValueError):
-            evaluate(u, 2.0, 0.0)
-        with pytest.raises(ValueError):
-            evaluate(u, 0.5, 100.0)
-
 
 TWO_PAIRS = UncertaintySet(1.5, (KernelPair(1.0, 1.0), KernelPair(2.0, 0.5)),
                            0.05, 4.0)
@@ -297,11 +290,6 @@ class TestStoredRows:
         for i in (-1, small_grid.nt + 1):
             with pytest.raises(IndexError, match="not stored"):
                 full.row(i)
-
-    @pytest.mark.parametrize("rows", [(3, 2), (2, 2), (-1, 2), (0, 10 ** 6)])
-    def test_rows_must_increase_within_the_grid(self, small_grid, rows):
-        with pytest.raises(ValueError, match="rows must be increasing"):
-            Surface(small_grid, np.zeros((2, small_grid.nx)), rows)
 
 
 class TestIdentityChecks:
