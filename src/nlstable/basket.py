@@ -58,8 +58,8 @@ def sigmoid(center: float = 0.0, slope: float = 1.0,
         with np.errstate(over="ignore"):
             z = np.clip(slope * (np.asarray(x, dtype=float) - center),
                         -clip, clip)
-        return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)),
-                        np.exp(z) / (1.0 + np.exp(z)))
+        e = np.exp(-np.abs(z))  # at most 1: neither branch overflows
+        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     return TestFunction("sigmoid", (center, slope, clip), fn,
                         lip=slope / 4.0, sup=1.0 / (1.0 + np.exp(-clip)))

@@ -234,15 +234,19 @@ def _example_41_reads(g: Grid, n: int) -> list[tuple[int, float]]:
 
 def example_41_rows(g: Grid, n_values) -> tuple[int, ...]:
     """The forward rows ``example_41_check`` reads of a surface on g.  A
-    1/n within one time step, where v(t - 1/n) blends rows i - 1 and i
-    and the residual is only rounding, is refused."""
+    1/n within one time step, where the residual is only rounding, or
+    past the last sampled row, where it reads none, is refused."""
     if max(n_values) * g.dt >= 1.0:
         raise NumericalError(
             "n_values", f"1/n = {1.0 / max(n_values):.3g} is within one time "
             f"step dt = {g.dt:.3g}, where the residual is only rounding; "
             "lower hypothesis_checker.n_values or raise pide_solver.nx")
-    return _forward_rows(g, [j for n in n_values
-                             for i, t in _example_41_reads(g, int(n))
+    reads = [_example_41_reads(g, int(n)) for n in n_values]
+    if not reads[0]:  # n_values increase, and [1/n, 1] grows with n
+        raise NumericalError(
+            "n_values", f"no sampled row lies in [1/n, 1] at n = "
+            f"{n_values[0]}; raise the smallest hypothesis_checker.n_values")
+    return _forward_rows(g, [j for r in reads for i, t in r
                              for j in (i, i - 1, *bracket(g, t)[0])])
 
 

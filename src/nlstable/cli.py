@@ -24,7 +24,8 @@ from .config import ExperimentConfig, field_tag
 from .kernels import ConfigError, NumericalError, Surface
 from .laws import AttractedLaw, build_law
 from .engine import convergence_table
-from .solver import make_grid, solve_forward, evaluate, surface_to_csv
+from .solver import (bracket, make_grid, solve_forward, evaluate,
+                     surface_to_csv)
 from .oracle import classical_expectation
 from .checker import (check_condition_iii, condition_iii_rows,
                       example_41_check, example_41_rows, fit_rate)
@@ -136,9 +137,8 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
         # march grid, DP, march: a too-large grid is refused before any work
         march = _march_inputs(cfg, psi, 1.0)
         dp_rows = convergence_table(psi, laws, cfg.n_values, dp_grid)
-        nt = march[1].nt
-        pide_value = evaluate(solve_forward(*march, rows=(nt - 1, nt)),
-                              1.0, 0.0)
+        pide_value = evaluate(
+            solve_forward(*march, rows=bracket(march[1], 1.0)[0]), 1.0, 0.0)
         rows = [(*r, pide_value, abs(r[2] - pide_value)) for r in dp_rows]
         tag = psi.tag
         write_atomic(os.path.join(out, f"convergence_{tag}.csv"),

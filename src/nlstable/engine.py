@@ -93,8 +93,6 @@ def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
             "dp_dx", f"the dynamic-program grid of {grid.nx} nodes cannot be "
             f"allocated ({exc}); raise sublinear_engine.dp_dx or lower "
             "sublinear_engine.dp_half_width") from exc
-    if not np.all(np.isfinite(w)):
-        raise ValueError("psi produced non-finite samples")
     b_n = spec.B_n
     built = [_stage_kernel(law, b_n, grid) for law in laws]
     kernels = [kern for kern, _ in built]
@@ -109,9 +107,7 @@ def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
     work = max_work(kernels)
     for _ in range(spec.n):
         w = apply_max(kernels, w, work)
-    mid = grid.nx // 2
-    return float(np.interp(0.0, grid.x[mid - 1: mid + 2],
-                           w[mid - 1: mid + 2]))
+    return float(np.interp(0.0, grid.x, w))
 
 
 def convergence_table(psi, laws: tuple[AttractedLaw, ...], n_values,

@@ -121,7 +121,5 @@ def classical_expectation(psi, pair: KernelPair, alpha: float,
     """
     tab = _inverted_table(pair, alpha, t_time)
     vals = np.asarray(psi(tab.x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("psi produced non-finite values")
     core = float(np.trapezoid(vals * tab.f, tab.x))
     return core + vals[0] * tab.tail_lo + vals[-1] * tab.tail_hi

@@ -72,6 +72,14 @@ _LOW = np.exp(-50.0) / (1.0 + np.exp(-50.0))  # sigmoid's saturated values
 _HIGH = 1.0 / (1.0 + np.exp(-50.0))
 
 
+def _warned_sigmoid(z):
+    """The logistic of z as numpy gave it with its overflow warnings,
+    both branches evaluated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)),
+                        np.exp(z) / (1.0 + np.exp(z)))
+
+
 @pytest.mark.parametrize("spec,expected", [
     pytest.param({"name": "gaussian_bump", "center": 1.7e308},
                  lambda x: np.zeros_like(x), id="far-center"),
@@ -79,13 +87,49 @@ _HIGH = 1.0 / (1.0 + np.exp(-50.0))
                  lambda x: _step(x, _LOW, 0.5, _HIGH), id="steep-sigmoid"),
     pytest.param({"name": "gaussian_bump", "width": 1e-308},
                  lambda x: _step(x, 0.0, 1.0, 0.0), id="narrow-bump"),
+    pytest.param({"name": "sigmoid", "slope": 100.0, "clip": 1000.0},
+                 lambda x: _warned_sigmoid(np.clip(100.0 * x, -1e3, 1e3)),
+                 id="wide-clip-sigmoid"),
 ])
 def test_overflowing_arguments_sample_without_warnings(spec, expected):
     """An argument that overflows to +-inf gives exp(-inf) = 0 or the
-    clip, the values numpy gave with its overflow warning, bit for bit."""
+    clip, and a clip past 709 no longer overflows exp(clip): the values
+    numpy gave with its overflow warnings, bit for bit."""
     x = np.linspace(-20.0, 20.0, 801)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = basket.from_spec(spec)(x)
     assert np.all(np.isfinite(v))
     assert np.array_equal(v, expected(x))
+
+
+# extreme valid parameters of each basket member, keyed like _BUILDERS
+_EXTREMES = {
+    "gaussian_bump": [{"center": c, "width": w}
+                      for c in (0.0, 1e308, -1e308)
+                      for w in (1e-300, 1.0, 1e300)],
+    "sigmoid": [{"center": c, "slope": s, "clip": k}
+                for c in (0.0, 1e308, -1e308)
+                for s in (1e-300, 1.0, 1e308)
+                for k in (1e-300, 50.0, 1e308)],
+    "abs_clip": [{"clip": k} for k in (1e-300, 3.0, 1e308)],
+    "constant": [{"value": v} for v in (0.0, 1e308, -1e308)],
+}
+
+
+def test_every_member_samples_finite_within_sup():
+    """The basket's contract, which the solver, the DP and the oracle
+    take as given: on any finite x every member, at any valid
+    parameters, samples finite values with |psi| <= sup and no numpy
+    warning."""
+    assert set(_EXTREMES) == set(basket._BUILDERS)
+    x = np.concatenate([np.linspace(-20.0, 20.0, 801),
+                        [1.7e308, -1.7e308, 1e-300, -1e-300, 0.0, -0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, cases in _EXTREMES.items():
+            for params in cases:
+                fn = basket.from_spec({"name": name, **params})
+                v = fn(x)
+                assert np.all(np.isfinite(v)), (name, params)
+                assert np.all(np.abs(v) <= fn.sup), (name, params)

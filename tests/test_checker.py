@@ -461,6 +461,15 @@ class TestStoredRows:
             example_41_rows(g, N_VALUES[2])
         assert exc.value.field == "n_values"
 
+    def test_example_41_refuses_n_with_no_sampled_row(self, uset):
+        """On this grid the last sampled row lies before t = 1, so the
+        window [1/n, 1] at n = 1 holds none: refused, not read as 0."""
+        g = make_grid(-20.0, 20.0, 401, 1.0 + H, uset)
+        assert _sampled_rows(g)[-1] * g.dt < 1.0 - 1e-12
+        with pytest.raises(NumericalError) as exc:
+            example_41_rows(g, (1, 8))
+        assert exc.value.field == "n_values"
+
     def test_a_row_missing_from_the_plan_raises(self, family, uset,
                                                 small_grids):
         """No check falls back to a neighbouring stored row."""

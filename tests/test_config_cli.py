@@ -250,16 +250,31 @@ def test_load_decodes_utf8_under_any_locale(tmp_path):
     assert "[experiment_cli.psi] unknown test function" in run.stderr
 
 
-def test_steep_sigmoid_solves_without_warnings(tmp_path):
-    """A ramp whose slope * (x - center) overflows is a valid psi: solve
-    passes and prints nothing on stderr, numpy's warnings included."""
-    cfg = base_config(psi=({"name": "sigmoid", "slope": 1e308},))
+def solve_in_subprocess(tmp_path, psi):
+    """Run ``solve`` on base_config with the given psi spec in a fresh
+    interpreter, so numpy's warnings reach its stderr."""
+    cfg = base_config(psi=(psi,))
     src = os.pathsep.join(filter(None, [str(REPO / "src"),
                                         os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "nlstable.cli", "solve", "--config",
          write_config(tmp_path, cfg), "--out", str(tmp_path / "o")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
+def test_steep_sigmoid_solves_without_warnings(tmp_path):
+    """A ramp whose slope * (x - center) overflows is a valid psi: solve
+    passes and prints nothing on stderr, numpy's warnings included."""
+    run = solve_in_subprocess(tmp_path, {"name": "sigmoid", "slope": 1e308})
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+
+
+def test_wide_clip_sigmoid_solves_without_warnings(tmp_path):
+    """A clip past 709, where exp(clip) overflows, is a valid psi: solve
+    passes and prints nothing on stderr."""
+    run = solve_in_subprocess(tmp_path, {"name": "sigmoid", "slope": 100.0,
+                                         "clip": 1000.0})
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
 
@@ -684,6 +699,22 @@ class TestCli:
         monkeypatch.setattr(solver, "_march_rows",
                             lambda *args: pytest.fail("marched"))
         cfg = base_config(mode="example_41", n_values=(8, 100000))
+        assert cli.main(["hypothesis", "--config",
+                         write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: [hypothesis_checker.n_values] ")
+
+    def test_example_41_n_with_no_sampled_row_exits_3(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """At n = 1 the window [1/n, 1] holds no sampled row when the last
+        one lies before t = 1; refused before the march instead of
+        reporting a residual of 0 read from no row."""
+        monkeypatch.setattr(solver, "_march_rows",
+                            lambda *args: pytest.fail("marched"))
+        cfg = base_config(mode="example_41", nx=401, t_max=1.25,
+                          n_values=(1, 8))
         assert cli.main(["hypothesis", "--config",
                          write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 3

@@ -68,19 +68,6 @@ def test_non_finite_march_refused(small_grid, uset_sym):
     assert "non-finite values at step 1 of" in messages[0]
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_non_finite_psi_refused(small_grid, uset_sym, bad):
-    """psi is sampled on the grid before the march; a non-finite sample
-    is refused by both marches."""
-    def psi(x):
-        return np.where(x > 1.0, bad, gaussian(x))
-
-    for march in both_marches(psi, small_grid, uset_sym):
-        with pytest.raises(ValueError,
-                           match="^psi produced non-finite samples$"):
-            march()
-
-
 def test_non_finite_row_stops_the_march(small_grid, uset_sym, monkeypatch):
     """Each row is checked as the march makes it: a generator that turns
     NaN on its third call stops every march there, at step 3."""
