@@ -18,7 +18,16 @@ row and one inverse FFT per law, and every stage works in the same
 
 The taps carry the second-order correction of ``interp_taps`` for nodes
 within ``DP_REACH`` cells, so interpolation adds no spurious variance
-per stage and every n runs on the same grid (spacing ``dp_dx``).
+per stage and every n runs at the same spacing ``dp_dx``.
+
+The grid a caller passes is the widest the program may use.  Each n
+runs on a rung of it: a centred sub-grid with nx//2 >> k nodes a side,
+k = ..., 2, 1, and then the grid itself.  The walk starts at the
+narrowest rung wider than ``DP_REACH`` + 2 cells a side, so every
+corrected tap lies inside it and its negative-tap check sees every tap
+the whole grid shows, and goes up to the first rung whose off-grid mass,
+n times the worst middle-half edge tap sum, is within ``ESCAPE_TOL``.
+That mass hardly depends on n, since n B_n^alpha is constant.
 """
 
 from __future__ import annotations
@@ -76,15 +85,33 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
     return replace(kern, taps=None), esc
 
 
+def _rungs(grid: Grid):
+    """The centred sub-grids the dynamic program may run on, narrowest
+    first, each as (slice of ``grid``'s nodes, sub-grid): nx//2 >> k
+    nodes a side for k = ..., 2, 1 while that exceeds ``DP_REACH`` + 2,
+    and then ``grid`` itself."""
+    mid = grid.nx // 2
+    halves = [mid >> k for k in range(1, mid.bit_length())
+              if mid >> k > DP_REACH + 2]
+    for h in reversed(halves):
+        cut = slice(mid - h, mid + h + 1)
+        yield cut, replace(grid, x_min=float(grid.x[mid - h]),
+                           x_max=float(grid.x[mid + h]), nx=2 * h + 1)
+    yield slice(None), grid
+
+
 def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
                            spec: NormalizedSumSpec, grid: Grid) -> float:
     """Sublinear expectation of psi(B_n S_n) by backward value iteration,
     the supremum taken over ``laws``, one per kernel pair.
 
-    Raises NumericalError naming dp_half_width when the accumulated
-    worst-case quadrature mass escaping the grid (watched from the middle
-    half) exceeds ESCAPE_TOL, since then the constant edge extension
-    contaminates the returned value at a comparable level.
+    psi is sampled on ``grid``, which is centred on x = 0, and the n
+    stages run on the narrowest rung of ``grid`` (see ``_rungs``) whose
+    accumulated worst-case quadrature mass escaping the rung (watched
+    from its middle half) is within ESCAPE_TOL, since beyond that the
+    constant edge extension contaminates the returned value at a
+    comparable level.  Every rung visited checks its taps.  Raises
+    NumericalError naming dp_half_width when even ``grid`` fails.
     """
     try:
         w = np.asarray(psi(grid.x), dtype=float)
@@ -94,25 +121,30 @@ def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
             f"allocated ({exc}); raise sublinear_engine.dp_dx or lower "
             "sublinear_engine.dp_half_width") from exc
     b_n = spec.B_n
-    built = [_stage_kernel(law, b_n, grid) for law in laws]
-    kernels = [kern for kern, _ in built]
-    escaped = spec.n * max(esc for _, esc in built)
-    if escaped > ESCAPE_TOL:
+    for cut, rung in _rungs(grid):
+        built = [_stage_kernel(law, b_n, rung) for law in laws]
+        escaped = spec.n * max(esc for _, esc in built)
+        if escaped <= ESCAPE_TOL:
+            break
+    else:
         need = grid.x_max * (escaped / ESCAPE_TOL) ** (1.0 / spec.alpha)
         raise NumericalError(
             "dp_half_width",
             f"accumulated off-grid quadrature mass {escaped:.2e} exceeds "
             f"{ESCAPE_TOL:.0e}; widen the grid to roughly +-{need:.0f} "
             "(sublinear_engine.dp_half_width)")
+    kernels = [kern for kern, _ in built]
     work = max_work(kernels)
+    w = w[cut]
     for _ in range(spec.n):
         w = apply_max(kernels, w, work)
-    return float(np.interp(0.0, grid.x, w))
+    return float(np.interp(0.0, grid.x[cut], w))
 
 
 def convergence_table(psi, laws: tuple[AttractedLaw, ...], n_values,
                       dp_grid: Grid) -> list[tuple]:
-    """Rows (n, B_n, nested_value), every n on ``dp_grid``."""
+    """Rows (n, B_n, nested_value), every n at the spacing of ``dp_grid``
+    and on its narrowest rung that keeps the off-grid mass in bounds."""
     law = laws[0]
     specs = [NormalizedSumSpec(n, law.b_scale, law.alpha) for n in n_values]
     return [(s.n, s.B_n, nested_sum_expectation(psi, laws, s, dp_grid))

@@ -132,17 +132,60 @@ class TestNestedSum:
         plain = nested_sum_expectation(gaussian, fam_small, spec, dp_grid())
         assert abs(plain - fine) >= 10.0 * abs(corrected - fine)
 
-    @pytest.mark.parametrize("n,dx,advice", [(64, 0.2, "decrease"),
-                                              (1, 0.005, "increase")])
-    def test_negative_tap_names_dp_dx(self, fam_small, n, dx, advice):
+    @pytest.mark.parametrize("n,dx,advice,half", [
+        pytest.param(64, 0.2, "decrease", 40.0, id="64-0.2-decrease"),
+        # far wider than the off-grid mass needs: the narrow rungs the
+        # DP tries first check the same corrected taps
+        pytest.param(64, 0.2, "decrease", 320.0, id="64-0.2-decrease-wide"),
+        pytest.param(1, 0.005, "increase", 40.0, id="1-0.005-increase"),
+    ])
+    def test_negative_tap_names_dp_dx(self, fam_small, n, dx, advice, half):
         """A grid too coarse for B_n z0, or too fine for the law's
         quadrature nodes, leaves a negative corrected tap."""
         spec = NormalizedSumSpec(n, 1.0, ALPHA)
         with pytest.raises(NumericalError,
                            match=f"{advice} sublinear_engine.dp_dx") as exc:
             nested_sum_expectation(gaussian, fam_small, spec,
-                                   dp_grid(half=40.0, dx=dx))
+                                   dp_grid(half=half, dx=dx))
         assert exc.value.field == "dp_dx"
+
+    def test_corner_runs_on_its_320_rung(self, monkeypatch):
+        """``clt_corner``'s DP runs every n on the +-320 rung of its
+        +-1280 grid (12,801 of 51,201 nodes), the narrowest whose
+        off-grid mass is within ESCAPE_TOL, and every value is within
+        1e-11 of the stages run on the whole grid (7.3e-12 at most when
+        measured).  The walk starts at the narrowest rung wider than
+        DP_REACH + 2 cells a side."""
+        cfg = config.load(str(CONFIGS / "clt_corner.json"))
+        laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+                     for p in cfg.uncertainty_set().pairs)
+        grid = cfg.dp_grid()
+        apply, stage = engine.apply_max, engine._stage_kernel
+        rows, rungs = [], []
+
+        def record_apply(kernels, u, work=None):
+            rows.append(len(u))
+            return apply(kernels, u, work)
+
+        def record_stage(law, b_n, rung):
+            rungs.append(rung.nx)
+            return stage(law, b_n, rung)
+
+        monkeypatch.setattr(engine, "apply_max", record_apply)
+        monkeypatch.setattr(engine, "_stage_kernel", record_stage)
+        for n in (8, 16, 32, 64):
+            spec = NormalizedSumSpec(n, cfg.b_scale, cfg.alpha)
+            whole = [stage(law, spec.B_n, grid)[0] for law in laws]
+            for psi in cfg.psi_functions():
+                rows.clear()
+                val = nested_sum_expectation(psi, laws, spec, grid)
+                assert rows == [12801] * n
+                w = psi(grid.x)
+                for _ in range(n):
+                    w = apply(whole, w)
+                assert abs(val - np.interp(0.0, grid.x, w)) <= 1e-11
+        narrowest = min(rungs) // 2
+        assert narrowest // 2 <= DP_REACH + 2 < narrowest
 
 
 class TestAxiomsSmall:
@@ -219,12 +262,14 @@ class TestTables:
 
 
 def test_dp_peak_memory_per_node():
-    """One DP call with ``clt_corner``'s two laws on its 51,201-node grid
-    holds under 20 float64 per node at its peak: two rows, each law's
-    spectrum and edge sums, and one block for the row's transform, the
-    product and the inverse transform (about 17).  Stage kernels that
-    kept their taps, and a fresh inverse transform per law, peaked at
-    23.2."""
+    """One DP call with ``clt_corner``'s two laws and its widest grid,
+    51,201 nodes, holds under 8 float64 per node of that grid at its
+    peak (6.2-6.3 measured): the ψ sample on the whole grid, and on the
+    12,801-node rung the stages run on, two rows, each law's spectrum
+    and edge sums, and one block for the row's transform, the product
+    and the inverse transform.  With every stage on the whole grid it
+    peaked at about 17, and before that at 23.2, with stage kernels that
+    kept their taps and a fresh inverse transform per law."""
     cfg = config.load(str(CONFIGS / "clt_corner.json"))
     laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
                  for p in cfg.uncertainty_set().pairs)
@@ -239,3 +284,4 @@ def test_dp_peak_memory_per_node():
         tracemalloc.stop()
     assert grid.nx == 51201
     assert peak / (8 * grid.nx) < 20.0
+    assert peak / (8 * grid.nx) < 8.0
