@@ -10,11 +10,9 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields as dc_fields
 
-import numpy as np
-
 from .kernels import (ConfigError, Grid, KernelPair, UncertaintySet,
                       resolve_cutoffs)
-from . import basket
+from . import basket, engine
 
 
 # the module of each field, as error messages name it; every other
@@ -22,7 +20,7 @@ from . import basket
 _MODULES = {"alpha": "stable_kernel", "lam": "stable_kernel",
             "Lam": "stable_kernel", "pairs": "stable_kernel",
             "b_scale": "attracted_laws", "z0": "attracted_laws",
-            "dp_half_width": "sublinear_engine", "dp_dx": "sublinear_engine",
+            "dp_dx": "sublinear_engine",
             "n_values": "hypothesis_checker", "mode": "hypothesis_checker",
             "psi": "experiment_cli", "config": "experiment_cli"}
 
@@ -50,7 +48,6 @@ class ExperimentConfig:
     r_cut: float | None = None
     z_max: float | None = None
     safety: float = 0.5
-    dp_half_width: float = 1280.0
     dp_dx: float = 0.05
     n_values: tuple[int, ...] = (8, 16, 32, 64)
     mode: str = "condition_iii"
@@ -100,12 +97,11 @@ class ExperimentConfig:
             raise ConfigError("t_max", "must be positive")
         if not (0.0 < self.safety <= 1.0):
             raise ConfigError("safety", f"{self.safety} outside (0, 1]")
-        for name in ("dp_half_width", "dp_dx"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(name, "must be positive")
-        if not self.dp_half_width / self.dp_dx < 2.0 ** 62:  # numpy's indices
-            raise ConfigError("dp_dx", "dp_half_width / dp_dx is not below "
-                              "2^62; raise sublinear_engine.dp_dx")
+        if self.dp_dx <= 0.0:
+            raise ConfigError("dp_dx", "must be positive")
+        # the tail rule's cell count; its B_n z0 floor waits for dp_grid,
+        # since only clt builds the laws that bound z0
+        self._dp_half()
         if not self.n_values or any(n < 1 for n in self.n_values) \
                 or list(self.n_values) != sorted(set(self.n_values)):
             raise ConfigError("n_values", "need a nonempty, strictly "
@@ -141,8 +137,23 @@ class ExperimentConfig:
     def psi_functions(self) -> tuple[basket.TestFunction, ...]:
         return tuple(basket.from_spec(dict(s)) for s in self.psi)
 
+    def _dp_half(self, interior: float = 0.0) -> int:
+        """Cells a side of the DP grid, ``engine.dp_half_cells``, refused
+        past the count numpy can index."""
+        cells = engine.dp_half_cells(self.pairs, self.alpha, self.dp_dx,
+                                     interior)
+        if not cells < 2.0 ** 62:  # numpy's indices
+            raise ConfigError("dp_dx", f"the DP grid's {cells:.3g} cells a "
+                              "side are not below 2^62; raise "
+                              "sublinear_engine.dp_dx")
+        return math.ceil(cells)
+
     def dp_grid(self) -> Grid:
-        half = int(np.ceil(self.dp_half_width / self.dp_dx))
+        """The grid every n of the DP runs on: ``dp_dx`` apart, and wide
+        enough for the smallest n, whose B_n z0 is the largest."""
+        spec = engine.NormalizedSumSpec(self.n_values[0], self.b_scale,
+                                        self.alpha)
+        half = self._dp_half(spec.B_n * self.z0)
         return Grid(-half * self.dp_dx, half * self.dp_dx, 2 * half + 1,
                     1.0, 1, 0.5, 4.0)
 

@@ -20,14 +20,11 @@ The taps carry the second-order correction of ``interp_taps`` for nodes
 within ``DP_REACH`` cells, so interpolation adds no spurious variance
 per stage and every n runs at the same spacing ``dp_dx``.
 
-The grid a caller passes is the widest the program may use.  Each n
-runs on a rung of it: a centred sub-grid with nx//2 >> k nodes a side,
-k = ..., 2, 1, and then the grid itself.  The walk starts at the
-narrowest rung wider than ``DP_REACH`` + 2 cells a side, so every
-corrected tap lies inside it and its negative-tap check sees every tap
-the whole grid shows, and goes up to the first rung whose off-grid mass,
-n times the worst middle-half edge tap sum, is within ``ESCAPE_TOL``.
-That mass hardly depends on n, since n B_n^alpha is constant.
+The grid's width comes from the laws' exact Pareto tails
+(``dp_half_cells``): since n b^alpha B_n^alpha = 1, the mass a stage
+sends off the grid, n times over, is the same closed form in the pairs,
+alpha and the width for every n and every psi, and the width keeps it
+within ``ESCAPE_TOL``.
 """
 
 from __future__ import annotations
@@ -37,11 +34,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import (Grid, NumericalError, ShiftKernel, apply_max,
-                      interp_taps, max_work, middle_half, shift_kernel)
+                      interp_taps, max_work, shift_kernel)
 from .laws import AttractedLaw, law_nodes
 
 ESCAPE_TOL = 1e-4
 DP_REACH = 16.0  # cells within which the stage taps are second order
+# law_nodes puts each log-spaced tail bin, (1e8/z0)^(1/2048) in ratio
+# (1.0087 at z0 = 2), at its centroid, so the measured off-grid mass of
+# the bare width runs up to 0.5% past ESCAPE_TOL; 1% more width brings it
+# to at most 0.992 of it, measured on every family the tests run
+ESCAPE_MARGIN = 1.01
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,27 @@ class NormalizedSumSpec:
         return 1.0 / (self.b_scale * self.n ** (1.0 / self.alpha))
 
 
-def _stage_kernel(law: AttractedLaw, b_n: float,
-                  grid: Grid) -> tuple[ShiftKernel, float]:
-    """Stage kernel of one law, without its taps, and the worst-case
-    off-grid mass seen from the middle half of the grid."""
+def dp_half_cells(pairs, alpha: float, dx: float, interior: float) -> float:
+    """Cells a side of a DP grid of spacing dx from whose middle half a
+    stage sends at most ``ESCAPE_TOL`` off the grid, n times over.
+
+    A middle-half edge node lies d from the near end and 3d from the far
+    one, d half the half-width.  Beyond z0 every law's tails are exactly
+    Pareto and n b^alpha B_n^alpha = 1, so with the heavier tail, k_hi,
+    toward the near end, n P(x + B_n W off the grid) is
+    k_hi/(alpha d^alpha) + k_lo/(alpha (3d)^alpha) for every n while d
+    is at least ``interior``, B_n z0 at the smallest n.  The half-width
+    is 2d for the largest d over ``pairs`` that meets ESCAPE_TOL, or for
+    ``interior`` if larger, times ESCAPE_MARGIN, and at least
+    ``DP_REACH`` + 3 cells, so every corrected tap lies inside the grid.
+    """
+    d = max(((max(p) + 3.0 ** -alpha * min(p)) / (alpha * ESCAPE_TOL))
+            ** (1.0 / alpha) for p in pairs)
+    return max(2.0 * ESCAPE_MARGIN * max(d, interior) / dx, DP_REACH + 3.0)
+
+
+def _stage_kernel(law: AttractedLaw, b_n: float, grid: Grid) -> ShiftKernel:
+    """Stage kernel of one law, checked monotone, without its taps."""
     nodes, weights = law_nodes(law)
     kern = shift_kernel(interp_taps(b_n * nodes / grid.dx, weights, grid.nx,
                                     reach=DP_REACH))
@@ -77,74 +96,31 @@ def _stage_kernel(law: AttractedLaw, b_n: float,
             f"of {low:.3e} < 0, so the stage is not monotone; the law's "
             f"interior |z| < z0 spans {cells:.3g} cells of dx={grid.dx:.6g}; "
             + fix)
-    # off-grid mass: the tap sums that read an edge value, at the two
-    # middle-half edge nodes (the worst case over the middle half)
-    mid = middle_half(grid.nx)
-    esc = max(float(kern.lo[j] + kern.hi[j])
-              for j in (mid.start, mid.stop - 1))
-    return replace(kern, taps=None), esc
-
-
-def _rungs(grid: Grid):
-    """The centred sub-grids the dynamic program may run on, narrowest
-    first, each as (slice of ``grid``'s nodes, sub-grid): nx//2 >> k
-    nodes a side for k = ..., 2, 1 while that exceeds ``DP_REACH`` + 2,
-    and then ``grid`` itself."""
-    mid = grid.nx // 2
-    halves = [mid >> k for k in range(1, mid.bit_length())
-              if mid >> k > DP_REACH + 2]
-    for h in reversed(halves):
-        cut = slice(mid - h, mid + h + 1)
-        yield cut, replace(grid, x_min=float(grid.x[mid - h]),
-                           x_max=float(grid.x[mid + h]), nx=2 * h + 1)
-    yield slice(None), grid
+    return replace(kern, taps=None)
 
 
 def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
                            spec: NormalizedSumSpec, grid: Grid) -> float:
     """Sublinear expectation of psi(B_n S_n) by backward value iteration,
-    the supremum taken over ``laws``, one per kernel pair.
-
-    psi is sampled on ``grid``, which is centred on x = 0, and the n
-    stages run on the narrowest rung of ``grid`` (see ``_rungs``) whose
-    accumulated worst-case quadrature mass escaping the rung (watched
-    from its middle half) is within ESCAPE_TOL, since beyond that the
-    constant edge extension contaminates the returned value at a
-    comparable level.  Every rung visited checks its taps.  Raises
-    NumericalError naming dp_half_width when even ``grid`` fails.
+    the supremum taken over ``laws``, one per kernel pair, with psi
+    sampled on ``grid`` (centred on x = 0) and held constant beyond it.
     """
     try:
         w = np.asarray(psi(grid.x), dtype=float)
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
         raise NumericalError(
             "dp_dx", f"the dynamic-program grid of {grid.nx} nodes cannot be "
-            f"allocated ({exc}); raise sublinear_engine.dp_dx or lower "
-            "sublinear_engine.dp_half_width") from exc
-    b_n = spec.B_n
-    for cut, rung in _rungs(grid):
-        built = [_stage_kernel(law, b_n, rung) for law in laws]
-        escaped = spec.n * max(esc for _, esc in built)
-        if escaped <= ESCAPE_TOL:
-            break
-    else:
-        need = grid.x_max * (escaped / ESCAPE_TOL) ** (1.0 / spec.alpha)
-        raise NumericalError(
-            "dp_half_width",
-            f"accumulated off-grid quadrature mass {escaped:.2e} exceeds "
-            f"{ESCAPE_TOL:.0e}; widen the grid to roughly +-{need:.0f} "
-            "(sublinear_engine.dp_half_width)")
-    kernels = [kern for kern, _ in built]
+            f"allocated ({exc}); raise sublinear_engine.dp_dx") from exc
+    kernels = [_stage_kernel(law, spec.B_n, grid) for law in laws]
     work = max_work(kernels)
-    w = w[cut]
     for _ in range(spec.n):
         w = apply_max(kernels, w, work)
-    return float(np.interp(0.0, grid.x[cut], w))
+    return float(np.interp(0.0, grid.x, w))
 
 
 def convergence_table(psi, laws: tuple[AttractedLaw, ...], n_values,
                       dp_grid: Grid) -> list[tuple]:
-    """Rows (n, B_n, nested_value), every n at the spacing of ``dp_grid``
-    and on its narrowest rung that keeps the off-grid mass in bounds."""
+    """Rows (n, B_n, nested_value), every n on ``dp_grid``."""
     law = laws[0]
     specs = [NormalizedSumSpec(n, law.b_scale, law.alpha) for n in n_values]
     return [(s.n, s.B_n, nested_sum_expectation(psi, laws, s, dp_grid))

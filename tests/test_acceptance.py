@@ -174,7 +174,7 @@ def test_criterion_7_sublinear_axioms():
     spec = NormalizedSumSpec(8, 1.0, 1.5)
     grid = config_mod.ExperimentConfig(
         alpha=1.5, lam=0.05, Lam=0.15, pairs=((0.1, 0.1), (0.12, 0.12)),
-        dp_half_width=320.0, dp_dx=0.1).dp_grid()
+        dp_dx=0.1).dp_grid()
 
     def E(phi):
         return nested_sum_expectation(phi, family, spec, grid)

@@ -151,8 +151,9 @@ def setting(**fields):
     pytest.param(setting(nx=7, r_cut=0.5), "pide_solver.nx", id="nx-7"),
     pytest.param(setting(t_max=0.0), "pide_solver.t_max", id="t_max-0"),
     pytest.param(setting(safety=1.5), "pide_solver.safety", id="safety-1.5"),
-    pytest.param(setting(dp_half_width=0.0), "sublinear_engine.dp_half_width",
-                 id="dp_half_width-0"),
+    # the DP grid's width is computed, and the old field is refused
+    pytest.param(setting(dp_half_width=1280.0), "[experiment_cli.config]",
+                 id="dp_half_width-1280"),
     pytest.param(setting(dp_dx=0.0), "sublinear_engine.dp_dx", id="dp_dx-0"),
     # the message names the JSON key, not the symbol
     pytest.param(setting(lam=3.0), "[stable_kernel.lam]",
@@ -164,8 +165,6 @@ def setting(**fields):
     # finite values whose counts or magnitudes overflow or underflow
     pytest.param(setting(dp_dx=1e-310), "[sublinear_engine.dp_dx]",
                  id="dp_dx-1e-310"),
-    pytest.param(setting(dp_half_width=1e308, dp_dx=1e-10),
-                 "[sublinear_engine.dp_dx]", id="dp_half_width-1e308"),
     pytest.param(setting(n_values=[8, 10 ** 30]),
                  "[hypothesis_checker.n_values]", id="n-past-int64"),
     # the generator's 2 nx + 2 taps are counted in int64
@@ -516,17 +515,6 @@ class TestCli:
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
-    def test_narrow_dp_grid_exits_3(self, tmp_path, capsys, no_march):
-        cfg = base_config(lam=0.05, Lam=0.15,
-                          pairs=((0.1, 0.1),), nx=201,
-                          n_values=(16,), dp_half_width=20.0, dp_dx=0.1)
-        assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
-                         "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(
-            "numerical failure: [sublinear_engine.dp_half_width] ")
-        assert "widen the grid" in err
-
     @pytest.mark.parametrize("over,tag", [
         # an 852 PiB march surface, then one past numpy's size limit
         ({"safety": 1e-13}, "[pide_solver.nx]"),
@@ -600,25 +588,34 @@ class TestCli:
         assert "cannot be allocated" in err
 
     @pytest.mark.parametrize("over", [
-        pytest.param({"dp_dx": 1e-10}, id="186TiB-dp_dx"),
-        pytest.param({"dp_half_width": 1e15}, id="284PiB-dp_half_width"),
+        pytest.param({"dp_dx": 6.3e-11}, id="186TiB-dp_dx"),
     ])
     def test_unallocatable_dp_grid_exits_3(self, tmp_path, capsys, over,
                                            no_march):
-        """A dynamic-program grid past any address space, so the refusal
-        commits no memory; the message names both DP grid fields."""
+        """A dynamic-program grid past any address space, +-805 at
+        dp_dx 6.3e-11, so the refusal commits no memory."""
         cfg = base_config(**over)
         assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: [sublinear_engine.dp_dx] ")
         assert "cannot be allocated" in err
-        assert "sublinear_engine.dp_half_width" in err
+
+    def test_dp_grid_past_the_law_interior_exits_2(self, tmp_path, capsys,
+                                                   no_march):
+        """At b_scale 1e-200 the laws build, but the DP grid must reach
+        past B_n z0 = 5e199 at the smallest n, which is past 2^62 cells
+        of dp_dx: refused once the laws are built, before any march."""
+        cfg = base_config(b_scale=1e-200)
+        assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: [sublinear_engine.dp_dx] ")
 
     def test_clt_constant_psi_zero_errors(self, tmp_path):
         cfg = base_config(lam=0.05, Lam=0.15, pairs=((0.1, 0.1),), nx=201,
                           psi=({"name": "constant", "value": 1.5},),
-                          n_values=(2, 4), dp_half_width=240.0, dp_dx=0.1)
+                          n_values=(2, 4), dp_dx=0.1)
         out = tmp_path / "o"
         assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
                          "--out", str(out)]) == 0
@@ -632,7 +629,7 @@ class TestCli:
         writes the table that the whole surface gives."""
         cfg = base_config(lam=0.05, Lam=0.15,
                           pairs=((0.1, 0.1), (0.12, 0.12)), n_values=(2, 4),
-                          dp_half_width=240.0, dp_dx=0.1)
+                          dp_dx=0.1)
         path = write_config(tmp_path, cfg)
         march = solver.solve_forward
 
@@ -748,7 +745,7 @@ class TestCli:
         ("solve", {}),
         ("clt", dict(lam=0.05, Lam=0.15, pairs=((0.1, 0.1),),
                      psi=({"name": "constant", "value": 1.5},),
-                     n_values=(2, 4), dp_half_width=240.0, dp_dx=0.1)),
+                     n_values=(2, 4), dp_dx=0.1)),
         ("hypothesis", dict(t_max=1.25, n_values=(4, 8), mode="example_41")),
         ("regularity", dict(t_max=1.25,
                             psi=({"name": "abs_clip", "clip": 3.0},))),

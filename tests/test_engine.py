@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from nlstable import cli, config, engine
+from nlstable import basket, cli, config, engine
 from nlstable.config import ExperimentConfig
-from nlstable.kernels import Grid, KernelPair, NumericalError, UncertaintySet
+from nlstable.kernels import (Grid, KernelPair, NumericalError, UncertaintySet,
+                              interp_taps, middle_half, shift_kernel)
 from nlstable.laws import build_law, law_nodes
 from nlstable.engine import (
     DP_REACH,
+    ESCAPE_TOL,
     NormalizedSumSpec,
     convergence_table,
     nested_sum_expectation,
@@ -47,6 +49,22 @@ def dp_grid(half=320.0, dx=0.1):
     return Grid(-n * dx, n * dx, 2 * n + 1, 1.0, 1, 0.5, 4.0)
 
 
+def config_laws(cfg):
+    return tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+                 for p in cfg.uncertainty_set().pairs)
+
+
+def wide_reference(psi, laws, spec, apply):
+    """The DP's stages, built by ``_stage_kernel`` and applied by
+    ``apply``, on +-1280 at dx 0.05 (51,201 nodes)."""
+    grid = dp_grid(half=1280.0, dx=0.05)
+    kernels = [engine._stage_kernel(law, spec.B_n, grid) for law in laws]
+    w = psi(grid.x)
+    for _ in range(spec.n):
+        w = apply(kernels, w)
+    return np.interp(0.0, grid.x, w)
+
+
 class TestFamilyAndSpec:
     def test_normalization_identity(self):
         for n in (1, 7, 64, 1000):
@@ -70,12 +88,6 @@ class TestNestedSum:
             val = nested_sum_expectation(lambda x: np.full_like(x, 2.5),
                                          fam_small, spec, dp_grid())
             assert val == pytest.approx(2.5, abs=1e-10)
-
-    def test_narrow_grid_rejected(self, fam_sym):
-        spec = NormalizedSumSpec(16, 1.0, ALPHA)
-        with pytest.raises(NumericalError, match="widen the grid") as exc:
-            nested_sum_expectation(gaussian, fam_sym, spec, dp_grid(half=40.0))
-        assert exc.value.field == "dp_half_width"
 
     def test_two_stages_match_direct_sum(self, fam_small):
         """The FFT stages against a dense direct sum of the interpolated
@@ -134,8 +146,8 @@ class TestNestedSum:
 
     @pytest.mark.parametrize("n,dx,advice,half", [
         pytest.param(64, 0.2, "decrease", 40.0, id="64-0.2-decrease"),
-        # far wider than the off-grid mass needs: the narrow rungs the
-        # DP tries first check the same corrected taps
+        # far wider than the off-grid mass needs: the corrected taps are
+        # checked on whatever grid the stages run on
         pytest.param(64, 0.2, "decrease", 320.0, id="64-0.2-decrease-wide"),
         pytest.param(1, 0.005, "increase", 40.0, id="1-0.005-increase"),
     ])
@@ -149,43 +161,68 @@ class TestNestedSum:
                                    dp_grid(half=half, dx=dx))
         assert exc.value.field == "dp_dx"
 
-    def test_corner_runs_on_its_320_rung(self, monkeypatch):
-        """``clt_corner``'s DP runs every n on the +-320 rung of its
-        +-1280 grid (12,801 of 51,201 nodes), the narrowest whose
-        off-grid mass is within ESCAPE_TOL, and every value is within
-        1e-11 of the stages run on the whole grid (7.3e-12 at most when
-        measured).  The walk starts at the narrowest rung wider than
-        DP_REACH + 2 cells a side."""
+    def test_corner_runs_on_its_computed_grid(self, monkeypatch):
+        """``clt_corner``'s DP runs every n on the grid the tail rule
+        gives it, +-195.8 (7,833 nodes; +-320 and 12,801 before), and
+        every value is within 1e-10 of the same stages run on +-1280."""
         cfg = config.load(str(CONFIGS / "clt_corner.json"))
-        laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
-                     for p in cfg.uncertainty_set().pairs)
+        laws = config_laws(cfg)
         grid = cfg.dp_grid()
-        apply, stage = engine.apply_max, engine._stage_kernel
-        rows, rungs = [], []
+        assert grid.nx == 7833
+        apply, rows = engine.apply_max, []
 
         def record_apply(kernels, u, work=None):
             rows.append(len(u))
             return apply(kernels, u, work)
 
-        def record_stage(law, b_n, rung):
-            rungs.append(rung.nx)
-            return stage(law, b_n, rung)
-
         monkeypatch.setattr(engine, "apply_max", record_apply)
-        monkeypatch.setattr(engine, "_stage_kernel", record_stage)
-        for n in (8, 16, 32, 64):
+        for n in cfg.n_values:
             spec = NormalizedSumSpec(n, cfg.b_scale, cfg.alpha)
-            whole = [stage(law, spec.B_n, grid)[0] for law in laws]
             for psi in cfg.psi_functions():
                 rows.clear()
                 val = nested_sum_expectation(psi, laws, spec, grid)
-                assert rows == [12801] * n
-                w = psi(grid.x)
-                for _ in range(n):
-                    w = apply(whole, w)
-                assert abs(val - np.interp(0.0, grid.x, w)) <= 1e-11
-        narrowest = min(rungs) // 2
-        assert narrowest // 2 <= DP_REACH + 2 < narrowest
+                assert rows == [grid.nx] * n
+                ref = wide_reference(psi, laws, spec, apply)
+                assert abs(val - ref) <= 1e-10
+
+    def test_far_bump_is_not_lost(self):
+        """A bump at x = 30 under the corner laws: the +-1.25 and +-2.5
+        grids both give exactly 0, so a rule that stopped where two
+        successive widths agree would return 0.  The tail rule does not
+        look at psi."""
+        cfg = config.load(str(CONFIGS / "clt_corner.json"))
+        laws = config_laws(cfg)
+        psi = basket.from_spec({"name": "gaussian_bump", "center": 30.0})
+        for n, expected in ((8, 4.400e-5), (64, 4.428e-5)):
+            spec = NormalizedSumSpec(n, cfg.b_scale, cfg.alpha)
+            val = nested_sum_expectation(psi, laws, spec, cfg.dp_grid())
+            ref = wide_reference(psi, laws, spec, engine.apply_max)
+            assert abs(val - ref) <= 1e-9
+            assert val == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize("pairs,alpha", [
+        pytest.param(((0.1, 0.1), (0.12, 0.12)), 1.5, id="corner"),
+        pytest.param(((0.06, 0.14), (0.14, 0.06)), 1.5, id="skew"),
+        pytest.param(((0.1, 0.1), (0.12, 0.12)), 1.25, id="corner-1.25"),
+        pytest.param(((0.1, 0.1), (0.12, 0.12)), 1.75, id="corner-1.75"),
+    ])
+    def test_tail_rule_meets_the_escape_rule(self, pairs, alpha):
+        """On the computed grid, the off-grid mass the DP used to measure
+        and refuse on, n times the worst middle-half edge tap sum, is
+        within ESCAPE_TOL at every n."""
+        cfg = ExperimentConfig(alpha=alpha, lam=0.05, Lam=0.15, pairs=pairs)
+        grid = cfg.dp_grid()
+        laws = config_laws(cfg)
+        mid = middle_half(grid.nx)
+        for n in cfg.n_values:
+            spec = NormalizedSumSpec(n, cfg.b_scale, cfg.alpha)
+            for law in laws:
+                nodes, weights = law_nodes(law)
+                kern = shift_kernel(interp_taps(
+                    spec.B_n * nodes / grid.dx, weights, grid.nx,
+                    reach=DP_REACH))
+                for j in (mid.start, mid.stop - 1):
+                    assert n * (kern.lo[j] + kern.hi[j]) <= ESCAPE_TOL
 
 
 class TestAxiomsSmall:
@@ -222,7 +259,7 @@ class TestAxiomsSmall:
 class TestTables:
     CFG = ExperimentConfig(alpha=ALPHA, lam=0.05, Lam=4.0,
                            pairs=((0.1, 0.1), (0.12, 0.12)),
-                           n_values=(2, 4), dp_half_width=320.0, dp_dx=0.1)
+                           n_values=(2, 4), dp_dx=0.1)
 
     def test_every_n_uses_the_dp_dx_grid(self, fam_small, monkeypatch):
         cfg = self.CFG
@@ -239,7 +276,7 @@ class TestTables:
         for _, grid in seen:
             assert grid == cfg.dp_grid()
             assert grid.dx == pytest.approx(cfg.dp_dx, rel=1e-12)
-            assert grid.nx == 6401
+            assert grid.nx == 3917
 
     def test_convergence_table_csv(self, fam_small, tmp_path, monkeypatch):
         """The DP gives (n, B_n, nested_value); clt appends the PIDE
@@ -262,17 +299,17 @@ class TestTables:
 
 
 def test_dp_peak_memory_per_node():
-    """One DP call with ``clt_corner``'s two laws and its widest grid,
-    51,201 nodes, holds under 8 float64 per node of that grid at its
-    peak (6.2-6.3 measured): the ψ sample on the whole grid, and on the
-    12,801-node rung the stages run on, two rows, each law's spectrum
-    and edge sums, and one block for the row's transform, the product
-    and the inverse transform.  With every stage on the whole grid it
-    peaked at about 17, and before that at 23.2, with stage kernels that
-    kept their taps and a fresh inverse transform per law."""
+    """One DP call with ``clt_corner``'s two laws on its computed grid,
+    7,833 nodes, holds under 20 float64 per node at its peak (16.3
+    measured): the psi sample, two rows, each law's spectrum and edge
+    sums, and one block for the row's transform, the product and the
+    inverse transform, with the law quadrature's fixed few thousand
+    nodes on top.  The peak also stays below 3.28 MB, 8 float64 per node
+    of the +-1280 grid (51,201 nodes) every n ran on before the DP
+    picked its width; with every stage on that grid it peaked at about
+    17 per node, and before that at 23.2."""
     cfg = config.load(str(CONFIGS / "clt_corner.json"))
-    laws = tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
-                 for p in cfg.uncertainty_set().pairs)
+    laws = config_laws(cfg)
     grid = cfg.dp_grid()
     spec = NormalizedSumSpec(8, cfg.b_scale, cfg.alpha)
     psi = cfg.psi_functions()[0]
@@ -282,6 +319,5 @@ def test_dp_peak_memory_per_node():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert grid.nx == 51201
     assert peak / (8 * grid.nx) < 20.0
-    assert peak / (8 * grid.nx) < 8.0
+    assert peak < 8 * 8 * 51201
