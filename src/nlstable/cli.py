@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as config_mod
 from .config import ExperimentConfig, field_tag
-from .kernels import ConfigError, NumericalError, Surface
+from .kernels import ConfigError, Grid, NumericalError
 from .laws import AttractedLaw, build_law
 from .engine import convergence_table
 from .solver import (bracket, make_grid, solve_forward, evaluate,
@@ -69,20 +69,13 @@ def table_to_csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _march_inputs(cfg: ExperimentConfig, psi, horizon: float,
-                  nx: int | None = None):
-    """psi, the grid and the uncertainty set of psi marched forward to
-    ``horizon`` (on ``nx`` nodes if given): the one grid rule."""
-    uset = cfg.uncertainty_set()
-    grid = make_grid(cfg.x_min, cfg.x_max, nx or cfg.nx, horizon, uset,
-                     r_cut=cfg.r_cut, z_max=cfg.z_max, safety=cfg.safety)
-    return psi, grid, uset
-
-
-def _surface(cfg: ExperimentConfig, psi, horizon: float,
-             nx: int | None = None) -> Surface:
-    """The whole march, for the commands that read rows across time."""
-    return solve_forward(*_march_inputs(cfg, psi, horizon, nx))
+def _grid(cfg: ExperimentConfig, horizon: float,
+          nx: int | None = None) -> Grid:
+    """The grid of a march to ``horizon`` (on ``nx`` nodes if given):
+    the one grid rule."""
+    return make_grid(cfg.x_min, cfg.x_max, nx or cfg.nx, horizon,
+                     cfg.uncertainty_set(), r_cut=cfg.r_cut,
+                     safety=cfg.safety)
 
 
 def _one_psi(cfg: ExperimentConfig):
@@ -96,9 +89,10 @@ def _one_psi(cfg: ExperimentConfig):
 
 def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
     uset = cfg.uncertainty_set()
+    grid = _grid(cfg, 1.0)
     summary = []
     for psi in cfg.psi_functions():
-        surface = _surface(cfg, psi, cfg.t_max)
+        surface = solve_forward(psi, grid, uset)
         tag = psi.tag
         write_atomic(os.path.join(out, f"surface_{tag}.csv"),
                      surface_to_csv(surface))
@@ -110,9 +104,8 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
         if overshoot > 1e-9 or lip > psi.lip * LIP_SLACK + 1e-12:
             raise NumericalError("nx", "solve checks failed: " + line)
         if len(uset.pairs) == 1:
-            ref = classical_expectation(psi, uset.pairs[0], cfg.alpha,
-                                        cfg.t_max)
-            gap = abs(evaluate(surface, cfg.t_max, 0.0) - ref)
+            ref = classical_expectation(psi, uset.pairs[0], cfg.alpha, 1.0)
+            gap = abs(evaluate(surface, 1.0, 0.0) - ref)
             line += f" oracle_gap={gap:.3e}"
             if gap > ORACLE_TOL:
                 raise NumericalError(
@@ -130,15 +123,15 @@ def _laws(cfg: ExperimentConfig) -> tuple[AttractedLaw, ...]:
 
 
 def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
+    uset = cfg.uncertainty_set()
     laws = _laws(cfg)
     dp_grid = cfg.dp_grid()
+    grid = _grid(cfg, 1.0)  # a too-large march is refused before any DP
     summary = []
     for psi in cfg.psi_functions():
-        # march grid, DP, march: a too-large grid is refused before any work
-        march = _march_inputs(cfg, psi, 1.0)
         dp_rows = convergence_table(psi, laws, cfg.n_values, dp_grid)
         pide_value = evaluate(
-            solve_forward(*march, rows=bracket(march[1], 1.0)[0]), 1.0, 0.0)
+            solve_forward(psi, grid, uset, bracket(grid, 1.0)[0]), 1.0, 0.0)
         rows = [(*r, pide_value, abs(r[2] - pide_value)) for r in dp_rows]
         tag = psi.tag
         write_atomic(os.path.join(out, f"convergence_{tag}.csv"),
@@ -153,20 +146,23 @@ def run_clt(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def run_hypothesis(cfg: ExperimentConfig, out: str) -> list[str]:
+    uset = cfg.uncertainty_set()
     psi = _one_psi(cfg)
     horizon = 1.0 + cfg.h
     laws = _laws(cfg) if cfg.mode == "condition_iii" else None
-    fine = _march_inputs(cfg, psi, horizon)
+    fine = _grid(cfg, horizon)
     # each march stores only the rows its check names
     if laws is not None:
-        coarse = _march_inputs(cfg, psi, horizon, cfg.coarse_nx)
-        rows, rows_c = condition_iii_rows(fine[1], coarse[1])
-        table = check_condition_iii(laws, solve_forward(*fine, rows),
-                                    solve_forward(*coarse, rows_c),
+        coarse = _grid(cfg, horizon, cfg.coarse_nx)
+        rows, rows_c = condition_iii_rows(fine, coarse)
+        table = check_condition_iii(laws,
+                                    solve_forward(psi, fine, uset, rows),
+                                    solve_forward(psi, coarse, uset, rows_c),
                                     cfg.n_values)
     else:
         table = example_41_check(
-            solve_forward(*fine, example_41_rows(fine[1], cfg.n_values)),
+            solve_forward(psi, fine, uset,
+                          example_41_rows(fine, cfg.n_values)),
             cfg.n_values)
     write_atomic(os.path.join(out, "residuals.csv"), table_to_csv(
         "n,residual,rate_fit,term1,term2,term3,term4",
@@ -186,9 +182,10 @@ def run_regularity(cfg: ExperimentConfig, out: str) -> list[str]:
     singleton = len(uset.pairs) == 1
     horizon = 1.0 + cfg.h
 
-    report = probe(_surface(cfg, psi, horizon), cfg.h, singleton)
-    report_c = probe(_surface(cfg, psi, horizon, cfg.coarse_nx), cfg.h,
-                     singleton)
+    report = probe(solve_forward(psi, _grid(cfg, horizon), uset), cfg.h,
+                   singleton)
+    report_c = probe(solve_forward(psi, _grid(cfg, horizon, cfg.coarse_nx),
+                                   uset), cfg.h, singleton)
     compare_reports(report, report_c)
 
     if report.lip_x > psi.lip * LIP_SLACK:

@@ -44,9 +44,7 @@ class ExperimentConfig:
     x_min: float = -20.0
     x_max: float = 20.0
     nx: int = 801
-    t_max: float = 1.0
     r_cut: float | None = None
-    z_max: float | None = None
     safety: float = 0.5
     dp_dx: float = 0.05
     n_values: tuple[int, ...] = (8, 16, 32, 64)
@@ -80,7 +78,7 @@ class ExperimentConfig:
         # hypothesis and regularity also march the half-resolution grid,
         # whose cells are the widest
         r_cut, z_max = resolve_cutoffs(self.x_min, self.x_max, self.coarse_nx,
-                                       self.r_cut, self.z_max)
+                                       self.r_cut)
         if self.r_cut is not None and not (0.0 < r_cut < 1.0):
             raise ConfigError("r_cut", f"{r_cut} outside (0, 1)")
         if r_cut >= 1.0:
@@ -89,12 +87,12 @@ class ExperimentConfig:
                               f"nodes has cells of {r_cut:g} >= 1; "
                               "raise nx or set r_cut")
         if z_max <= 1.0:
-            raise ConfigError("z_max", f"{z_max:g} is not above 1 (the "
-                              "default is four grid widths)")
+            raise ConfigError("x_max", f"the far tail node's radius, four "
+                              f"grid widths = {z_max:g}, is not above 1")
         if z_max ** -self.alpha == 0.0:  # the far tail node's mass
-            raise ConfigError("z_max", f"{z_max:g}^-alpha underflows to 0")
-        if self.t_max <= 0.0:
-            raise ConfigError("t_max", "must be positive")
+            raise ConfigError("x_max", f"the far tail node's mass at four "
+                              f"grid widths, {z_max:g}^-alpha, underflows "
+                              "to 0")
         if not (0.0 < self.safety <= 1.0):
             raise ConfigError("safety", f"{self.safety} outside (0, 1]")
         if self.dp_dx <= 0.0:

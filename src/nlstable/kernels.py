@@ -13,9 +13,9 @@ pairs.  The singular integral is split into two ranges:
 * |z| >= r_cut: ``tail_nodes``, bin-centroid quadrature on log-spaced
   bins up to z_max (exact mass and first moment per bin) plus one node
   at the centroid of the remainder, z_max alpha/(alpha-1), with linear
-  interpolation of u and constant extension outside the grid.  With the
-  default z_max of four grid widths the far node lies past the grid,
-  so it reads the edge values u(x_min) and u(x_max).
+  interpolation of u and constant extension outside the grid.  With
+  z_max at four grid widths the far node lies past the grid, so it
+  reads the edge values u(x_min) and u(x_max).
 
 Every jump quadrature in the package goes through the helpers here.
 ``tail_nodes`` is the one-sided tail rule (``band_bins`` plus the far
@@ -144,15 +144,13 @@ class Grid:
         return x
 
 
-def resolve_cutoffs(x_min: float, x_max: float, nx: int, r_cut: float | None,
-                    z_max: float | None) -> tuple[float, float]:
-    """(r_cut, z_max) of the nx-node grid on [x_min, x_max], each given
-    or, if None, its default: one cell, and four grid widths."""
+def resolve_cutoffs(x_min: float, x_max: float, nx: int,
+                    r_cut: float | None) -> tuple[float, float]:
+    """(r_cut, z_max) of the nx-node grid on [x_min, x_max]: r_cut as
+    given or, if None, one cell; z_max always four grid widths."""
     if r_cut is None:
         r_cut = (x_max - x_min) / (nx - 1)
-    if z_max is None:
-        z_max = 4.0 * (x_max - x_min)
-    return r_cut, z_max
+    return r_cut, 4.0 * (x_max - x_min)
 
 
 @dataclass

@@ -69,7 +69,7 @@ def _invert(pair: KernelPair, alpha: float, t_time: float, n: int,
     period = max(8.0 * max(n * dx, 1.0), 100.0 * np.pi)
     n_fft = next_fast_len(int(np.ceil(period / dx)))
     d_xi = 2.0 * np.pi / (n_fft * dx)
-    n_xi = np.ceil(xi_max / d_xi) + 1.0  # a float, inf for tiny t_time
+    n_xi = np.ceil(xi_max / d_xi) + 1.0  # a float, inf for tiny t c
     try:
         xi = d_xi * np.arange(n_xi)
         phi = np.exp(t_time * _log_phi_grid(pair, alpha, xi))
@@ -77,9 +77,9 @@ def _invert(pair: KernelPair, alpha: float, t_time: float, n: int,
         folded = np.pad(phi, (0, -len(phi) % n_fft)).reshape(-1, n_fft).sum(0)
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
         raise NumericalError(
-            "t_max", f"the oracle's {n_xi:.3g} frequencies at t = "
-            f"{t_time:.3g} cannot be allocated ({exc}); raise "
-            "pide_solver.t_max") from exc
+            "pairs", f"the oracle's {n_xi:.3g} frequencies at t = "
+            f"{t_time:.3g} cannot be allocated ({exc}); raise the "
+            "intensities of stable_kernel.pairs") from exc
     return fft(folded)[np.arange(-n, n + 1)].real * d_xi / np.pi
 
 

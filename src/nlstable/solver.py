@@ -36,23 +36,24 @@ from .kernels import (
 
 def make_grid(x_min: float, x_max: float, nx: int, t_max: float,
               uset: UncertaintySet, r_cut: float | None = None,
-              z_max: float | None = None, safety: float = 0.5) -> Grid:
-    """Build a grid whose nt satisfies the CFL bound with a safety factor
-    and whose whole surface fits in a 128 TiB user address space."""
-    r_cut, z_max = resolve_cutoffs(x_min, x_max, nx, r_cut, z_max)
+              safety: float = 0.5) -> Grid:
+    """Build a grid marching to the horizon t_max whose nt satisfies the
+    CFL bound with a safety factor and whose whole surface fits in a
+    128 TiB user address space."""
+    r_cut, z_max = resolve_cutoffs(x_min, x_max, nx, r_cut)
     probe = Grid(x_min, x_max, nx, t_max, 1, r_cut, z_max)
     c = scheme_stability_constant(probe, uset)
     steps = t_max * c / safety
     if not np.isfinite(steps):
-        raise NumericalError("safety", f"t_max * {c:.6g} / safety steps "
-                             "overflow; raise pide_solver.safety or lower "
-                             "pide_solver.t_max")
+        raise NumericalError("safety", f"the march's {t_max:g} * {c:.6g} / "
+                             "safety steps overflow; raise "
+                             "pide_solver.safety")
     nt = max(1, int(np.ceil(steps)))
     if (nt + 1) * nx * 8 > 1 << 47:  # float64 rows u^0 ... u^nt
         raise NumericalError(
             "nx", f"the surface of {nt + 1} x {nx} values cannot be "
             "allocated in a 128 TiB address space; lower pide_solver.nx "
-            "or pide_solver.t_max, or raise pide_solver.safety")
+            "or raise pide_solver.safety")
     return Grid(x_min, x_max, nx, t_max, nt, r_cut, z_max)
 
 
@@ -94,8 +95,8 @@ def solve_forward(psi: Callable, grid: Grid, uset: UncertaintySet,
     except (MemoryError, ValueError) as exc:  # ValueError: "too big"
         raise NumericalError(
             "nx", f"the surface of {len(rows)} x {grid.nx} values cannot "
-            f"be allocated ({exc}); lower pide_solver.nx or "
-            "pide_solver.t_max, or raise pide_solver.safety") from exc
+            f"be allocated ({exc}); lower pide_solver.nx or raise "
+            "pide_solver.safety") from exc
     surface = Surface(grid, values, rows)
     slot = {m: k for k, m in enumerate(rows)}
     for m, u in enumerate(_march_rows(u0, grid, uset)):

@@ -208,8 +208,7 @@ class TestConditionIII:
         residual peaks."""
         cfg = config_mod.load(str(CONFIGS / "hypothesis_condition_iii.json"))
         # the grid the CLI marches on, without the march
-        _, g, _ = cli._march_inputs(cfg, cfg.psi_functions()[0], 1.0 + cfg.h,
-                                    cfg.coarse_nx if coarse else None)
+        g = cli._grid(cfg, 1.0 + cfg.h, cfg.coarse_nx if coarse else None)
         rows = _sampled_rows(g)
         assert g.nx == (801 if coarse else 1601)
         assert 1.0 - g.dt < rows[-1] * g.dt <= 1.0 + 1e-12

@@ -33,7 +33,7 @@ def dumps(cfg: ExperimentConfig) -> str:
 
 def base_config(**over):
     kw = dict(alpha=1.5, lam=0.5, Lam=2.5, pairs=((1.0, 1.0),),
-              psi=({"name": "gaussian_bump"},), nx=201, t_max=1.0)
+              psi=({"name": "gaussian_bump"},), nx=201)
     kw.update(over)
     return ExperimentConfig(**kw)
 
@@ -108,9 +108,8 @@ def setting(**fields):
     pytest.param(lambda d: [d], "experiment_cli.config", id="top-level-array"),
     pytest.param(setting(r_cut=0.0), "pide_solver.r_cut", id="r_cut-0"),
     pytest.param(setting(r_cut=1.0), "pide_solver.r_cut", id="r_cut-1"),
-    pytest.param(setting(z_max=1.0), "pide_solver.z_max", id="z_max-1"),
-    # the default z_max, four grid widths, is 0.8
-    pytest.param(setting(x_min=-0.1, x_max=0.1), "pide_solver.z_max",
+    # the far tail node lies at four grid widths, here 0.8
+    pytest.param(setting(x_min=-0.1, x_max=0.1), "pide_solver.x_max",
                  id="default-z_max"),
     # the default r_cut is one cell: 1.0 on the fine grid at nx 41, and
     # on the half-resolution grid at nx 81
@@ -149,11 +148,16 @@ def setting(**fields):
     # middle-half window with centred differences (r_cut is set, so the
     # default-r_cut check does not catch it first)
     pytest.param(setting(nx=7, r_cut=0.5), "pide_solver.nx", id="nx-7"),
-    pytest.param(setting(t_max=0.0), "pide_solver.t_max", id="t_max-0"),
     pytest.param(setting(safety=1.5), "pide_solver.safety", id="safety-1.5"),
     # the DP grid's width is computed, and the old field is refused
     pytest.param(setting(dp_half_width=1280.0), "[experiment_cli.config]",
                  id="dp_half_width-1280"),
+    # every command marches to its own horizon, and the far tail node
+    # lies at four grid widths: both old fields are refused
+    pytest.param(setting(t_max=1.0), "[experiment_cli.config]",
+                 id="t_max-1.0"),
+    pytest.param(setting(z_max=None), "[experiment_cli.config]",
+                 id="z_max-null"),
     pytest.param(setting(dp_dx=0.0), "sublinear_engine.dp_dx", id="dp_dx-0"),
     # the message names the JSON key, not the symbol
     pytest.param(setting(lam=3.0), "[stable_kernel.lam]",
@@ -172,13 +176,12 @@ def setting(**fields):
                  id="nx-taps-reach-2^63"),
     pytest.param(setting(nx=2 ** 63 + 1), "[pide_solver.nx]",
                  id="nx-past-int64"),
-    pytest.param(setting(x_min=-1e308, x_max=1e308, r_cut=0.5, z_max=100.0),
+    pytest.param(setting(x_min=-1e308, x_max=1e308, r_cut=0.5),
                  "[pide_solver.x_max]", id="x-span-overflows"),
-    # the far tail node's mass z_max^-alpha/alpha underflows to 0
-    pytest.param(setting(z_max=1e308), "[pide_solver.z_max]",
-                 id="z_max-1e308"),
+    # the far tail node's mass z_max^-alpha/alpha underflows to 0 at
+    # z_max = four grid widths = 8e300
     pytest.param(setting(x_min=-1e300, x_max=1e300, r_cut=0.5),
-                 "[pide_solver.z_max]", id="default-z_max-8e300"),
+                 "[pide_solver.x_max]", id="default-z_max-8e300"),
     pytest.param(setting(z0=1e308), "[attracted_laws.z0]", id="z0-1e308"),
     pytest.param(setting(b_scale=1e308), "[attracted_laws.b_scale]",
                  id="b_scale-1e308"),
@@ -519,21 +522,23 @@ class TestCli:
         # an 852 PiB march surface, then one past numpy's size limit
         ({"safety": 1e-13}, "[pide_solver.nx]"),
         ({"safety": 1e-15}, "[pide_solver.nx]"),
+        # at t = 1 the intensities scale the oracle's c = t (k- + k+) |J_r|:
         # a 1.45 EiB oracle frequency grid, then one past the limit
-        ({"t_max": 1e-21}, "[pide_solver.t_max]"),
-        ({"t_max": 1e-24}, "[pide_solver.t_max]"),
+        ({"pairs": ((1e-21, 1e-21),), "lam": 1e-22},
+         "[stable_kernel.pairs]"),
+        ({"pairs": ((1e-24, 1e-24),), "lam": 1e-25},
+         "[stable_kernel.pairs]"),
         # a 146 TiB generator stencil, built before the surface
         ({"nx": 10 ** 13 + 1}, "[pide_solver.nx]"),
         # the oracle's 27.7/(t c) overflows to an infinite frequency count
-        ({"t_max": 1e-320}, "[pide_solver.t_max]"),
-        # ... and t c underflows to 0, so the count is infinite too
-        ({"pairs": ((0.1, 0.1),), "lam": 0.05, "Lam": 0.15,
-          "t_max": 5e-324}, "[pide_solver.t_max]"),
+        ({"pairs": ((1e-308, 1e-308),), "lam": 1e-309},
+         "[stable_kernel.pairs]"),
+        # a count of about 1e137 frequencies, which the message rounds
+        ({"pairs": ((1e-200, 1e-200),), "lam": 1e-201},
+         "[stable_kernel.pairs]"),
         # a stencil of 2^63 - 4 taps, where the float -nx rounds past
         # the integer and a tap index went negative
         ({"nx": 2 ** 62 - 3}, "[pide_solver.nx]"),
-        # a count of about 1e137 frequencies, which the message rounds
-        ({"t_max": 1e-200}, "[pide_solver.t_max]"),
     ])
     def test_unallocatable_array_exits_3(self, tmp_path, capsys,
                                          monkeypatch, over, tag):
@@ -559,20 +564,26 @@ class TestCli:
             assert "cannot be allocated" in err
             assert "negative elements" not in err
             assert not re.search(r"\d{20}", err)
+            assert "t_max" not in err
 
     @pytest.mark.parametrize("over", [
         pytest.param({"safety": 1e-310}, id="safety-1e-310"),
-        pytest.param({"t_max": 1e308}, id="t_max-1e308"),
     ])
     def test_overflowing_step_count_exits_3(self, tmp_path, capsys, over):
-        """t_max * c / safety overflows, so the march has no step count;
-        the message names both fields it is made of."""
-        assert cli.main(["solve", "--config",
-                         write_config(tmp_path, base_config(**over)),
-                         "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: [pide_solver.safety] ")
-        assert "pide_solver.t_max" in err
+        """horizon * c / safety overflows, so the march has no step
+        count; every command's message names safety and no other
+        field."""
+        for command, cfg in [
+                ("solve", base_config(**over)),
+                ("clt", base_config(**over)),
+                ("hypothesis", base_config(mode="condition_iii", **over)),
+                ("hypothesis", base_config(mode="example_41", **over))]:
+            assert cli.main([command, "--config", write_config(tmp_path, cfg),
+                             "--out", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: [pide_solver.safety] ")
+            assert set(re.findall(r"\b[a-z_]+\.[A-Za-z_0-9]+", err)) \
+                == {"pide_solver.safety"}
 
     def test_unallocatable_stencil_exits_3_before_the_dp(
             self, tmp_path, capsys, monkeypatch):
@@ -680,8 +691,7 @@ class TestCli:
         assert all(kept <= 200 < total for total, kept in stored)
 
     def test_hypothesis_example_41(self, tmp_path, capsys):
-        cfg = base_config(nx=201, t_max=1.25, n_values=(4, 8),
-                          mode="example_41")
+        cfg = base_config(nx=201, n_values=(4, 8), mode="example_41")
         out = tmp_path / "o"
         assert cli.main(["hypothesis", "--config",
                          write_config(tmp_path, cfg),
@@ -710,8 +720,7 @@ class TestCli:
         reporting a residual of 0 read from no row."""
         monkeypatch.setattr(solver, "_march_rows",
                             lambda *args: pytest.fail("marched"))
-        cfg = base_config(mode="example_41", nx=401, t_max=1.25,
-                          n_values=(1, 8))
+        cfg = base_config(mode="example_41", nx=401, n_values=(1, 8))
         assert cli.main(["hypothesis", "--config",
                          write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 3
@@ -732,7 +741,7 @@ class TestCli:
             return march_rows(u0, grid, uset)
 
         monkeypatch.setattr(solver, "_march_rows", spy)
-        cfg = base_config(nx=201, t_max=1.25, n_values=(4, 8), safety=0.25,
+        cfg = base_config(nx=201, n_values=(4, 8), safety=0.25,
                           r_cut=0.3, psi=({"name": "abs_clip", "clip": 3.0},))
         assert cli.main([command, "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 0
@@ -746,9 +755,8 @@ class TestCli:
         ("clt", dict(lam=0.05, Lam=0.15, pairs=((0.1, 0.1),),
                      psi=({"name": "constant", "value": 1.5},),
                      n_values=(2, 4), dp_dx=0.1)),
-        ("hypothesis", dict(t_max=1.25, n_values=(4, 8), mode="example_41")),
-        ("regularity", dict(t_max=1.25,
-                            psi=({"name": "abs_clip", "clip": 3.0},))),
+        ("hypothesis", dict(n_values=(4, 8), mode="example_41")),
+        ("regularity", dict(psi=({"name": "abs_clip", "clip": 3.0},))),
     ])
     def test_summary_file_is_stdout(self, tmp_path, capsys, command, over):
         out = tmp_path / "o"
@@ -759,8 +767,7 @@ class TestCli:
             == capsys.readouterr().out
 
     def test_regularity_runs(self, tmp_path):
-        cfg = base_config(nx=201, t_max=1.25,
-                          psi=({"name": "abs_clip", "clip": 3.0},))
+        cfg = base_config(nx=201, psi=({"name": "abs_clip", "clip": 3.0},))
         out = tmp_path / "o"
         assert cli.main(["regularity", "--config",
                          write_config(tmp_path, cfg),

@@ -212,10 +212,10 @@ class TestExpectation:
 
     def test_rejects_nonpositive_time(self, pair_sym):
         """t = 0 asks for infinitely many frequencies, refused naming
-        t_max."""
+        pairs, whose intensities scale c at the CLI's t = 1."""
         with pytest.raises(NumericalError) as exc:
             classical_expectation(gaussian, pair_sym, ALPHA, 0.0)
-        assert exc.value.field == "t_max"
+        assert exc.value.field == "pairs"
 
     def test_failed_mass_check_raises_on_every_call(self, pair_sym,
                                                     monkeypatch):
