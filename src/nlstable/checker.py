@@ -8,16 +8,16 @@ The central quantity is, per n,
               - (1/n) sup_pairs int delta_z v(t,x) F_k(dz) |.
 
 Both sides share their heavy-tail part exactly: the member laws have
-density b^alpha * levy density beyond z0 and n b^alpha B_n^alpha = 1,
-so the law tail integral rescales to the kernel integral over
-|z| > B_n z0 node for node.  The computation exploits this by reusing
-one tail quadrature (``kernels.tail_nodes`` beyond B_n z0) for both
-sides, which pushes the measurement floor well below the
-n^(1 - 2/alpha) signal.  For each n every pair and every law becomes one
-``kernels.jump_kernel`` (the builder behind the march's generator too):
-its quadrature nodes, the compensator -v'(x) * (first moment) and the
-Taylor terms for jumps under one grid cell, so each sampled row costs
-one ``apply_max`` per side.
+the levy density beyond z0 and n B_n^alpha = 1, so the law tail
+integral rescales to the kernel integral over |z| > B_n z0 node for
+node.  The computation exploits this by reusing one tail quadrature
+(``kernels.tail_nodes`` beyond B_n z0) for both sides, which pushes the
+measurement floor well below the n^(1 - 2/alpha) signal.  For each n
+every pair and every law becomes one ``kernels.jump_kernel`` (the
+builder behind the march's generator too): its quadrature nodes, the
+compensator -v'(x) * (first moment) and the Taylor terms for jumps
+under one grid cell, so each sampled row costs one ``apply_max`` per
+side.
 
 The checker marches nothing: it reads v(t) = u(T - t) as the rows, in
 reverse, of forward surfaces u that the caller marched to T >= 1.
@@ -90,8 +90,8 @@ def condition_iii_rows(g: Grid, g_coarse: Grid
 def _condition_iii_residual(laws: tuple[AttractedLaw, ...], rows, g: Grid,
                             n: int) -> float:
     """The residual maximized over the given rows of v on grid g."""
-    alpha, b_scale, z0 = laws[0].alpha, laws[0].b_scale, laws[0].z0
-    b_n = NormalizedSumSpec(n, b_scale, alpha).B_n
+    alpha, z0 = laws[0].alpha, laws[0].z0
+    b_n = NormalizedSumSpec(n, alpha).B_n
     r_split = b_n * z0
     mid = middle_half(g.nx)
 
@@ -119,8 +119,8 @@ def _condition_iii_residual(laws: tuple[AttractedLaw, ...], rows, g: Grid,
         for pair in [law.pair for law in laws]]
 
     # law side: n times the interior rule, Taylor for jumps under dx,
-    # plus the shared tail scaled by n b^alpha B_n^alpha (= 1)
-    tail_scale = b_scale ** alpha * n * b_n ** alpha
+    # plus the shared tail scaled by n B_n^alpha (= 1)
+    tail_scale = n * b_n ** alpha
     law_kernels = []
     for law in laws:
         nodes, weights = law_nodes(law)
@@ -193,13 +193,12 @@ def classical_term_bounds(law: AttractedLaw, m1: float,
 
     Group 1 covers jumps z > 1, group 2 the near field z < B_n, and
     groups 3 and 4 the midrange; group 2 carries the explicit
-    b^(alpha-2) n^(1 - 2/alpha) decay factor.  The mirrored negative
-    side produces the same groups with beta1 and is not duplicated.
+    n^(1 - 2/alpha) decay factor.  The mirrored negative side produces
+    the same groups with beta1 and is not duplicated.
     """
     alpha = law.alpha
-    spec = NormalizedSumSpec(n, law.b_scale, alpha)
-    b_n = spec.B_n
-    decay = law.b_scale ** (alpha - 2.0) * float(n) ** (1.0 - 2.0 / alpha)
+    b_n = NormalizedSumSpec(n, alpha).B_n
+    decay = float(n) ** (1.0 - 2.0 / alpha)
 
     zq = np.geomspace(1e-10, 1.0, 4001)
     mid_int = float(np.trapezoid(np.abs(tail_deviation(law, zq / b_n))

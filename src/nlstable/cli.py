@@ -117,8 +117,8 @@ def run_solve(cfg: ExperimentConfig, out: str) -> list[str]:
 
 def _laws(cfg: ExperimentConfig) -> tuple[AttractedLaw, ...]:
     """One attracted law per kernel pair; a law that cannot be built
-    raises ConfigError naming z0 or b_scale."""
-    return tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+    raises ConfigError naming z0."""
+    return tuple(build_law(p, cfg.alpha, cfg.z0)
                  for p in cfg.uncertainty_set().pairs)
 
 

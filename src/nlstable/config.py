@@ -19,7 +19,7 @@ from . import basket, engine
 # field belongs to pide_solver
 _MODULES = {"alpha": "stable_kernel", "lam": "stable_kernel",
             "Lam": "stable_kernel", "pairs": "stable_kernel",
-            "b_scale": "attracted_laws", "z0": "attracted_laws",
+            "z0": "attracted_laws",
             "dp_dx": "sublinear_engine",
             "n_values": "hypothesis_checker", "mode": "hypothesis_checker",
             "psi": "experiment_cli", "config": "experiment_cli"}
@@ -37,7 +37,6 @@ class ExperimentConfig:
     lam: float
     Lam: float
     pairs: tuple[tuple[float, float], ...]
-    b_scale: float = 1.0
     z0: float = 2.0
     h: float = 0.25
     psi: tuple[dict, ...] = (({"name": "gaussian_bump"}),)
@@ -52,9 +51,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.uncertainty_set()  # alpha, lam, Lam and pairs
-        for name in ("b_scale", "z0"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(name, "must be positive")
+        if self.z0 <= 0.0:
+            raise ConfigError("z0", "must be positive")
         if not (0.0 < self.h < 1.0):
             raise ConfigError("h", "must lie in (0, 1)")
         if self.nx < 9:
@@ -149,8 +147,7 @@ class ExperimentConfig:
     def dp_grid(self) -> Grid:
         """The grid every n of the DP runs on: ``dp_dx`` apart, and wide
         enough for the smallest n, whose B_n z0 is the largest."""
-        spec = engine.NormalizedSumSpec(self.n_values[0], self.b_scale,
-                                        self.alpha)
+        spec = engine.NormalizedSumSpec(self.n_values[0], self.alpha)
         half = self._dp_half(spec.B_n * self.z0)
         return Grid(-half * self.dp_dx, half * self.dp_dx, 2 * half + 1,
                     1.0, 1, 0.5, 4.0)
@@ -218,7 +215,9 @@ def load(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:  # JSON is UTF-8
         try:
             data = json.load(fh)
-        except ValueError as exc:  # also a file that is not UTF-8
+        # ValueError: also a file that is not UTF-8; RecursionError:
+        # arrays or objects nested past the interpreter's depth
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("config", f"not valid JSON: {exc}")
     cfg = config_from_dict(data)
     cfg.validate()

@@ -21,10 +21,10 @@ within ``DP_REACH`` cells, so interpolation adds no spurious variance
 per stage and every n runs at the same spacing ``dp_dx``.
 
 The grid's width comes from the laws' exact Pareto tails
-(``dp_half_cells``): since n b^alpha B_n^alpha = 1, the mass a stage
-sends off the grid, n times over, is the same closed form in the pairs,
-alpha and the width for every n and every psi, and the width keeps it
-within ``ESCAPE_TOL``.
+(``dp_half_cells``): since n B_n^alpha = 1, the mass a stage sends off
+the grid, n times over, is the same closed form in the pairs, alpha and
+the width for every n and every psi, and the width keeps it within
+``ESCAPE_TOL``.
 """
 
 from __future__ import annotations
@@ -48,15 +48,14 @@ ESCAPE_MARGIN = 1.01
 
 @dataclass(frozen=True)
 class NormalizedSumSpec:
-    """Normalization B_n = 1/(b n^(1/alpha)) for an n-term sum."""
+    """Normalization B_n = 1/n^(1/alpha) for an n-term sum."""
 
     n: int
-    b_scale: float
     alpha: float
 
     @property
     def B_n(self) -> float:
-        return 1.0 / (self.b_scale * self.n ** (1.0 / self.alpha))
+        return 1.0 / self.n ** (1.0 / self.alpha)
 
 
 def dp_half_cells(pairs, alpha: float, dx: float, interior: float) -> float:
@@ -65,7 +64,7 @@ def dp_half_cells(pairs, alpha: float, dx: float, interior: float) -> float:
 
     A middle-half edge node lies d from the near end and 3d from the far
     one, d half the half-width.  Beyond z0 every law's tails are exactly
-    Pareto and n b^alpha B_n^alpha = 1, so with the heavier tail, k_hi,
+    Pareto and n B_n^alpha = 1, so with the heavier tail, k_hi,
     toward the near end, n P(x + B_n W off the grid) is
     k_hi/(alpha d^alpha) + k_lo/(alpha (3d)^alpha) for every n while d
     is at least ``interior``, B_n z0 at the smallest n.  The half-width
@@ -121,7 +120,6 @@ def nested_sum_expectation(psi, laws: tuple[AttractedLaw, ...],
 def convergence_table(psi, laws: tuple[AttractedLaw, ...], n_values,
                       dp_grid: Grid) -> list[tuple]:
     """Rows (n, B_n, nested_value), every n on ``dp_grid``."""
-    law = laws[0]
-    specs = [NormalizedSumSpec(n, law.b_scale, law.alpha) for n in n_values]
+    specs = [NormalizedSumSpec(n, laws[0].alpha) for n in n_values]
     return [(s.n, s.B_n, nested_sum_expectation(psi, laws, s, dp_grid))
             for s in specs]

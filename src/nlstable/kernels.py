@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -118,14 +118,16 @@ class Grid:
     ``r_cut`` is the small-jump radius below which the Taylor replacement
     is used; ``z_max`` the radius beyond which one far node carries the
     tail, with NQ_BAND log-spaced quadrature bins per side on
-    [r_cut, z_max] between them.
+    [r_cut, z_max] between them.  Equality and the hash read only the
+    space fields, which are all a generator stencil reads, so the
+    stencil cache serves every grid that differs only in t_max and nt.
     """
 
     x_min: float
     x_max: float
     nx: int
-    t_max: float
-    nt: int
+    t_max: float = field(compare=False)
+    nt: int = field(compare=False)
     r_cut: float
     z_max: float
 
@@ -400,7 +402,9 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
     ``tail_nodes`` on |z| >= r_cut, scaled by k_plus and k_minus, plus
     the Taylor term sigma2/2 u'' for |z| < r_cut.  A far node past the
     grid puts its mass on the edge values.  The negative of the centre
-    tap is the diagonal magnitude used by the stability bound.
+    tap is the diagonal magnitude used by the stability bound; a centre
+    tap that is not negative, or taps that do not sum to 0 within 1e-9
+    of it, are refused.
     """
     w, z = tail_nodes(grid.r_cut, grid.z_max, NQ_BAND, alpha)
     sigma2 = small_jump_second_moment(k, alpha, grid.r_cut)
@@ -420,6 +424,19 @@ def generator_stencil(grid: Grid, k: KernelPair, alpha: float) -> ShiftKernel:
             f"dx={grid.dx:.6g}, r_cut={grid.r_cut:.6g} has a negative "
             f"off-centre weight, so the explicit scheme would not be "
             f"monotone")
+    # the taps sum to 0 (G annihilates constants) up to rounding, unless
+    # the centre tap, minus the sum of weights ~ r_cut^-alpha, has lost
+    # its digits to cancellation
+    centre = kern.taps[kern.half]
+    row_sum = kern.taps.sum() + kern.lo[-1] + kern.hi[0]
+    if not (centre < 0.0 and abs(row_sum) <= -1e-9 * centre):
+        raise NumericalError(
+            "r_cut",
+            f"generator for pair {k} at alpha={alpha} on grid nx={grid.nx}, "
+            f"r_cut={grid.r_cut:.6g} has a centre tap of {centre:.3e} and "
+            f"taps that sum to {row_sum:.3e}, not 0 within 1e-9 of it: "
+            f"the weights near r_cut, about r_cut^-alpha, leave the centre "
+            f"tap no digits; raise pide_solver.r_cut")
     return kern
 
 

@@ -170,8 +170,8 @@ def axiom_triples():
 def test_criterion_7_sublinear_axioms():
     uset = UncertaintySet(1.5, (KernelPair(0.1, 0.1), KernelPair(0.12, 0.12)),
                           0.05, 0.15)
-    family = tuple(build_law(p, 1.5, 1.0, 2.0) for p in uset.pairs)
-    spec = NormalizedSumSpec(8, 1.0, 1.5)
+    family = tuple(build_law(p, 1.5, 2.0) for p in uset.pairs)
+    spec = NormalizedSumSpec(8, 1.5)
     grid = config_mod.ExperimentConfig(
         alpha=1.5, lam=0.05, Lam=0.15, pairs=((0.1, 0.1), (0.12, 0.12)),
         dp_dx=0.1).dp_grid()

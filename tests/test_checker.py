@@ -52,8 +52,7 @@ def residual_pieces(law: AttractedLaw, v: Surface, n: int, t: float,
     one (t, x); each is bounded by the matching classical_term_bounds
     group.  Intended for spot checks, not for sweeps."""
     alpha = law.alpha
-    b_n = NormalizedSumSpec(n, law.b_scale, alpha).B_n
-    scale = law.b_scale ** (-alpha)
+    b_n = NormalizedSumSpec(n, alpha).B_n
 
     def weight_full(z):
         u = z / b_n
@@ -68,7 +67,7 @@ def residual_pieces(law: AttractedLaw, v: Surface, n: int, t: float,
             return 0.0
         z = np.geomspace(z_lo, z_hi, 4001)
         d = np.array([delta_increment(v, t, x, zi) for zi in z])
-        return abs(float(np.trapezoid(d * w_fn(z), z))) * scale
+        return abs(float(np.trapezoid(d * w_fn(z), z)))
 
     top = b_n * law.z0
     p1 = piece(1.0, max(top, 1.0), weight_full)
@@ -89,7 +88,7 @@ def uset():
 
 @pytest.fixture(scope="module")
 def family(uset):
-    return (build_law(uset.pairs[0], ALPHA, 1.0, 2.0),)
+    return (build_law(uset.pairs[0], ALPHA, 2.0),)
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +193,7 @@ class TestConditionIII:
         bundled alpha = 1.5 (z0 = 4 keeps the alpha = 1.25 law's
         interior density positive)."""
         uset = singleton_set(alpha=alpha)
-        family = (build_law(uset.pairs[0], alpha, 1.0, z0),)
+        family = (build_law(uset.pairs[0], alpha, z0),)
         table = check_condition_iii(family,
                                     *fine_and_coarse(uset, gaussian, nx=801),
                                     (16, 32, 64, 128, 256))
@@ -230,7 +229,7 @@ def reference_residual(family, uset, v, n, n_bins=192):
     g = v.grid
     alpha = uset.alpha
     z0 = family[0].z0
-    b_n = NormalizedSumSpec(n, family[0].b_scale, alpha).B_n
+    b_n = NormalizedSumSpec(n, alpha).B_n
     r_split = b_n * z0
     mid = middle_half(g.nx)
     xm = g.x[mid]
@@ -284,7 +283,6 @@ def reference_residual(family, uset, v, n, n_bins=192):
                 + vxxxm / 6.0 * (pair.k_plus - pair.k_minus) * sig3
             kern.append(small + pair.k_plus * (t_plus + in_plus)
                         + pair.k_minus * (t_minus + in_minus))
-        c_scale = family[0].b_scale ** alpha
         for law, pair in zip(family, uset.pairs):
             wp, wm = gw * law.density(gl), gw * law.density(-gl)
             acc = np.zeros_like(xm)
@@ -297,8 +295,8 @@ def reference_residual(family, uset, v, n, n_bins=192):
                         + 0.5 * (w_p - w_m) * d_odd
                 else:
                     acc += w_p * delta_at(s) + w_m * delta_at(-s)
-            law_side.append(n * acc + c_scale * (pair.k_plus * t_plus
-                                                 + pair.k_minus * t_minus)
+            law_side.append(n * acc + (pair.k_plus * t_plus
+                                       + pair.k_minus * t_minus)
                             * n * b_n ** alpha)
         resid = np.abs(np.max(law_side, axis=0) - np.max(kern, axis=0))
         worst = max(worst, float(np.max(resid)))
@@ -309,7 +307,7 @@ def reference_residual(family, uset, v, n, n_bins=192):
 def asym_case():
     uset = UncertaintySet(ALPHA, (KernelPair(0.09, 0.13),
                                   KernelPair(0.12, 0.08)), 0.05, 0.15)
-    family = tuple(build_law(p, ALPHA, 1.0, 2.0) for p in uset.pairs)
+    family = tuple(build_law(p, ALPHA, 2.0) for p in uset.pairs)
     grid = make_grid(-20.0, 20.0, 201, 1.0 + H, uset)
     return family, uset, backward(gaussian, grid, uset)
 

@@ -17,7 +17,7 @@ import pytest
 from nlstable import basket
 from nlstable import config as config_mod
 from nlstable.config import ExperimentConfig
-from nlstable import cli, engine, solver
+from nlstable import cli, engine, kernels, solver
 from nlstable.kernels import ConfigError, scheme_stability_constant
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -82,6 +82,10 @@ class TestConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             config_mod.load(str(p))
+        # nested past the interpreter's depth: json raises RecursionError
+        p.write_text("[" * 200_000)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            config_mod.load(str(p))
 
 
 def without(name):
@@ -131,10 +135,6 @@ def setting(**fields):
                  "experiment_cli.psi", id="psi-bool-clip"),
     pytest.param(setting(psi=[{"name": "gaussian_bump", "width": "2"}]),
                  "experiment_cli.psi", id="psi-string-width"),
-    # one field named per message; the brackets close the field name,
-    # which "b_scale/z0" would not
-    pytest.param(setting(b_scale=0.0), "[attracted_laws.b_scale]",
-                 id="b_scale-0"),
     pytest.param(setting(z0=0.0), "attracted_laws.z0", id="z0-0"),
     pytest.param(setting(nx=3), "pide_solver.nx", id="nx-3"),
     pytest.param(setting(x_min=20.0), "pide_solver.x_max",
@@ -158,6 +158,10 @@ def setting(**fields):
                  id="t_max-1.0"),
     pytest.param(setting(z_max=None), "[experiment_cli.config]",
                  id="z_max-null"),
+    # a law with tail scale b is the b = 1 law with junction z0/b, so
+    # the old field is refused
+    pytest.param(setting(b_scale=1.0), "[experiment_cli.config]",
+                 id="b_scale-1.0"),
     pytest.param(setting(dp_dx=0.0), "sublinear_engine.dp_dx", id="dp_dx-0"),
     # the message names the JSON key, not the symbol
     pytest.param(setting(lam=3.0), "[stable_kernel.lam]",
@@ -183,10 +187,6 @@ def setting(**fields):
     pytest.param(setting(x_min=-1e300, x_max=1e300, r_cut=0.5),
                  "[pide_solver.x_max]", id="default-z_max-8e300"),
     pytest.param(setting(z0=1e308), "[attracted_laws.z0]", id="z0-1e308"),
-    pytest.param(setting(b_scale=1e308), "[attracted_laws.b_scale]",
-                 id="b_scale-1e308"),
-    pytest.param(setting(b_scale=1e-308), "[attracted_laws.b_scale]",
-                 id="b_scale-1e-308"),
     # the Lipschitz constant sqrt(2/e)/width overflows to inf
     pytest.param(setting(psi=[{"name": "gaussian_bump", "width": 1e-320}]),
                  "[experiment_cli.psi]", id="psi-tiny-width"),
@@ -203,8 +203,6 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, edit, needle):
 LAWS_THAT_CANNOT_BE_BUILT = [
     ({"pairs": [[2.0, 1.0]]}, "[attracted_laws.z0]"),
     ({"z0": 1e308}, "[attracted_laws.z0]"),
-    ({"b_scale": 1e308}, "[attracted_laws.b_scale]"),
-    ({"b_scale": 1e-308}, "[attracted_laws.b_scale]"),
 ]
 
 
@@ -225,9 +223,9 @@ def test_bad_law_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_builds_no_law(tmp_path):
-    """solve reads neither z0 nor b_scale, so it runs with values no law
-    can be built from."""
-    cfg = base_config(z0=1e308, b_scale=1e-308)
+    """solve reads no z0, so it runs with a value no law can be built
+    from."""
+    cfg = base_config(z0=1e308)
     assert cli.main(["solve", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o")]) == 0
 
@@ -612,12 +610,51 @@ class TestCli:
         assert err.startswith("numerical failure: [sublinear_engine.dp_dx] ")
         assert "cannot be allocated" in err
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        assert cli.main(["solve", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: [experiment_cli.config] not valid JSON: ")
+
+    def test_tiny_r_cut_exits_3_before_any_dp_or_march(
+            self, tmp_path, capsys, monkeypatch, no_march):
+        """At r_cut 1e-200 the weights near r_cut, about r_cut^-alpha,
+        leave the generator's centre tap no digits (+1.5e284 at nx 201):
+        every command refuses before any DP stage or march step."""
+        monkeypatch.setattr(engine, "nested_sum_expectation",
+                            lambda *args: pytest.fail("DP ran"))
+        over = dict(lam=0.05, r_cut=1e-200, n_values=(8, 16), dp_dx=0.1)
+        for command, mode in [("solve", "condition_iii"),
+                              ("clt", "condition_iii"),
+                              ("hypothesis", "condition_iii"),
+                              ("hypothesis", "example_41")]:
+            cfg = base_config(mode=mode, **over)
+            assert cli.main([command, "--config", write_config(tmp_path, cfg),
+                             "--out", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: [pide_solver.r_cut] ")
+
+    def test_march_grid_reuses_the_probe_stencils(self):
+        """make_grid's probe grid (nt = 1) and the march grid differ only
+        in their time fields, so each pair's stencil is built once."""
+        cfg = config_mod.load(str(CONFIGS / "clt_corner.json"))
+        kernels.generator_stencil.cache_clear()
+        grid = cli._grid(cfg, 1.0)
+        psi = cfg.psi_functions()[0]
+        solver.apply_sup_generator_row(psi(grid.x), grid,
+                                       cfg.uncertainty_set())
+        assert kernels.generator_stencil.cache_info().misses \
+            == len(cfg.pairs)
+
     def test_dp_grid_past_the_law_interior_exits_2(self, tmp_path, capsys,
                                                    no_march):
-        """At b_scale 1e-200 the laws build, but the DP grid must reach
-        past B_n z0 = 5e199 at the smallest n, which is past 2^62 cells
-        of dp_dx: refused once the laws are built, before any march."""
-        cfg = base_config(b_scale=1e-200)
+        """At z0 9e7 the laws build, but the DP grid must reach past
+        B_n z0 = 2.25e7 at the smallest n, which is 5.05e18 cells of
+        dp_dx 9e-12, past 2^62: refused once the laws are built, before
+        any march."""
+        cfg = base_config(z0=9e7, dp_dx=9e-12)
         assert cli.main(["clt", "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err

@@ -30,7 +30,7 @@ def make_family(pairs, alpha=ALPHA, z0=2.0, lam=0.05, big=4.0):
     """One law per pair of a valid uncertainty set."""
     uset = UncertaintySet(alpha, tuple(KernelPair(*p) for p in pairs),
                           lam, big)
-    return tuple(build_law(p, alpha, 1.0, z0) for p in uset.pairs)
+    return tuple(build_law(p, alpha, z0) for p in uset.pairs)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def dp_grid(half=320.0, dx=0.1):
 
 
 def config_laws(cfg):
-    return tuple(build_law(p, cfg.alpha, cfg.b_scale, cfg.z0)
+    return tuple(build_law(p, cfg.alpha, cfg.z0)
                  for p in cfg.uncertainty_set().pairs)
 
 
@@ -68,14 +68,13 @@ def wide_reference(psi, laws, spec, apply):
 class TestFamilyAndSpec:
     def test_normalization_identity(self):
         for n in (1, 7, 64, 1000):
-            spec = NormalizedSumSpec(n, 1.3, ALPHA)
-            assert n * 1.3 ** ALPHA * spec.B_n ** ALPHA \
-                == pytest.approx(1.0, rel=1e-12)
+            spec = NormalizedSumSpec(n, ALPHA)
+            assert n * spec.B_n ** ALPHA == pytest.approx(1.0, rel=1e-12)
 
 
 class TestNestedSum:
     def test_one_step_unrolls(self, fam_sym):
-        spec = NormalizedSumSpec(1, 1.0, ALPHA)
+        spec = NormalizedSumSpec(1, ALPHA)
         grid = dp_grid(half=1280.0, dx=0.05)
         val = nested_sum_expectation(gaussian, fam_sym, spec, grid)
         ref = law_expectation(lambda y: gaussian(spec.B_n * y),
@@ -84,7 +83,7 @@ class TestNestedSum:
 
     def test_constant_fixed_point(self, fam_small):
         for n in (1, 8):
-            spec = NormalizedSumSpec(n, 1.0, ALPHA)
+            spec = NormalizedSumSpec(n, ALPHA)
             val = nested_sum_expectation(lambda x: np.full_like(x, 2.5),
                                          fam_small, spec, dp_grid())
             assert val == pytest.approx(2.5, abs=1e-10)
@@ -93,7 +92,7 @@ class TestNestedSum:
         """The FFT stages against a dense direct sum of the interpolated
         law quadrature on the same grid, with constant extension and the
         explicit second-difference correction within DP_REACH cells."""
-        spec = NormalizedSumSpec(2, 1.0, ALPHA)
+        spec = NormalizedSumSpec(2, ALPHA)
         grid = dp_grid(dx=0.5)
         val = nested_sum_expectation(gaussian, fam_small, spec, grid)
 
@@ -113,7 +112,7 @@ class TestNestedSum:
         """n = 4 classical cross-check: convolve the law density four
         times on a fine wide lattice and integrate psi(B_4 s) against it."""
         n = 4
-        spec = NormalizedSumSpec(n, 1.0, ALPHA)
+        spec = NormalizedSumSpec(n, ALPHA)
         law = fam_sym[0]
 
         dx = 0.05
@@ -135,7 +134,7 @@ class TestNestedSum:
         """On a fixed grid the corrected stages are at least 10x closer
         to a 4x finer corrected run than plain linear-interpolation taps
         on the same grid."""
-        spec = NormalizedSumSpec(16, 1.0, ALPHA)
+        spec = NormalizedSumSpec(16, ALPHA)
         fine = nested_sum_expectation(gaussian, fam_small, spec,
                                       dp_grid(dx=0.025))
         corrected = nested_sum_expectation(gaussian, fam_small, spec,
@@ -154,7 +153,7 @@ class TestNestedSum:
     def test_negative_tap_names_dp_dx(self, fam_small, n, dx, advice, half):
         """A grid too coarse for B_n z0, or too fine for the law's
         quadrature nodes, leaves a negative corrected tap."""
-        spec = NormalizedSumSpec(n, 1.0, ALPHA)
+        spec = NormalizedSumSpec(n, ALPHA)
         with pytest.raises(NumericalError,
                            match=f"{advice} sublinear_engine.dp_dx") as exc:
             nested_sum_expectation(gaussian, fam_small, spec,
@@ -177,7 +176,7 @@ class TestNestedSum:
 
         monkeypatch.setattr(engine, "apply_max", record_apply)
         for n in cfg.n_values:
-            spec = NormalizedSumSpec(n, cfg.b_scale, cfg.alpha)
+            spec = NormalizedSumSpec(n, cfg.alpha)
             for psi in cfg.psi_functions():
                 rows.clear()
                 val = nested_sum_expectation(psi, laws, spec, grid)
@@ -194,7 +193,7 @@ class TestNestedSum:
         laws = config_laws(cfg)
         psi = basket.from_spec({"name": "gaussian_bump", "center": 30.0})
         for n, expected in ((8, 4.400e-5), (64, 4.428e-5)):
-            spec = NormalizedSumSpec(n, cfg.b_scale, cfg.alpha)
+            spec = NormalizedSumSpec(n, cfg.alpha)
             val = nested_sum_expectation(psi, laws, spec, cfg.dp_grid())
             ref = wide_reference(psi, laws, spec, engine.apply_max)
             assert abs(val - ref) <= 1e-9
@@ -215,7 +214,7 @@ class TestNestedSum:
         laws = config_laws(cfg)
         mid = middle_half(grid.nx)
         for n in cfg.n_values:
-            spec = NormalizedSumSpec(n, cfg.b_scale, cfg.alpha)
+            spec = NormalizedSumSpec(n, cfg.alpha)
             for law in laws:
                 nodes, weights = law_nodes(law)
                 kern = shift_kernel(interp_taps(
@@ -230,7 +229,7 @@ class TestAxiomsSmall:
     acceptance suite sweeps 20 generated triples at n = 8."""
 
     def axioms_setup(self, fam_small):
-        return NormalizedSumSpec(4, 1.0, ALPHA), dp_grid()
+        return NormalizedSumSpec(4, ALPHA), dp_grid()
 
     def test_monotone(self, fam_small):
         spec, grid = self.axioms_setup(fam_small)
@@ -311,7 +310,7 @@ def test_dp_peak_memory_per_node():
     cfg = config.load(str(CONFIGS / "clt_corner.json"))
     laws = config_laws(cfg)
     grid = cfg.dp_grid()
-    spec = NormalizedSumSpec(8, cfg.b_scale, cfg.alpha)
+    spec = NormalizedSumSpec(8, cfg.alpha)
     psi = cfg.psi_functions()[0]
     tracemalloc.start()
     try:

@@ -389,6 +389,18 @@ class TestSupGenerator:
         g = wide_grid(nx=801)
         assert scheme_stability_constant(g, singleton_set()) > 0.0
 
+    @pytest.mark.parametrize("r_cut", [1e-17, 1e-200])
+    def test_centre_tap_without_digits_refused(self, r_cut):
+        """At nx 201 the weights near a tiny r_cut, about r_cut^-alpha,
+        swamp the centre tap, which turns positive (+5.2e10 at 1e-17,
+        +1.5e284 at 1e-200) while the off-centre weights stay
+        nonnegative."""
+        g = Grid(-20.0, 20.0, 201, 1.0, 1, r_cut, 160.0)
+        with pytest.raises(kernels.NumericalError,
+                           match="raise pide_solver.r_cut") as exc:
+            generator_stencil(g, KernelPair(1.0, 1.0), 1.5)
+        assert exc.value.field == "r_cut"
+
 
 def hand_assembled_generator(grid, k, alpha):
     """Reference generator kernel assembled term by term, without

@@ -15,7 +15,7 @@ ALPHA = 1.5
 
 @pytest.fixture(scope="module")
 def law_sym():
-    return build_law(KernelPair(1.0, 1.0), ALPHA, 1.0, 2.0)
+    return build_law(KernelPair(1.0, 1.0), ALPHA, 2.0)
 
 
 def tail_mass(law):
@@ -26,9 +26,8 @@ def tail_mass(law):
 def quad_mean(law):
     interior, _ = quad(lambda z: z * law.density(z), -law.z0, law.z0,
                        limit=200)
-    c = law.b_scale ** law.alpha
     tail_mom = law.z0 ** (1.0 - law.alpha) / (law.alpha - 1.0)
-    return interior + c * (law.pair.k_plus - law.pair.k_minus) * tail_mom
+    return interior + (law.pair.k_plus - law.pair.k_minus) * tail_mom
 
 
 class TestBuild:
@@ -47,17 +46,17 @@ class TestBuild:
         # the (2,1) pair at z0=2 carries more net tail first moment than
         # any interior density on (-2, 2) can cancel
         with pytest.raises(ConfigError, match="increase z0") as exc:
-            build_law(KernelPair(2.0, 1.0), ALPHA, 1.0, 2.0)
+            build_law(KernelPair(2.0, 1.0), ALPHA, 2.0)
         assert exc.value.field == "z0"
 
     def test_asymmetric_mean_zero_at_wide_z0(self):
-        law = build_law(KernelPair(2.0, 1.0), ALPHA, 1.0, 6.0)
+        law = build_law(KernelPair(2.0, 1.0), ALPHA, 6.0)
         assert abs(quad_mean(law)) < 1e-10
         assert abs(law_expectation(lambda z: z, law)) < 1e-10
 
     def test_tail_mass_over_one_rejected(self):
         with pytest.raises(ConfigError, match="tail mass") as exc:
-            build_law(KernelPair(3.0, 3.0), ALPHA, 1.0, 0.5)
+            build_law(KernelPair(3.0, 3.0), ALPHA, 0.5)
         assert exc.value.field == "z0"
 
     def test_c1_junction(self, law_sym):
@@ -75,7 +74,7 @@ class TestBuild:
     @given(k=st.floats(0.2, 1.0), dk=st.floats(-0.05, 0.05))
     @settings(max_examples=30, deadline=None)
     def test_feasible_pairs_give_probability_density(self, k, dk):
-        law = build_law(KernelPair(k, k + dk), ALPHA, 1.0, 2.0)
+        law = build_law(KernelPair(k, k + dk), ALPHA, 2.0)
         zz = np.linspace(-2.0, 2.0, 801)
         assert np.min(law.density(zz)) >= -1e-12
         assert law_expectation(lambda z: np.ones_like(z), law) \
@@ -111,19 +110,19 @@ class TestCdfAndBeta:
     def test_beta_mixed_signs_in_one_call(self):
         """One call over z of both signs, inside and beyond z0, returns
         beta1 on the left and beta2 on the right, as point by point."""
-        law = build_law(KernelPair(0.5, 0.3), ALPHA, 1.0, 2.0)
+        law = build_law(KernelPair(0.5, 0.3), ALPHA, 2.0)
         # -2.3 and 3.7: beyond z0, where the formula leaves rounding
         z = np.array([-5.0, -2.3, -2.0, -1.3, -0.2, -1e-6, 1e-6, 0.4, 1.9,
                       2.0, 3.7])
         got = tail_deviation(law, z)
-        c, a = law.b_scale ** ALPHA, ALPHA
+        a = ALPHA
         for zi, gi in zip(z, got):
             if abs(zi) >= law.z0:
                 ref = 0.0
             elif zi < 0.0:
-                ref = law.cdf(zi) * abs(zi) ** a - c * law.pair.k_minus / a
+                ref = law.cdf(zi) * abs(zi) ** a - law.pair.k_minus / a
             else:
-                ref = (1.0 - law.cdf(zi)) * zi ** a - c * law.pair.k_plus / a
+                ref = (1.0 - law.cdf(zi)) * zi ** a - law.pair.k_plus / a
             assert gi == ref
             assert float(tail_deviation(law, zi)) == ref
 
